@@ -5,23 +5,19 @@
 //! `bench_server`'s subject).
 
 use std::path::PathBuf;
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use xp_labelkit::Mutation;
-use xp_server::epoch::{ApplyJob, BatchPolicy, Counters, EpochLoop};
+use xp_server::epoch::{BatchPolicy, Counters, EpochLoop};
 use xp_server::protocol::{Request, Response};
-use xp_server::server::handle_request;
 use xp_server::snapshot::EpochSnapshot;
 use xp_store::Store;
 
 /// The single document every in-process bench serves.
 pub(crate) const URI: &str = "bench.xml";
 
-type Submit = Arc<dyn Fn(ApplyJob) -> Result<(), ApplyJob> + Send + Sync>;
-
 /// One served document plus the handles a connection handler would hold.
 pub(crate) struct InprocServer {
     epoch: EpochLoop,
-    submit: Submit,
     counters: Arc<Counters>,
     dir: PathBuf,
 }
@@ -45,10 +41,8 @@ impl InprocServer {
             Some(cap) => EpochLoop::start_with_cache(store, policy, cap),
             None => EpochLoop::start(store, policy),
         };
-        let sender = epoch.sender();
-        let submit: Submit = Arc::new(move |job| sender.submit(job));
         let counters = epoch.counters();
-        InprocServer { epoch, submit, counters, dir }
+        InprocServer { epoch, counters, dir }
     }
 
     /// Shared server counters (cache hits/misses, epochs, …).
@@ -71,9 +65,7 @@ impl InprocServer {
     /// answering epoch and the hit list.
     pub fn query(&self, path: &str) -> (u64, Vec<u64>) {
         let req = Request::Query { uri: URI.into(), path: path.into() };
-        let caches = self.epoch.caches();
-        match handle_request(req, &self.epoch.docs(), caches.as_ref(), &self.submit, &self.counters)
-        {
+        match self.epoch.handle(req) {
             Response::Hits { epoch, nodes, .. } => (epoch, nodes),
             other => panic!("bench query {path} got {other:?}"),
         }
@@ -85,27 +77,12 @@ impl InprocServer {
         let mut bytes = Vec::new();
         mutation.encode(&mut bytes);
         let req = Request::Apply { uri: URI.into(), mutations: vec![bytes] };
-        let caches = self.epoch.caches();
-        match handle_request(req, &self.epoch.docs(), caches.as_ref(), &self.submit, &self.counters)
-        {
+        match self.epoch.handle(req) {
             Response::Applied { results, .. } => {
                 results.into_iter().next().expect("one mutation, one result")
             }
             other => panic!("bench apply got {other:?}"),
         }
-    }
-
-    /// Submits one mutation directly to the writer without waiting for
-    /// the reply channel round-trip logic in `apply` — used where the
-    /// caller wants the raw `ApplyJob` path. Blocks on the outcome.
-    #[allow(dead_code)]
-    pub fn submit_raw(&self, mutations: Vec<Vec<u8>>) -> Result<(), String> {
-        let (tx, rx) = mpsc::sync_channel(1);
-        self.epoch
-            .submit(ApplyJob { uri: URI.into(), mutations, reply: tx })
-            .map_err(|_| "writer stopped".to_owned())?;
-        let _ = rx.recv();
-        Ok(())
     }
 
     /// Stops the loop, runs the store's full consistency suite, removes

@@ -59,7 +59,6 @@ pub mod ordered;
 pub mod path;
 pub mod sc;
 pub mod size_model;
-pub mod stream;
 pub mod topdown;
 
 pub use dynamic::DynamicPrime;

@@ -22,10 +22,12 @@
 //! sorted first according to their order numbers … return the author node
 //! that is in the second position".
 
+use std::collections::HashMap;
+
 use crate::relstore::LabelTable;
 use xp_labelkit::LabelOps;
 use xp_testkit::faultpoint;
-use xp_xmltree::NodeId;
+use xp_xmltree::{NodeId, XmlTree};
 
 /// Axes the engine evaluates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -298,6 +300,31 @@ fn parse_segment(seg: &str, descendant: bool) -> Result<Step, PathError> {
 pub trait OrderOracle {
     /// A rank that sorts elements in document order (root smallest).
     fn rank(&self, node: NodeId) -> u64;
+}
+
+/// The reference order: a node's rank is its position in a given element
+/// order, by default the tree walk. Differential suites check every
+/// scheme's order against it. Nodes outside the order rank last
+/// (`u64::MAX`).
+#[derive(Debug, Clone, Default)]
+pub struct TreeOrderOracle(HashMap<NodeId, u64>);
+
+impl TreeOrderOracle {
+    /// Ranks `tree`'s elements in preorder.
+    pub fn of(tree: &XmlTree) -> Self {
+        Self::from_order(tree.elements())
+    }
+
+    /// Ranks nodes by their position in `order`.
+    pub fn from_order(order: impl IntoIterator<Item = NodeId>) -> Self {
+        TreeOrderOracle(order.into_iter().enumerate().map(|(i, n)| (n, i as u64)).collect())
+    }
+}
+
+impl OrderOracle for TreeOrderOracle {
+    fn rank(&self, node: NodeId) -> u64 {
+        self.0.get(&node).copied().unwrap_or(u64::MAX)
+    }
 }
 
 /// Evaluates `path` against the label table, from the document root.

@@ -10,14 +10,13 @@
 //! panic, and whatever state survives must still satisfy the structural
 //! label contract.
 
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use xp_baselines::{
     DeweyScheme, FloatIntervalScheme, IntervalScheme, Prefix1Scheme, Prefix2Scheme,
 };
 use xp_labelkit::{DynamicScheme, InsertPos, LabelOps, LabeledStore, RelabelReport};
 use xp_prime::DynamicPrime;
-use xp_query::engine::{eval_path, OrderOracle, Path};
+use xp_query::engine::{eval_path, Path, TreeOrderOracle};
 use xp_query::relstore::LabelTable;
 use xp_testkit::propcheck::{usizes, vec_of, Gen};
 use xp_testkit::{fault, prop_assert, propcheck};
@@ -53,21 +52,6 @@ const PATHS: &[&str] = &[
     "//t2/preceding-sibling::t1",
     "//t1[2]",
 ];
-
-/// Rank oracle from the tree's own document order.
-struct TreeOrderOracle(HashMap<NodeId, u64>);
-
-impl TreeOrderOracle {
-    fn of(tree: &XmlTree) -> Self {
-        TreeOrderOracle(tree.elements().enumerate().map(|(i, n)| (n, i as u64)).collect())
-    }
-}
-
-impl OrderOracle for TreeOrderOracle {
-    fn rank(&self, node: NodeId) -> u64 {
-        self.0.get(&node).copied().unwrap_or(u64::MAX)
-    }
-}
 
 /// Picks the `pick`-th non-root element, if the document has one.
 fn non_root(tree: &XmlTree, pick: usize) -> Option<NodeId> {

@@ -1,32 +1,36 @@
 //! The single-writer epoch loop: batching, group commit, publish.
 //!
-//! One thread owns the [`Store`] and therefore every document's
-//! authoritative tree, labels, and SC table. Connection handlers never
-//! touch it — they enqueue [`ApplyJob`]s and read published
-//! [`EpochSnapshot`]s. That single-writer discipline is what makes the
-//! concurrency story trivially torn-read-free: there is exactly one
-//! mutator, and everything readers see is immutable.
+//! One thread owns the store — a flat [`Store`] or a sharded
+//! [`ShardedDocStore`](xp_store::ShardedDocStore), see [`crate::kind`] —
+//! and therefore every document's authoritative tree, labels, and SC
+//! table. Connection handlers never touch it — they enqueue [`ApplyJob`]s
+//! and read published snapshots. That single-writer discipline is what
+//! makes the concurrency story trivially torn-read-free: there is exactly
+//! one mutator, and everything readers see is immutable.
 //!
 //! # Epoch lifecycle
 //!
 //! 1. **Gather.** The loop blocks for one job, then drains whatever else
-//!    has queued, up to [`BatchPolicy::max_mutations`] per document.
+//!    has queued, up to [`BatchPolicy::max_mutations`].
 //! 2. **Decode.** Each job's mutation bytes are decoded against the live
 //!    tree. A job that fails to decode is rejected whole, before anything
 //!    is logged — it consumes no sequence numbers.
-//! 3. **Commit.** All of a document's decoded mutations go through
-//!    [`Store::apply_batch`]: every frame is written to the WAL, then one
-//!    `fdatasync` covers the batch (group commit). A mutation the scheme
-//!    rejects still consumed its sequence number and will re-fail
-//!    identically on replay; its error is reported to the submitting
-//!    client only.
-//! 4. **Publish.** The document's [`Publisher`] stamps a new epoch and
-//!    swaps the shared snapshot pointer. Readers that already hold the
-//!    previous `Arc` keep a consistent pre-batch view; new queries see the
-//!    new epoch.
+//! 3. **Commit.** All of a document's decoded mutations go through the
+//!    kind's [`DocKind::commit`]: every frame is written to the WAL, then
+//!    one `fdatasync` covers the batch (group commit), then the batch
+//!    applies. A mutation the scheme rejects still consumed its sequence
+//!    number and will re-fail identically on replay; its error is
+//!    reported to the submitting client only.
+//! 4. **Publish.** The kind builds the document's next snapshot, stamped
+//!    one epoch past the current one; the document's query cache drops
+//!    what the batch touched; then the shared snapshot pointer swaps.
+//!    Readers that already hold the previous `Arc` keep a consistent
+//!    pre-batch view; new queries see the new epoch.
 //! 5. **Reply.** Every job in the batch gets its per-mutation outcomes and
 //!    the epoch that covers them.
 //!
+//! Epochs count published batches per document, from 0 at start; a batch
+//! with nothing to log publishes nothing and advances nothing.
 //! Durability before visibility: the fsync in step 3 happens before the
 //! publish in step 4, so no client can observe (or build on) labels that
 //! a crash could un-happen.
@@ -37,11 +41,14 @@ use std::sync::mpsc;
 use std::sync::{Arc, Mutex, RwLock};
 
 use xp_labelkit::Mutation;
-use xp_query::{QueryCache, TouchedTags};
+use xp_query::QueryCache;
 use xp_store::{Store, StoreError};
+use xp_xmltree::XmlTree;
 
+use crate::kind::DocKind;
 use crate::protocol::{ErrCode, ServerStats, WireApply};
-use crate::snapshot::{EpochSnapshot, Publisher};
+use crate::snapshot::{EpochSnapshot, Snapshot};
+use crate::{lock, read, write};
 
 /// Group-commit policy for the epoch loop.
 #[derive(Debug, Clone, Copy)]
@@ -158,70 +165,72 @@ impl Counters {
     }
 }
 
+/// Every document's current snapshot, by URI.
+pub type Snapshots<S> = HashMap<String, Arc<S>>;
+
 /// The reader-facing side of the epoch loop: the published snapshot per
 /// document, swapped atomically at each epoch boundary.
-pub type PublishedDocs = Arc<RwLock<HashMap<String, Arc<EpochSnapshot>>>>;
+pub type PublishedDocs<S = EpochSnapshot> = Arc<RwLock<Snapshots<S>>>;
 
 /// Per-document query-result caches (present only when caching is on).
 /// Connection handlers consult these; the writer invalidates them right
 /// before each epoch swap.
 pub type DocCaches = Arc<RwLock<HashMap<String, Arc<Mutex<QueryCache>>>>>;
 
-/// Handle to a running epoch loop.
-pub struct EpochLoop {
+/// Handle to a running epoch loop over a store of kind `K`.
+pub struct EpochLoop<K: DocKind = Store> {
     jobs: mpsc::Sender<Job>,
-    docs: PublishedDocs,
+    docs: PublishedDocs<K::Snapshot>,
     caches: Option<DocCaches>,
     counters: Arc<Counters>,
-    writer: Option<std::thread::JoinHandle<Store>>,
+    writer: Option<std::thread::JoinHandle<K>>,
 }
 
-impl EpochLoop {
+impl<K: DocKind> EpochLoop<K> {
     /// Takes ownership of `store` and starts the writer thread. Every
-    /// document already in the store is published as its initial epoch.
-    pub fn start(store: Store, policy: BatchPolicy) -> EpochLoop {
-        EpochLoop::launch(store, policy, None)
+    /// document already in the store is published as its epoch 0.
+    pub fn start(store: K, policy: BatchPolicy) -> Self {
+        Self::launch(store, policy, None)
     }
 
     /// Like [`EpochLoop::start`], with a query-result cache of
     /// `cache_capacity` entries per document (see `xp_query::cache`).
-    pub fn start_with_cache(store: Store, policy: BatchPolicy, cache_capacity: usize) -> EpochLoop {
-        EpochLoop::launch(store, policy, Some(cache_capacity))
+    pub fn start_with_cache(store: K, policy: BatchPolicy, cache_capacity: usize) -> Self {
+        Self::launch(store, policy, Some(cache_capacity))
     }
 
-    fn launch(store: Store, policy: BatchPolicy, cache_capacity: Option<usize>) -> EpochLoop {
-        let docs: PublishedDocs = Arc::new(RwLock::new(HashMap::new()));
-        let counters = Arc::new(Counters::default());
-        let (tx, rx) = mpsc::channel::<Job>();
+    fn launch(store: K, policy: BatchPolicy, cache_capacity: Option<usize>) -> Self {
         // Publish every document's initial epoch *before* the writer
         // thread exists, so callers see a complete map the moment this
         // returns.
-        let mut publishers = HashMap::new();
-        publish_initial(&store, &docs, &mut publishers);
+        let (publishing, initial) = store.start_publishing();
         let caches = cache_capacity.map(|cap| {
-            let mut map = HashMap::new();
-            for doc in store.docs() {
-                map.insert(
-                    doc.uri().to_owned(),
-                    Arc::new(Mutex::new(QueryCache::new(cap, 0))),
-                );
-            }
+            let map = initial
+                .keys()
+                .map(|uri| (uri.clone(), Arc::new(Mutex::new(QueryCache::new(cap, 0)))))
+                .collect();
             Arc::new(RwLock::new(map))
         });
-        let writer_docs = Arc::clone(&docs);
-        let writer_caches = caches.clone();
-        let writer_counters = Arc::clone(&counters);
+        let docs = Arc::new(RwLock::new(initial));
+        let counters = Arc::new(Counters::default());
+        let (tx, rx) = mpsc::channel::<Job>();
+        let writer = Writer {
+            store,
+            publishing,
+            policy,
+            docs: Arc::clone(&docs),
+            caches: caches.clone(),
+            counters: Arc::clone(&counters),
+        };
         let writer = std::thread::Builder::new()
             .name("xp-epoch-writer".into())
-            .spawn(move || {
-                writer_loop(store, policy, rx, publishers, writer_docs, writer_caches, writer_counters)
-            })
+            .spawn(move || writer.run(rx))
             .unwrap_or_else(|e| panic!("spawning the epoch writer failed: {e}"));
         EpochLoop { jobs: tx, docs, caches, counters, writer: Some(writer) }
     }
 
     /// The published-snapshot map readers query against.
-    pub fn docs(&self) -> PublishedDocs {
+    pub fn docs(&self) -> PublishedDocs<K::Snapshot> {
         Arc::clone(&self.docs)
     }
 
@@ -242,283 +251,213 @@ impl EpochLoop {
 
     /// Enqueues a job. Fails only if the writer has already stopped.
     pub fn submit(&self, job: ApplyJob) -> Result<(), ApplyJob> {
-        self.jobs.send(Job::Apply(job)).map_err(|e| match e.0 {
-            Job::Apply(j) => j,
-            Job::Stop => unreachable!("we only send Apply here"),
-        })
+        self.sender().submit(job)
     }
 
     /// Stops the writer after it drains queued jobs, returning the store.
-    pub fn shutdown(mut self) -> Option<Store> {
+    pub fn shutdown(mut self) -> Option<K> {
         let _ = self.jobs.send(Job::Stop);
         self.writer.take().and_then(|w| w.join().ok())
     }
 }
 
-fn writer_loop(
-    mut store: Store,
+/// Everything the writer thread owns.
+struct Writer<K: DocKind> {
+    store: K,
+    publishing: K::Publishing,
     policy: BatchPolicy,
-    jobs: mpsc::Receiver<Job>,
-    mut publishers: HashMap<String, Publisher>,
-    docs: PublishedDocs,
+    docs: PublishedDocs<K::Snapshot>,
     caches: Option<DocCaches>,
     counters: Arc<Counters>,
-) -> Store {
-    loop {
-        let first = match jobs.recv() {
-            Ok(Job::Apply(j)) => j,
-            Ok(Job::Stop) | Err(_) => break,
-        };
-        let mut batch = vec![first];
-        let mut queued_mutations = batch[0].mutations.len();
-        let mut stop_after = false;
-        while queued_mutations < policy.max_mutations {
-            match jobs.try_recv() {
-                Ok(Job::Apply(j)) => {
-                    queued_mutations += j.mutations.len();
-                    batch.push(j);
+}
+
+impl<K: DocKind> Writer<K> {
+    fn run(mut self, jobs: mpsc::Receiver<Job>) -> K {
+        loop {
+            let first = match jobs.recv() {
+                Ok(Job::Apply(j)) => j,
+                Ok(Job::Stop) | Err(_) => break,
+            };
+            let mut batch = vec![first];
+            let mut queued_mutations = batch[0].mutations.len();
+            let mut stop_after = false;
+            while queued_mutations < self.policy.max_mutations {
+                match jobs.try_recv() {
+                    Ok(Job::Apply(j)) => {
+                        queued_mutations += j.mutations.len();
+                        batch.push(j);
+                    }
+                    Ok(Job::Stop) => {
+                        stop_after = true;
+                        break;
+                    }
+                    Err(_) => break,
                 }
-                Ok(Job::Stop) => {
-                    stop_after = true;
-                    break;
-                }
-                Err(_) => break,
+            }
+            self.run_batch(batch);
+            if stop_after {
+                break;
             }
         }
-        run_batch(&mut store, &policy, batch, &docs, &caches, &mut publishers, &counters);
-        if stop_after {
-            break;
+        self.store
+    }
+
+    /// Applies one gathered batch: group jobs by URI (preserving submission
+    /// order), run each document's share, reply.
+    fn run_batch(&mut self, batch: Vec<ApplyJob>) {
+        // (uri -> job indices), in first-seen order.
+        let mut by_uri: Vec<(String, Vec<usize>)> = Vec::new();
+        for (i, job) in batch.iter().enumerate() {
+            match by_uri.iter_mut().find(|(u, _)| *u == job.uri) {
+                Some((_, idxs)) => idxs.push(i),
+                None => by_uri.push((job.uri.clone(), vec![i])),
+            }
+        }
+        let mut replies: Vec<Option<ApplyOutcome>> = batch.iter().map(|_| None).collect();
+        for (uri, job_idxs) in by_uri {
+            self.run_document(&uri, &batch, &job_idxs, &mut replies);
+        }
+
+        let stats = K::publish_stats(&self.publishing);
+        self.counters.reclaimed.store(stats.reclaimed, Ordering::Relaxed);
+        self.counters.cloned.store(stats.cloned, Ordering::Relaxed);
+
+        for (job, outcome) in batch.into_iter().zip(replies) {
+            let outcome = outcome.unwrap_or(ApplyOutcome::Rejected {
+                code: ErrCode::Internal,
+                msg: "job was never scheduled".into(),
+            });
+            let _ = job.reply.try_send(outcome);
         }
     }
-    store
-}
 
-/// Publishes epoch 0 of every document the store already holds.
-fn publish_initial(
-    store: &Store,
-    docs: &PublishedDocs,
-    publishers: &mut HashMap<String, Publisher>,
-) {
-    let mut map = match docs.write() {
-        Ok(m) => m,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    for doc in store.docs() {
-        let labeled = doc.labeled().fork();
-        let table = doc.table().clone();
-        let snap = EpochSnapshot::new(0, doc.seq(), labeled, table);
-        let publisher = Publisher::new(snap);
-        map.insert(doc.uri().to_owned(), publisher.current());
-        publishers.insert(doc.uri().to_owned(), publisher);
-    }
-}
-
-/// Applies one gathered batch: group jobs by URI (preserving submission
-/// order), decode, commit, publish, reply.
-fn run_batch(
-    store: &mut Store,
-    policy: &BatchPolicy,
-    batch: Vec<ApplyJob>,
-    docs: &PublishedDocs,
-    caches: &Option<DocCaches>,
-    publishers: &mut HashMap<String, Publisher>,
-    counters: &Arc<Counters>,
-) {
-    // (uri -> job indices), in first-seen order.
-    let mut by_uri: Vec<(String, Vec<usize>)> = Vec::new();
-    for (i, job) in batch.iter().enumerate() {
-        match by_uri.iter_mut().find(|(u, _)| *u == job.uri) {
-            Some((_, idxs)) => idxs.push(i),
-            None => by_uri.push((job.uri.clone(), vec![i])),
-        }
-    }
-    let mut replies: Vec<Option<ApplyOutcome>> = batch.iter().map(|_| None).collect();
-
-    for (uri, job_idxs) in by_uri {
-        let Some(publisher) = publishers.get_mut(&uri) else {
-            for &i in &job_idxs {
+    /// Decodes, commits, publishes and slices replies for the jobs of one
+    /// document.
+    fn run_document(
+        &mut self,
+        uri: &str,
+        batch: &[ApplyJob],
+        job_idxs: &[usize],
+        replies: &mut [Option<ApplyOutcome>],
+    ) {
+        let current = read(&self.docs).get(uri).cloned();
+        let (Some(current), Some(tree)) = (current, self.store.tree(uri)) else {
+            for &i in job_idxs {
                 replies[i] = Some(ApplyOutcome::Rejected {
                     code: ErrCode::UnknownDoc,
                     msg: format!("no document at uri {uri:?}"),
                 });
             }
-            continue;
+            return;
         };
 
         // Decode every job against the live tree; reject bad jobs whole.
-        let mut decoded: Vec<(usize, Vec<Mutation>)> = Vec::new();
-        {
-            let Some(doc) = store.doc(&uri) else { continue };
-            let tree = doc.tree();
-            for &i in &job_idxs {
-                let mut muts = Vec::with_capacity(batch[i].mutations.len());
-                let mut bad = None;
-                for bytes in &batch[i].mutations {
-                    let mut input = bytes.as_slice();
-                    match Mutation::decode(&mut input, tree) {
-                        Ok(m) if input.is_empty() => muts.push(m),
-                        Ok(_) => {
-                            bad = Some("trailing mutation bytes".to_owned());
-                            break;
-                        }
-                        Err(e) => {
-                            bad = Some(e.to_string());
-                            break;
-                        }
-                    }
+        let mut decoded: Vec<(usize, usize)> = Vec::new(); // (job, mutations)
+        let mut flat: Vec<Mutation> = Vec::new();
+        for &i in job_idxs {
+            match decode_job(&batch[i].mutations, tree) {
+                Ok(muts) => {
+                    decoded.push((i, muts.len()));
+                    flat.extend(muts);
                 }
-                match bad {
-                    Some(msg) => {
-                        replies[i] = Some(ApplyOutcome::Rejected {
-                            code: ErrCode::BadRequest,
-                            msg,
-                        })
-                    }
-                    None => decoded.push((i, muts)),
+                Err(msg) => {
+                    replies[i] = Some(ApplyOutcome::Rejected { code: ErrCode::BadRequest, msg })
                 }
             }
         }
-        let flat: Vec<Mutation> =
-            decoded.iter().flat_map(|(_, ms)| ms.iter().cloned()).collect();
         if flat.is_empty() {
             // Nothing to log: empty jobs still get a (trivial) reply
             // stamped with the current epoch.
-            let epoch = publisher.current().epoch();
-            let seq = publisher.current().seq();
             for (i, _) in decoded {
-                replies[i] = Some(ApplyOutcome::Applied { epoch, seq, results: Vec::new() });
+                replies[i] = Some(ApplyOutcome::Applied {
+                    epoch: current.epoch(),
+                    seq: current.seq(),
+                    results: Vec::new(),
+                });
             }
-            continue;
+            return;
         }
 
-        // One WAL append_batch = one fsync for the whole epoch.
-        let results = match store.apply_batch(&uri, &flat) {
-            Ok(r) => r,
-            Err(e) => {
-                let code = match &e {
-                    StoreError::UnknownUri(_) => ErrCode::UnknownDoc,
-                    _ => ErrCode::Internal,
-                };
-                for (i, _) in decoded {
-                    replies[i] = Some(ApplyOutcome::Rejected {
-                        code,
-                        msg: format!("apply failed: {e}"),
-                    });
-                }
-                continue;
+        let reject = |replies: &mut [Option<ApplyOutcome>], code: ErrCode, msg: String| {
+            for &(i, _) in &decoded {
+                replies[i] = Some(ApplyOutcome::Rejected { code, msg: msg.clone() });
             }
         };
-
-        let (epoch, seq) = {
-            let doc = match store.doc(&uri) {
-                Some(d) => d,
-                None => continue,
+        // One WAL append = one fsync for the whole epoch.
+        let track_tags = self.caches.is_some();
+        let (results, touched) =
+            match self.store.commit(&mut self.publishing, uri, &flat, track_tags) {
+                Ok(r) => r,
+                Err(e) => {
+                    let code = match &e {
+                        StoreError::UnknownUri(_) => ErrCode::UnknownDoc,
+                        _ => ErrCode::Internal,
+                    };
+                    reject(replies, code, format!("apply failed: {e}"));
+                    return;
+                }
             };
-            let epoch = publisher.current().epoch() + 1;
-            counters.epochs.fetch_add(1, Ordering::Relaxed);
-            publisher.publish(epoch, doc.seq(), &flat);
-            (epoch, doc.seq())
+        let epoch = current.epoch() + 1;
+        let Some(snap) = self.store.publish(&mut self.publishing, uri, epoch, &flat) else {
+            reject(replies, ErrCode::Internal, "no publisher for the document".into());
+            return;
         };
-        counters.wal_fsyncs.store(store.wal_fsyncs(), Ordering::Relaxed);
+        self.counters.epochs.fetch_add(1, Ordering::Relaxed);
+        self.counters.wal_fsyncs.store(self.store.wal_fsyncs(), Ordering::Relaxed);
 
         // Invalidate the document's query cache *before* the epoch swap:
         // by the time a reader can hold the new epoch, every entry this
-        // batch could have stalled is gone. Tag attribution comes from the
-        // RelabelReports, resolved against the post-apply tree (removed
-        // subtrees keep their arena tags); a failed mutation's effects
-        // cannot be attributed, so it flushes the cache wholesale.
-        if let Some(caches) = caches {
-            let cache = {
-                let map = match caches.read() {
-                    Ok(m) => m,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-                map.get(&uri).cloned()
-            };
-            if let Some(cache) = cache {
-                let mut touched = TouchedTags::new();
-                match store.doc(&uri) {
-                    Some(doc) => {
-                        let tree = doc.tree();
-                        for r in &results {
-                            match r {
-                                Ok(report) => touched.add_report(report, tree),
-                                Err(_) => touched.mark_unknown(),
-                            }
-                        }
-                    }
-                    None => touched.mark_unknown(),
-                }
-                let mut cache = match cache.lock() {
-                    Ok(c) => c,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-                let dropped = cache.advance(epoch, &touched);
-                counters.count_cache_invalidated(dropped);
-            }
+        // batch could have stalled is gone.
+        let cache = self.caches.as_ref().and_then(|c| read(c).get(uri).cloned());
+        if let Some(cache) = cache {
+            let dropped = lock(&cache).advance(epoch, &touched);
+            self.counters.count_cache_invalidated(dropped);
         }
-
-        {
-            let mut map = match docs.write() {
-                Ok(m) => m,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            map.insert(uri.clone(), publisher.current());
-        }
+        write(&self.docs).insert(uri.to_owned(), Arc::clone(&snap));
 
         // Slice per-mutation results back out to their jobs.
-        let mut cursor = 0usize;
-        let mut seq_cursor = seq - flat.len() as u64;
-        for (i, muts) in decoded {
-            let slice = &results[cursor..cursor + muts.len()];
-            cursor += muts.len();
-            seq_cursor += muts.len() as u64;
-            let wire: Vec<WireApply> = slice
-                .iter()
+        let mut results = results.into_iter();
+        let mut seq = snap.seq() - flat.len() as u64;
+        for (i, n) in decoded {
+            seq += n as u64;
+            let wire: Vec<WireApply> = results
+                .by_ref()
+                .take(n)
                 .map(|r| match r {
                     Ok(report) => {
-                        counters.applied.fetch_add(1, Ordering::Relaxed);
+                        self.counters.applied.fetch_add(1, Ordering::Relaxed);
                         Ok(report.labels_touched() as u64)
                     }
                     Err(e) => {
-                        counters.failed.fetch_add(1, Ordering::Relaxed);
+                        self.counters.failed.fetch_add(1, Ordering::Relaxed);
                         Err(e.to_string())
                     }
                 })
                 .collect();
-            replies[i] = Some(ApplyOutcome::Applied { epoch, seq: seq_cursor, results: wire });
+            replies[i] = Some(ApplyOutcome::Applied { epoch, seq, results: wire });
         }
 
         // Checkpoint policy: fold the WAL tail once it is long enough.
-        if let Some(limit) = policy.checkpoint_after {
-            let tail = store
-                .doc(&uri)
-                .map(|d| d.seq().saturating_sub(d.durable_seq()))
-                .unwrap_or(0);
-            if tail >= limit {
-                let _ = store.checkpoint(&uri);
+        if let Some(limit) = self.policy.checkpoint_after {
+            if self.store.wal_tail(uri) >= limit {
+                let _ = self.store.checkpoint(uri);
             }
         }
     }
+}
 
-    // Snapshot-lifecycle counters sum over *every* document's publisher.
-    // (Storing the last-published document's stats here used to clobber the
-    // other documents' counts, breaking `reclaimed + cloned == published -
-    // live` whenever a store served more than one URI.)
-    let (mut reclaimed, mut cloned) = (0u64, 0u64);
-    for publisher in publishers.values() {
-        let stats = publisher.stats();
-        reclaimed += stats.reclaimed;
-        cloned += stats.cloned;
-    }
-    counters.reclaimed.store(reclaimed, Ordering::Relaxed);
-    counters.cloned.store(cloned, Ordering::Relaxed);
-
-    for (job, outcome) in batch.into_iter().zip(replies) {
-        let outcome = outcome.unwrap_or(ApplyOutcome::Rejected {
-            code: ErrCode::Internal,
-            msg: "job was never scheduled".into(),
-        });
-        let _ = job.reply.try_send(outcome);
-    }
+/// Decodes one job's wire mutations against `tree`, or says why not.
+fn decode_job(mutations: &[Vec<u8>], tree: &XmlTree) -> Result<Vec<Mutation>, String> {
+    mutations
+        .iter()
+        .map(|bytes| {
+            let mut input = bytes.as_slice();
+            let m = Mutation::decode(&mut input, tree).map_err(|e| e.to_string())?;
+            if input.is_empty() {
+                Ok(m)
+            } else {
+                Err("trailing mutation bytes".to_owned())
+            }
+        })
+        .collect()
 }

@@ -3,11 +3,12 @@
 //! The paper's labeling scheme is a database technique: labels live in a
 //! relational table and queries never walk the tree. This crate supplies
 //! the missing server half of that story. A single writer thread owns the
-//! durable [`xp_store::Store`]; clients connect over TCP or Unix-domain
-//! sockets with a length-prefixed binary protocol and either
+//! durable store — a flat [`xp_store::Store`] of many documents or one
+//! sharded [`xp_store::ShardedDocStore`]; clients connect over TCP or
+//! Unix-domain sockets with a length-prefixed binary protocol and either
 //!
 //! * **query** — evaluated against an immutable, epoch-stamped
-//!   [`snapshot::EpochSnapshot`] published by the writer, so reads are
+//!   [`snapshot::Snapshot`] published by the writer, so reads are
 //!   wait-free with respect to mutations and can never observe a torn
 //!   labeling; or
 //! * **apply** — mutation batches queued to the [`epoch::EpochLoop`],
@@ -19,28 +20,46 @@
 //!
 //! * [`protocol`] — frames, requests/responses, client-side
 //!   [`protocol::WireMutation`]s (byte-compatible with the WAL codec).
-//! * [`snapshot`] — epoch snapshots and the reclaim-or-clone
-//!   [`snapshot::Publisher`].
+//! * [`snapshot`] — the epoch snapshots of both document kinds and the
+//!   reclaim-or-clone [`snapshot::Publisher`] of flat documents.
+//! * [`kind`] — the two document kinds the loop serves: what commit,
+//!   publish and checkpoint mean for flat and for sharded documents.
 //! * [`epoch`] — the single-writer apply loop and its group-commit
-//!   policy.
-//! * [`shardloop`] — the sharded sibling of the epoch loop: one batch
-//!   fans across shards in parallel, one snapshot publishes per epoch.
+//!   policy, written once for both kinds.
 //! * [`server`] — listeners, connection handlers, shutdown.
 //! * [`client`] — a blocking client used by the CLI, tests, and bench.
 
 #![warn(missing_docs)]
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
+use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
 pub mod client;
 pub mod epoch;
+pub mod kind;
 pub mod protocol;
 pub mod server;
-pub mod shardloop;
 pub mod snapshot;
 
 pub use client::{Client, ClientError};
 pub use epoch::{BatchPolicy, DocCaches, EpochLoop};
-pub use shardloop::{ShardedApplyJob, ShardedEpochLoop, ShardedEpochSnapshot, ShardedOutcome};
+pub use kind::DocKind;
 pub use protocol::{Request, Response, ServerStats, WireMutation, WirePos};
 pub use server::{serve, serve_with_cache, Handle, ListenConfig};
-pub use snapshot::{EpochSnapshot, Publisher};
+pub use snapshot::{EpochSnapshot, Publisher, ShardedEpochSnapshot, Snapshot};
+
+// Every critical section over the server's shared maps and caches leaves
+// them consistent, so a lock poisoned by a panicking thread is still safe
+// to use.
+
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+pub(crate) fn read<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    l.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+pub(crate) fn write<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    l.write().unwrap_or_else(PoisonError::into_inner)
+}

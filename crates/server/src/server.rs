@@ -5,7 +5,7 @@
 //! that parses requests and serves them:
 //!
 //! * **Reads** (`Ping`, `ListDocs`, `Query`, `Stats`) are answered
-//!   entirely from published [`EpochSnapshot`]s — the handler clones an
+//!   entirely from published [`Snapshot`]s — the handler clones an
 //!   `Arc` out of the shared map and never talks to the writer. A long
 //!   query holds its snapshot alive; it cannot block an epoch or observe
 //!   a half-applied batch.
@@ -15,10 +15,13 @@
 //! * **`Shutdown`** flips the stop flag; the accept loops notice within
 //!   one poll interval, the epoch loop drains, and `Handle::join`
 //!   returns the store.
+//!
+//! Everything here is generic over the [`DocKind`] the epoch loop serves,
+//! so one server answers flat and sharded documents alike.
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::net::{SocketAddr, TcpListener};
+use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
@@ -28,11 +31,12 @@ use xp_query::engine::{Path, QueryError};
 use xp_store::Store;
 
 use crate::epoch::{
-    ApplyJob, ApplyOutcome, BatchPolicy, Counters, DocCaches, EpochLoop, PublishedDocs,
+    ApplyJob, ApplyOutcome, BatchPolicy, Counters, DocCaches, EpochLoop, JobSender, PublishedDocs,
 };
-use crate::protocol::{
-    read_message, write_message, DocInfo, ErrCode, Request, Response,
-};
+use crate::kind::DocKind;
+use crate::protocol::{read_message, write_message, DocInfo, ErrCode, Request, Response};
+use crate::snapshot::Snapshot;
+use crate::{lock, read};
 
 /// Where the server should listen. At least one of the two must be set.
 #[derive(Debug, Clone, Default)]
@@ -43,17 +47,16 @@ pub struct ListenConfig {
     pub unix: Option<PathBuf>,
 }
 
-/// A running server.
-pub struct Handle {
+/// A running server over a store of kind `K`.
+pub struct Handle<K: DocKind = Store> {
     stop: Arc<AtomicBool>,
     tcp_addr: Option<SocketAddr>,
     unix_path: Option<PathBuf>,
     accepters: Vec<std::thread::JoinHandle<()>>,
-    epoch: EpochLoop,
-    counters: Arc<Counters>,
+    epoch: EpochLoop<K>,
 }
 
-impl Handle {
+impl<K: DocKind> Handle<K> {
     /// The bound TCP address, if TCP was configured.
     pub fn tcp_addr(&self) -> Option<SocketAddr> {
         self.tcp_addr
@@ -64,18 +67,13 @@ impl Handle {
         self.unix_path.as_ref()
     }
 
-    /// Shared counters (for in-process harnesses).
-    pub fn counters(&self) -> Arc<Counters> {
-        Arc::clone(&self.counters)
-    }
-
     /// Requests shutdown without waiting.
     pub fn stop(&self) {
         self.stop.store(true, Ordering::SeqCst);
     }
 
     /// Stops the server, joins every thread, and returns the store.
-    pub fn join(self) -> Option<Store> {
+    pub fn join(self) -> Option<K> {
         self.stop.store(true, Ordering::SeqCst);
         self.wait()
     }
@@ -84,7 +82,7 @@ impl Handle {
     /// `Shutdown` request or a concurrent [`Handle::stop`] — then tears
     /// down and returns the store. This is the foreground-serving mode
     /// the CLI uses.
-    pub fn wait(self) -> Option<Store> {
+    pub fn wait(self) -> Option<K> {
         for t in self.accepters {
             let _ = t.join();
         }
@@ -97,28 +95,32 @@ impl Handle {
 }
 
 /// Starts serving `store` on the configured listeners.
-pub fn serve(store: Store, listen: ListenConfig, policy: BatchPolicy) -> std::io::Result<Handle> {
+pub fn serve<K: DocKind>(
+    store: K,
+    listen: ListenConfig,
+    policy: BatchPolicy,
+) -> std::io::Result<Handle<K>> {
     serve_inner(store, listen, policy, None)
 }
 
 /// Like [`serve`], with a per-document query-result cache of
 /// `cache_capacity` entries (`xmlprime serve --cache`). Hits, misses, and
 /// invalidations show up in [`crate::protocol::ServerStats`].
-pub fn serve_with_cache(
-    store: Store,
+pub fn serve_with_cache<K: DocKind>(
+    store: K,
     listen: ListenConfig,
     policy: BatchPolicy,
     cache_capacity: usize,
-) -> std::io::Result<Handle> {
+) -> std::io::Result<Handle<K>> {
     serve_inner(store, listen, policy, Some(cache_capacity))
 }
 
-fn serve_inner(
-    store: Store,
+fn serve_inner<K: DocKind>(
+    store: K,
     listen: ListenConfig,
     policy: BatchPolicy,
     cache_capacity: Option<usize>,
-) -> std::io::Result<Handle> {
+) -> std::io::Result<Handle<K>> {
     let epoch = match cache_capacity {
         Some(cap) => EpochLoop::start_with_cache(store, policy, cap),
         None => EpochLoop::start(store, policy),
@@ -141,7 +143,7 @@ fn serve_inner(
             move |stop| accept_tcp(&listener, stop),
             Arc::clone(&docs),
             caches.clone(),
-            epoch_sender(&epoch),
+            epoch.sender(),
             Arc::clone(&counters),
         ));
     }
@@ -156,7 +158,7 @@ fn serve_inner(
             move |stop| accept_unix(&listener, stop),
             Arc::clone(&docs),
             caches.clone(),
-            epoch_sender(&epoch),
+            epoch.sender(),
             Arc::clone(&counters),
         ));
     }
@@ -166,15 +168,7 @@ fn serve_inner(
             "ListenConfig names neither a TCP address nor a Unix path",
         ));
     }
-    Ok(Handle { stop, tcp_addr, unix_path, accepters, epoch, counters })
-}
-
-/// A cloneable submitter into the epoch loop.
-type Submitter = Arc<dyn Fn(ApplyJob) -> Result<(), ApplyJob> + Send + Sync>;
-
-fn epoch_sender(epoch: &EpochLoop) -> Submitter {
-    let jobs = epoch.sender();
-    Arc::new(move |job| jobs.submit(job))
+    Ok(Handle { stop, tcp_addr, unix_path, accepters, epoch })
 }
 
 /// One accepted connection, generic over the stream type.
@@ -225,13 +219,13 @@ fn poll_accept(stop: &AtomicBool, mut try_accept: impl FnMut() -> Option<Conn>) 
     }
 }
 
-fn spawn_acceptor(
+fn spawn_acceptor<S: Snapshot>(
     name: &str,
     stop: Arc<AtomicBool>,
     mut next_conn: impl FnMut(&AtomicBool) -> Option<Conn> + Send + 'static,
-    docs: PublishedDocs,
+    docs: PublishedDocs<S>,
     caches: Option<DocCaches>,
-    submit: Submitter,
+    jobs: JobSender,
     counters: Arc<Counters>,
 ) -> std::thread::JoinHandle<()> {
     std::thread::Builder::new()
@@ -241,12 +235,12 @@ fn spawn_acceptor(
             while let Some(conn) = next_conn(&stop) {
                 let docs = Arc::clone(&docs);
                 let caches = caches.clone();
-                let submit = Arc::clone(&submit);
+                let jobs = jobs.clone();
                 let counters = Arc::clone(&counters);
                 let stop = Arc::clone(&stop);
                 if let Ok(h) = std::thread::Builder::new()
                     .name("xp-conn".into())
-                    .spawn(move || handle_connection(conn, docs, caches, submit, counters, stop))
+                    .spawn(move || handle_connection(conn, docs, caches, jobs, counters, stop))
                 {
                     handlers.push(h);
                 }
@@ -258,11 +252,11 @@ fn spawn_acceptor(
         .unwrap_or_else(|e| panic!("spawning acceptor failed: {e}"))
 }
 
-fn handle_connection(
+fn handle_connection<S: Snapshot>(
     mut conn: Conn,
-    docs: PublishedDocs,
+    docs: PublishedDocs<S>,
     caches: Option<DocCaches>,
-    submit: Submitter,
+    jobs: JobSender,
     counters: Arc<Counters>,
     stop: Arc<AtomicBool>,
 ) {
@@ -287,7 +281,7 @@ fn handle_connection(
         let response = match Request::decode(&payload) {
             Ok(req) => {
                 let is_shutdown = matches!(req, Request::Shutdown);
-                let resp = handle_request(req, &docs, caches.as_ref(), &submit, &counters);
+                let resp = handle_request(req, &docs, caches.as_ref(), &jobs, &counters);
                 if is_shutdown {
                     let _ = write_message(&mut conn, &resp.encode());
                     stop.store(true, Ordering::SeqCst);
@@ -303,14 +297,22 @@ fn handle_connection(
     }
 }
 
+impl<K: DocKind> EpochLoop<K> {
+    /// Serves one request in process, exactly as a connection handler
+    /// would.
+    pub fn handle(&self, req: Request) -> Response {
+        handle_request(req, &self.docs(), self.caches().as_ref(), &self.sender(), &self.counters())
+    }
+}
+
 /// Serves one request. Reads go straight to published snapshots (through
 /// the per-document query cache when one is configured); writes round-trip
 /// through the epoch loop.
-pub fn handle_request(
+pub fn handle_request<S: Snapshot>(
     req: Request,
-    docs: &PublishedDocs,
+    docs: &PublishedDocs<S>,
     caches: Option<&DocCaches>,
-    submit: &Submitter,
+    jobs: &JobSender,
     counters: &Counters,
 ) -> Response {
     match req {
@@ -318,11 +320,7 @@ pub fn handle_request(
         Request::Stats => Response::Stats(counters.stats()),
         Request::Shutdown => Response::Bye,
         Request::ListDocs => {
-            let map = match docs.read() {
-                Ok(m) => m,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            let mut infos: Vec<DocInfo> = map
+            let mut infos: Vec<DocInfo> = read(docs)
                 .iter()
                 .map(|(uri, snap)| DocInfo {
                     uri: uri.clone(),
@@ -335,13 +333,7 @@ pub fn handle_request(
             Response::Docs(infos)
         }
         Request::Query { uri, path } => {
-            let snap = {
-                let map = match docs.read() {
-                    Ok(m) => m,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-                map.get(&uri).cloned()
-            };
+            let snap = read(docs).get(&uri).cloned();
             let Some(snap) = snap else {
                 return Response::Err {
                     code: ErrCode::UnknownDoc,
@@ -358,21 +350,9 @@ pub fn handle_request(
             // on the reader's epoch stamp. The lock covers only the map
             // probe — cold evaluation runs without it, so a slow query
             // never blocks the writer's invalidation step.
-            let cache = caches.and_then(|c| {
-                let map = match c.read() {
-                    Ok(m) => m,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-                map.get(&uri).cloned()
-            });
+            let cache = caches.and_then(|c| read(c).get(&uri).cloned());
             if let Some(cache) = &cache {
-                let cached = {
-                    let mut guard = match cache.lock() {
-                        Ok(g) => g,
-                        Err(poisoned) => poisoned.into_inner(),
-                    };
-                    guard.lookup(&path, snap.epoch())
-                };
+                let cached = lock(cache).lookup(&path, snap.epoch());
                 match cached {
                     Some(nodes) => {
                         counters.count_cache_hit();
@@ -388,11 +368,7 @@ pub fn handle_request(
             match snap.query(&parsed) {
                 Ok(nodes) => {
                     if let Some(cache) = &cache {
-                        let mut guard = match cache.lock() {
-                            Ok(g) => g,
-                            Err(poisoned) => poisoned.into_inner(),
-                        };
-                        guard.insert(&path, &parsed, snap.epoch(), nodes.clone());
+                        lock(cache).insert(&path, &parsed, snap.epoch(), nodes.clone());
                     }
                     Response::Hits {
                         epoch: snap.epoch(),
@@ -409,7 +385,7 @@ pub fn handle_request(
         Request::Apply { uri, mutations } => {
             let (reply_tx, reply_rx) = mpsc::sync_channel(1);
             let job = ApplyJob { uri, mutations, reply: reply_tx };
-            if submit(job).is_err() {
+            if jobs.submit(job).is_err() {
                 return Response::Err {
                     code: ErrCode::Internal,
                     msg: "the epoch loop has stopped".into(),
@@ -427,16 +403,4 @@ pub fn handle_request(
             }
         }
     }
-}
-
-/// Connects a raw client stream to `addr` (TCP).
-pub fn connect_tcp(addr: &str) -> std::io::Result<TcpStream> {
-    let s = TcpStream::connect(addr)?;
-    let _ = s.set_nodelay(true);
-    Ok(s)
-}
-
-/// Connects a raw client stream to a Unix socket.
-pub fn connect_unix(path: &std::path::Path) -> std::io::Result<UnixStream> {
-    UnixStream::connect(path)
 }

@@ -1,18 +1,18 @@
 //! Epoch-stamped snapshots and their reclamation.
 //!
 //! The apply loop owns the authoritative document state (inside the
-//! [`xp_store::Store`]). After each batch it *publishes* an immutable
-//! [`EpochSnapshot`] behind an `Arc`; readers clone the `Arc` and evaluate
-//! queries against a labeling that never changes underneath them — the
-//! paper's query machinery (structural joins over the label table, order
-//! from `SC mod self-label`) runs with zero coordination against the
-//! writer.
+//! store). After each batch it *publishes* an immutable [`Snapshot`]
+//! behind an `Arc`; readers clone the `Arc` and evaluate queries against a
+//! labeling that never changes underneath them — the paper's query
+//! machinery (structural joins over the label table, order from the SC
+//! table) runs with zero coordination against the writer. A flat document
+//! publishes [`EpochSnapshot`]s, a sharded one [`ShardedEpochSnapshot`]s.
 //!
 //! # Reclamation
 //!
 //! Deep-copying a million-row label table plus SC state per epoch would
-//! dominate the apply path, so the [`Publisher`] recycles buffers with a
-//! simple epoch-based scheme:
+//! dominate the apply path, so a flat document's [`Publisher`] recycles
+//! buffers with a simple epoch-based scheme:
 //!
 //! * Retired snapshots (previous epochs) are kept on a short list together
 //!   with the mutation history of every batch since the oldest of them.
@@ -27,6 +27,9 @@
 //!   copy of the current snapshot. Slow readers therefore cost memory and
 //!   one clone, never writer stalls or torn reads.
 //!
+//! A sharded document needs no reclamation: its snapshot is a fresh
+//! composition of the table partitions, published by `Arc` swap.
+//!
 //! The interleaving and isolation tests pin the invariant that matters:
 //! every published snapshot is indistinguishable from a
 //! relabel-from-scratch document at that epoch, on all nine query axes.
@@ -34,12 +37,30 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use xp_labelkit::{LabeledStore, Mutation};
+use xp_labelkit::{LabeledStore, Mutation, ShardId, ShardedLabel};
 use xp_prime::dynamic::DynamicPrime;
 use xp_prime::PrimeLabel;
-use xp_query::engine::{eval_path, OrderOracle, Path, QueryError};
+use xp_query::engine::{eval_path, OrderOracle, Path, QueryError, TreeOrderOracle};
 use xp_query::relstore::LabelTable;
+use xp_query::ShardedTables;
+use xp_store::ShardedDocStore;
 use xp_xmltree::NodeId;
+
+/// What a reader needs from a published snapshot, whichever document kind
+/// published it.
+pub trait Snapshot: Send + Sync + 'static {
+    /// Label epoch this snapshot was published at.
+    fn epoch(&self) -> u64;
+
+    /// Mutations folded in (the document's WAL sequence).
+    fn seq(&self) -> u64;
+
+    /// Attached element count at this epoch.
+    fn elements(&self) -> u64;
+
+    /// Evaluates a parsed path against this snapshot — all nine axes.
+    fn query(&self, path: &Path) -> Result<Vec<NodeId>, QueryError>;
+}
 
 /// How many retired snapshots the publisher keeps as reclaim candidates.
 /// Two suffices for the steady state (current + one being drained);
@@ -119,6 +140,80 @@ impl EpochSnapshot {
     /// callers).
     pub fn rank(&self, node: NodeId) -> u64 {
         self.labeled.state().order_of(node)
+    }
+}
+
+impl Snapshot for EpochSnapshot {
+    fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    fn seq(&self) -> u64 {
+        self.seq
+    }
+
+    fn elements(&self) -> u64 {
+        EpochSnapshot::elements(self)
+    }
+
+    fn query(&self, path: &Path) -> Result<Vec<NodeId>, QueryError> {
+        EpochSnapshot::query(self, path)
+    }
+}
+
+/// An immutable, epoch-stamped view of a whole sharded document: one
+/// snapshot per epoch, no matter how many shards the batch touched.
+#[derive(Debug)]
+pub struct ShardedEpochSnapshot {
+    epoch: u64,
+    seq: u64,
+    shards: Vec<ShardId>,
+    table: LabelTable<ShardedLabel<PrimeLabel>>,
+    order: TreeOrderOracle,
+}
+
+impl ShardedEpochSnapshot {
+    /// Snapshots `store`'s current state as `epoch`: the composed table (a
+    /// row concat of the partitions — the [`ShardedLabel`]s answer every
+    /// axis across shard boundaries by themselves) plus the document-order
+    /// rank map (per-shard SC order composed through the boundary chains).
+    /// Both are `O(n)` and involve no label arithmetic.
+    pub fn new(store: &ShardedDocStore, tables: &ShardedTables<PrimeLabel>, epoch: u64) -> Self {
+        ShardedEpochSnapshot {
+            epoch,
+            seq: store.seq(),
+            shards: store.live_shards(),
+            table: tables.compose(),
+            order: TreeOrderOracle::from_order(store.labeled().ordered_nodes()),
+        }
+    }
+
+    /// Live shards at this epoch, ascending.
+    pub fn shards(&self) -> &[ShardId] {
+        &self.shards
+    }
+
+    /// The composed cross-shard label table queries join over.
+    pub fn table(&self) -> &LabelTable<ShardedLabel<PrimeLabel>> {
+        &self.table
+    }
+}
+
+impl Snapshot for ShardedEpochSnapshot {
+    fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    fn seq(&self) -> u64 {
+        self.seq
+    }
+
+    fn elements(&self) -> u64 {
+        self.table.len() as u64
+    }
+
+    fn query(&self, path: &Path) -> Result<Vec<NodeId>, QueryError> {
+        eval_path(&self.table, &self.order, path)
     }
 }
 

@@ -19,17 +19,16 @@
 //! commit disabled (`max_mutations = 1`, one epoch per mutation) and
 //! enabled (`max_mutations = 4`); both must satisfy both properties.
 
-use std::collections::HashMap;
 use std::sync::mpsc;
 
 use xp_labelkit::{LabeledStore, Mutation};
 use xp_prime::DynamicPrime;
-use xp_query::engine::{eval_path, OrderOracle, Path};
+use xp_query::engine::{eval_path, Path, TreeOrderOracle};
 use xp_query::relstore::LabelTable;
 use xp_server::epoch::{ApplyJob, ApplyOutcome, BatchPolicy, EpochLoop};
 use xp_server::snapshot::EpochSnapshot;
 use xp_store::{verify, Store};
-use xp_xmltree::{NodeId, XmlTree};
+use xp_xmltree::XmlTree;
 
 const DOC_XML: &str = "<t0><t1><t2/><t3/></t1><t2/><t1><t3/></t1></t0>";
 const URI: &str = "doc.xml";
@@ -47,20 +46,6 @@ const PATHS: &[&str] = &[
     "//t2/preceding-sibling::t1",
     "//t1[2]",
 ];
-
-struct TreeOrderOracle(HashMap<NodeId, u64>);
-
-impl TreeOrderOracle {
-    fn of(tree: &XmlTree) -> Self {
-        TreeOrderOracle(tree.elements().enumerate().map(|(i, n)| (n, i as u64)).collect())
-    }
-}
-
-impl OrderOracle for TreeOrderOracle {
-    fn rank(&self, node: NodeId) -> u64 {
-        self.0.get(&node).copied().unwrap_or(u64::MAX)
-    }
-}
 
 fn scratch_dir(label: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir()

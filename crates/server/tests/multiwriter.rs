@@ -21,27 +21,22 @@
 //! the total number of published epochs across all URIs, not just the
 //! last-touched one's.
 
-use std::collections::HashMap;
 use std::sync::{mpsc, Arc};
 
 use xp_datagen::multiwriter::{initial_tree, interleave, query_paths, scripted, TraceParams};
 use xp_labelkit::{LabeledStore, Mutation};
 use xp_prime::DynamicPrime;
-use xp_query::engine::{eval_path, OrderOracle, Path};
+use xp_query::engine::{eval_path, Path, TreeOrderOracle};
 use xp_query::relstore::LabelTable;
 use xp_server::epoch::{ApplyJob, BatchPolicy, Counters, EpochLoop};
 use xp_server::protocol::{Request, Response};
-use xp_server::server::handle_request;
 use xp_store::{verify, Store};
-use xp_xmltree::{NodeId, XmlTree};
+use xp_xmltree::XmlTree;
 
 const URI: &str = "doc.xml";
 
-type Submit = Arc<dyn Fn(ApplyJob) -> Result<(), ApplyJob> + Send + Sync>;
-
 struct Loop {
     epoch: EpochLoop,
-    submit: Submit,
     counters: Arc<Counters>,
     dir: std::path::PathBuf,
 }
@@ -63,10 +58,8 @@ fn start_loop(label: &str, xml: &str, cache: bool) -> Loop {
     } else {
         EpochLoop::start(store, policy)
     };
-    let sender = epoch.sender();
-    let submit: Submit = Arc::new(move |job| sender.submit(job));
     let counters = epoch.counters();
-    Loop { epoch, submit, counters, dir }
+    Loop { epoch, counters, dir }
 }
 
 impl Loop {
@@ -76,9 +69,7 @@ impl Loop {
 
     fn apply(&self, bytes: &[u8], context: &str) -> Result<u64, String> {
         let req = Request::Apply { uri: URI.into(), mutations: vec![bytes.to_vec()] };
-        let caches = self.epoch.caches();
-        match handle_request(req, &self.epoch.docs(), caches.as_ref(), &self.submit, &self.counters)
-        {
+        match self.epoch.handle(req) {
             Response::Applied { results, .. } => {
                 assert_eq!(results.len(), 1, "{context}: one mutation, one result");
                 results.into_iter().next().unwrap()
@@ -89,20 +80,10 @@ impl Loop {
 
     fn query(&self, path: &str, context: &str) -> Vec<u64> {
         let req = Request::Query { uri: URI.into(), path: path.into() };
-        let caches = self.epoch.caches();
-        match handle_request(req, &self.epoch.docs(), caches.as_ref(), &self.submit, &self.counters)
-        {
+        match self.epoch.handle(req) {
             Response::Hits { nodes, .. } => nodes,
             other => panic!("{context}: query {path} got {other:?}"),
         }
-    }
-}
-
-struct TreeOrderOracle(HashMap<NodeId, u64>);
-
-impl OrderOracle for TreeOrderOracle {
-    fn rank(&self, node: NodeId) -> u64 {
-        self.0.get(&node).copied().unwrap_or(u64::MAX)
     }
 }
 
@@ -118,8 +99,7 @@ fn check_scratch_oracle(
     let fresh = LabeledStore::build(DynamicPrime::new(8), tree)
         .unwrap_or_else(|e| panic!("{context}: scratch relabel failed: {e}"));
     let table = LabelTable::build(fresh.tree(), fresh.doc());
-    let ranks =
-        TreeOrderOracle(fresh.tree().elements().enumerate().map(|(i, n)| (n, i as u64)).collect());
+    let ranks = TreeOrderOracle::of(fresh.tree());
     for p in paths {
         let path = Path::parse(p).unwrap();
         let got = snap

@@ -6,8 +6,9 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
+use xp_labelkit::ShardPolicy;
 use xp_server::{serve, BatchPolicy, Client, ListenConfig, WireMutation, WirePos};
-use xp_store::Store;
+use xp_store::{ShardedDocStore, Store};
 
 const DOC_XML: &str = "<t0><t1><t2/></t1><t1/></t0>";
 
@@ -111,6 +112,43 @@ fn shutdown_request_stops_the_server_and_recovers_cleanly() {
     let reopened = Store::open(&dir).unwrap();
     reopened.verify().unwrap();
     assert_eq!(reopened.doc("doc.xml").unwrap().seq(), 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The same server answers a sharded document: the one epoch loop runs
+/// either document kind behind the same protocol.
+#[test]
+fn a_sharded_document_serves_over_the_same_socket() {
+    let dir = scratch_dir("sharded");
+    let tree = xp_xmltree::parse(DOC_XML).unwrap();
+    let store =
+        ShardedDocStore::create(&dir, "doc.xml", tree, 4, ShardPolicy::at_depth(1)).unwrap();
+    assert!(store.live_shards().len() > 1);
+    let listen = ListenConfig { tcp: None, unix: Some(dir.join("server.sock")) };
+    let handle = serve(store, listen, BatchPolicy::default()).unwrap();
+    let mut client = Client::connect_unix(handle.unix_path().unwrap()).unwrap();
+
+    let docs = client.docs().unwrap();
+    assert_eq!((docs.len(), docs[0].epoch, docs[0].elements), (1, 0, 4));
+    let applied = client
+        .apply(
+            "doc.xml",
+            &[WireMutation::InsertSubtree {
+                pos: WirePos::LastChildOf(0),
+                xml: "<t1><t3/></t1>".into(),
+            }],
+        )
+        .unwrap();
+    assert!(applied.results[0].is_ok());
+    assert_eq!(applied.epoch, 1);
+    let hits = client.query("doc.xml", "//t1").unwrap();
+    assert_eq!((hits.epoch, hits.nodes.len()), (1, 3));
+    assert_eq!(client.query("doc.xml", "/t0//t3").unwrap().nodes.len(), 1);
+    assert!(client.query("missing.xml", "//t1").is_err());
+    assert_eq!(client.stats().unwrap().applied, 1);
+
+    let store = handle.join().unwrap();
+    assert_eq!(store.seq(), 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -59,7 +59,6 @@ pub use wal::{WalScan, WAL_FILE};
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
 
 use xp_labelkit::codec::{read_varint, write_varint};
 use xp_labelkit::dynamic::{DynamicError, LabeledStore};
@@ -67,103 +66,6 @@ use xp_labelkit::{Mutation, RelabelReport};
 use xp_prime::{DynamicPrime, PrimeLabel};
 use xp_query::LabelTable;
 use xp_xmltree::XmlTree;
-
-/// Shared (doc id, checkpoint epoch) → pin-count registry. Pins keep a
-/// checkpoint segment's file on disk while a snapshot handle that was cut
-/// against that epoch is still alive — [`Store::checkpoint`] defers the old
-/// segment's deletion instead of unlinking the recovery baseline out from
-/// under an open reader.
-type PinRegistry = Arc<Mutex<BTreeMap<(u64, u64), usize>>>;
-
-/// An epoch refcount held on one checkpoint segment. While any clone of
-/// this pin is alive, the segment file `seg-{doc}-e{epoch}.dat` survives
-/// checkpoints; the deferred deletion runs once the last pin drops.
-#[derive(Debug)]
-pub struct SegmentPin {
-    doc_id: u64,
-    epoch: u64,
-    registry: PinRegistry,
-}
-
-impl SegmentPin {
-    fn acquire(registry: &PinRegistry, doc_id: u64, epoch: u64) -> Arc<SegmentPin> {
-        if let Ok(mut pins) = registry.lock() {
-            *pins.entry((doc_id, epoch)).or_insert(0) += 1;
-        }
-        Arc::new(SegmentPin { doc_id, epoch, registry: Arc::clone(registry) })
-    }
-
-    /// The pinned document id.
-    pub fn doc_id(&self) -> u64 {
-        self.doc_id
-    }
-
-    /// The pinned checkpoint epoch.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-}
-
-impl Drop for SegmentPin {
-    fn drop(&mut self) {
-        if let Ok(mut pins) = self.registry.lock() {
-            if let Some(count) = pins.get_mut(&(self.doc_id, self.epoch)) {
-                *count -= 1;
-                if *count == 0 {
-                    pins.remove(&(self.doc_id, self.epoch));
-                }
-            }
-        }
-    }
-}
-
-/// A consistent, epoch-stamped read view of one document, decoupled from
-/// the live store: the label quadruple is deep-copied at cut time, and the
-/// checkpoint segment the snapshot's recovery story depends on is pinned
-/// (see [`SegmentPin`]) so a concurrent checkpoint cannot garbage-collect
-/// it while this handle is alive.
-#[derive(Debug, Clone)]
-pub struct DocSnapshot {
-    uri: String,
-    doc_id: u64,
-    epoch: u64,
-    seq: u64,
-    labeled: Arc<LabeledStore<DynamicPrime>>,
-    table: Arc<LabelTable<PrimeLabel>>,
-    _pin: Arc<SegmentPin>,
-}
-
-impl DocSnapshot {
-    /// The document's URI key.
-    pub fn uri(&self) -> &str {
-        &self.uri
-    }
-
-    /// The document id.
-    pub fn doc_id(&self) -> u64 {
-        self.doc_id
-    }
-
-    /// Checkpoint epoch this snapshot pins.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// WAL sequence the snapshot reflects.
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-
-    /// The snapshot's labeled store (tree + labels + scheme state).
-    pub fn labeled(&self) -> &LabeledStore<DynamicPrime> {
-        &self.labeled
-    }
-
-    /// The snapshot's label table.
-    pub fn table(&self) -> &LabelTable<PrimeLabel> {
-        &self.table
-    }
-}
 
 /// One open document: the live quadruple plus its durability coordinates.
 #[derive(Debug)]
@@ -247,10 +149,6 @@ pub struct Store {
     wal: wal::Wal,
     next_doc_id: u64,
     docs: BTreeMap<u64, OpenDoc>,
-    /// Live snapshot pins by (doc id, checkpoint epoch).
-    pins: PinRegistry,
-    /// Superseded segments whose deletion waits for their pins to drop.
-    deferred: Vec<(u64, u64)>,
 }
 
 /// What a read-only [`fsck`] pass established.
@@ -282,14 +180,7 @@ impl Store {
         let manifest = Manifest { next_doc_id: 1, entries: Vec::new() };
         manifest.swap(dir)?;
         let (wal, _) = wal::Wal::open(dir)?;
-        Ok(Store {
-            dir: dir.to_path_buf(),
-            wal,
-            next_doc_id: 1,
-            docs: BTreeMap::new(),
-            pins: PinRegistry::default(),
-            deferred: Vec::new(),
-        })
+        Ok(Store { dir: dir.to_path_buf(), wal, next_doc_id: 1, docs: BTreeMap::new() })
     }
 
     /// Opens (= recovers) the store in `dir`. See the crate docs: manifest
@@ -300,26 +191,7 @@ impl Store {
 
         let mut docs = BTreeMap::new();
         for entry in &manifest.entries {
-            let seg = segment::load_segment(dir, entry.doc_id, entry.epoch)?;
-            if seg.uri != entry.uri || seg.seq != entry.seq {
-                return Err(StoreError::Corrupt {
-                    path: dir.join(segment_file(entry.doc_id, entry.epoch)),
-                    what: "segment header disagrees with the manifest".into(),
-                });
-            }
-            let chunk_capacity = usize::try_from(seg.chunk_capacity).unwrap_or(usize::MAX);
-            let state = xp_prime::OrderedPrimeDoc::from_parts(
-                &seg.tree,
-                seg.labels.clone(),
-                seg.sc,
-                seg.primes_handed_out,
-            )?;
-            let labeled = LabeledStore::from_parts(
-                DynamicPrime::new(chunk_capacity),
-                seg.tree,
-                seg.labels,
-                state,
-            );
+            let (chunk_capacity, labeled) = load_doc(dir, entry)?;
             let table = LabelTable::build(labeled.tree(), labeled.doc());
             docs.insert(
                 entry.doc_id,
@@ -337,14 +209,8 @@ impl Store {
         }
 
         let (wal, scan) = wal::Wal::open(dir)?;
-        let mut store = Store {
-            dir: dir.to_path_buf(),
-            wal,
-            next_doc_id: manifest.next_doc_id,
-            docs,
-            pins: PinRegistry::default(),
-            deferred: Vec::new(),
-        };
+        let mut store =
+            Store { dir: dir.to_path_buf(), wal, next_doc_id: manifest.next_doc_id, docs };
         for frame in &scan.frames {
             store.replay_frame(frame)?;
         }
@@ -545,61 +411,6 @@ impl Store {
         self.wal.fsyncs()
     }
 
-    /// Pins the current checkpoint segment of `uri` (see [`SegmentPin`]):
-    /// while the returned pin is alive, [`Store::checkpoint`] defers the
-    /// segment file's deletion instead of unlinking it.
-    pub fn pin_segment(&self, uri: &str) -> Result<Arc<SegmentPin>, StoreError> {
-        let doc = self.doc(uri).ok_or_else(|| StoreError::UnknownUri(uri.to_owned()))?;
-        Ok(SegmentPin::acquire(&self.pins, doc.doc_id, doc.epoch))
-    }
-
-    /// Cuts an epoch-stamped consistent snapshot of `uri`: a deep copy of
-    /// the label quadruple plus a pin on the checkpoint segment it was cut
-    /// against. The handle stays valid — and answers queries identically —
-    /// regardless of later mutations, checkpoints, or GC on the live store.
-    pub fn snapshot(&self, uri: &str) -> Result<DocSnapshot, StoreError> {
-        let doc = self.doc(uri).ok_or_else(|| StoreError::UnknownUri(uri.to_owned()))?;
-        Ok(DocSnapshot {
-            uri: doc.uri.clone(),
-            doc_id: doc.doc_id,
-            epoch: doc.epoch,
-            seq: doc.seq,
-            labeled: Arc::new(doc.labeled.fork()),
-            table: Arc::new(doc.table.clone()),
-            _pin: SegmentPin::acquire(&self.pins, doc.doc_id, doc.epoch),
-        })
-    }
-
-    /// `true` iff some live pin references (doc, epoch).
-    fn is_pinned(&self, doc_id: u64, epoch: u64) -> bool {
-        self.pins.lock().map(|p| p.contains_key(&(doc_id, epoch))).unwrap_or(false)
-    }
-
-    /// Deletes a superseded segment now, or defers it while pinned.
-    fn retire_segment(&mut self, doc_id: u64, epoch: u64) {
-        if self.is_pinned(doc_id, epoch) {
-            self.deferred.push((doc_id, epoch));
-        } else {
-            // Best-effort: an undeleted old segment is unreferenced and the
-            // next open garbage-collects it.
-            let _ = std::fs::remove_file(self.dir.join(segment_file(doc_id, epoch)));
-        }
-    }
-
-    /// Sweeps the deferred-deletion list: every entry whose pins have all
-    /// dropped is unlinked. Runs after each checkpoint; callers holding
-    /// snapshots for a long time can invoke it directly once they drop them.
-    pub fn sweep_unpinned(&mut self) {
-        let deferred = std::mem::take(&mut self.deferred);
-        for (doc_id, epoch) in deferred {
-            if self.is_pinned(doc_id, epoch) {
-                self.deferred.push((doc_id, epoch));
-            } else {
-                let _ = std::fs::remove_file(self.dir.join(segment_file(doc_id, epoch)));
-            }
-        }
-    }
-
     /// Checkpoints one document: writes a fresh segment at the next epoch,
     /// swaps the manifest to it, then drops the old segment. A crash
     /// between the segment write and the swap leaves an unreferenced
@@ -631,11 +442,10 @@ impl Store {
             None
         };
         if let Some(epoch) = old_epoch {
-            // An open snapshot handle may still reference the superseded
-            // checkpoint — deletion waits for its pins (GC-during-read).
-            self.retire_segment(doc_id, epoch);
+            // Best-effort: an undeleted old segment is unreferenced and the
+            // next open garbage-collects it.
+            let _ = std::fs::remove_file(self.dir.join(segment_file(doc_id, epoch)));
         }
-        self.sweep_unpinned();
         Ok(())
     }
 
@@ -662,6 +472,30 @@ impl Store {
         }
         Ok(())
     }
+}
+
+/// Loads `entry`'s checkpoint segment and reassembles its labeled
+/// document; returns it with its SC chunk capacity.
+fn load_doc(
+    dir: &Path,
+    entry: &ManifestEntry,
+) -> Result<(usize, LabeledStore<DynamicPrime>), StoreError> {
+    let seg = segment::load_segment(dir, entry.doc_id, entry.epoch)?;
+    if seg.uri != entry.uri || seg.seq != entry.seq {
+        return Err(StoreError::Corrupt {
+            path: dir.join(segment_file(entry.doc_id, entry.epoch)),
+            what: "segment header disagrees with the manifest".into(),
+        });
+    }
+    let chunk_capacity = usize::try_from(seg.chunk_capacity).unwrap_or(usize::MAX);
+    let state = xp_prime::OrderedPrimeDoc::from_parts(
+        &seg.tree,
+        seg.labels.clone(),
+        seg.sc,
+        seg.primes_handed_out,
+    )?;
+    let scheme = DynamicPrime::new(chunk_capacity);
+    Ok((chunk_capacity, LabeledStore::from_parts(scheme, seg.tree, seg.labels, state)))
 }
 
 /// Removes swap leftovers (`*.tmp`) and segment files no manifest entry
@@ -696,26 +530,7 @@ pub fn fsck(dir: &Path) -> Result<FsckReport, StoreError> {
     let manifest = Manifest::load(dir)?;
     let mut docs = BTreeMap::new();
     for entry in &manifest.entries {
-        let seg = segment::load_segment(dir, entry.doc_id, entry.epoch)?;
-        if seg.uri != entry.uri || seg.seq != entry.seq {
-            return Err(StoreError::Corrupt {
-                path: dir.join(segment_file(entry.doc_id, entry.epoch)),
-                what: "segment header disagrees with the manifest".into(),
-            });
-        }
-        let chunk_capacity = usize::try_from(seg.chunk_capacity).unwrap_or(usize::MAX);
-        let state = xp_prime::OrderedPrimeDoc::from_parts(
-            &seg.tree,
-            seg.labels.clone(),
-            seg.sc,
-            seg.primes_handed_out,
-        )?;
-        let labeled = LabeledStore::from_parts(
-            DynamicPrime::new(chunk_capacity),
-            seg.tree,
-            seg.labels,
-            state,
-        );
+        let (_, labeled) = load_doc(dir, entry)?;
         docs.insert(entry.doc_id, (entry.seq, labeled));
     }
 
@@ -1037,60 +852,6 @@ mod tests {
         .unwrap();
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&dir2);
-    }
-
-    #[test]
-    fn snapshot_pins_its_checkpoint_segment_through_gc() {
-        let dir = tmpdir("pin");
-        let mut store = Store::create(&dir).unwrap();
-        store.add_document("d.xml", "<r><a/><b/></r>", 8).unwrap();
-        let snap = store.snapshot("d.xml").unwrap();
-        assert_eq!(snap.epoch(), 1);
-        let elements_at_cut = snap.labeled().tree().elements().count();
-
-        // Mutate and checkpoint: the store moves to epoch 2, but the pinned
-        // epoch-1 segment must survive the checkpoint's GC.
-        let anchor = nth_element(store.doc("d.xml").unwrap().tree(), 1);
-        store.apply("d.xml", &Mutation::InsertBefore { anchor, tag: "z".into() }).unwrap();
-        store.checkpoint("d.xml").unwrap();
-        assert_eq!(store.doc("d.xml").unwrap().epoch(), 2);
-        assert!(dir.join(segment_file(1, 1)).exists(), "pinned segment survives");
-        assert!(dir.join(segment_file(1, 2)).exists());
-
-        // The snapshot still answers from its own consistent copy.
-        assert_eq!(snap.labeled().tree().elements().count(), elements_at_cut);
-        assert_eq!(snap.seq(), 0);
-        verify::check_doc(snap.labeled(), snap.table()).unwrap();
-
-        // A clone of the handle keeps the pin alive after the original drops.
-        let clone = snap.clone();
-        drop(snap);
-        store.sweep_unpinned();
-        assert!(dir.join(segment_file(1, 1)).exists(), "cloned handle still pins");
-        drop(clone);
-        store.sweep_unpinned();
-        assert!(!dir.join(segment_file(1, 1)).exists(), "unpinned segment swept");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn pinned_then_checkpointed_again_sweeps_on_later_checkpoint() {
-        let dir = tmpdir("pin-sweep");
-        let mut store = Store::create(&dir).unwrap();
-        store.add_document("d.xml", "<r><a/></r>", 8).unwrap();
-        let snap = store.snapshot("d.xml").unwrap();
-        let a = nth_element(store.doc("d.xml").unwrap().tree(), 1);
-        store.apply("d.xml", &Mutation::InsertBefore { anchor: a, tag: "x".into() }).unwrap();
-        store.checkpoint("d.xml").unwrap();
-        assert!(dir.join(segment_file(1, 1)).exists());
-        drop(snap);
-        // The next checkpoint's sweep collects the now-unpinned deferral.
-        store.apply("d.xml", &Mutation::InsertBefore { anchor: a, tag: "y".into() }).unwrap();
-        store.checkpoint("d.xml").unwrap();
-        assert!(!dir.join(segment_file(1, 1)).exists(), "deferred segment swept");
-        assert!(!dir.join(segment_file(1, 2)).exists(), "unpinned old epoch dropped eagerly");
-        assert!(dir.join(segment_file(1, 3)).exists());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -254,84 +254,3 @@ fn faults_during_recovery_replay_do_not_corrupt_the_disk() {
     assert_recovers_to_prefix(&dir, &[1]);
     let _ = std::fs::remove_dir_all(&dir);
 }
-
-#[test]
-fn gc_during_read_keeps_the_pinned_segment_until_the_snapshot_drops() {
-    // Satellite for the snapshot-vs-GC race: a checkpoint (and even a
-    // faulted checkpoint retry) must never delete a segment an open
-    // snapshot handle still references, and the snapshot must keep
-    // answering from its epoch's state throughout.
-    let dir = scratch_dir("gc-read");
-    fault::reset();
-    let mut live = Store::create(&dir).unwrap();
-    live.add_document("doc.xml", DOC_XML, 4).unwrap();
-    let snap = live.snapshot("doc.xml").unwrap();
-    assert_eq!(snap.epoch(), 1);
-    verify::equivalent(snap.labeled(), &oracle_after(0)).unwrap();
-
-    // Advance the store past the snapshot's epoch.
-    for step in 0..2 {
-        let m = scripted_mutation(step, live.doc("doc.xml").unwrap().tree());
-        live.apply("doc.xml", &m).unwrap();
-    }
-    live.checkpoint("doc.xml").unwrap();
-    assert_eq!(live.doc("doc.xml").unwrap().epoch(), 2);
-    assert!(
-        dir.join(xp_store::segment_file(1, 1)).exists(),
-        "checkpoint GC must defer the pinned epoch-1 segment"
-    );
-
-    // A faulted checkpoint attempt while the pin is held changes nothing.
-    let m = scripted_mutation(2, live.doc("doc.xml").unwrap().tree());
-    live.apply("doc.xml", &m).unwrap();
-    fault::arm("store.checkpoint.write:1:torn");
-    assert!(live.checkpoint("doc.xml").is_err());
-    fault::reset();
-    assert!(dir.join(xp_store::segment_file(1, 1)).exists());
-
-    // The snapshot still reads its original, consistent cut.
-    verify::equivalent(snap.labeled(), &oracle_after(0)).unwrap();
-    verify::check_doc(snap.labeled(), snap.table()).unwrap();
-
-    // Once the handle drops, the deferred segment is fair game: an explicit
-    // sweep (or the next checkpoint/open) removes it.
-    drop(snap);
-    live.sweep_unpinned();
-    assert!(!dir.join(xp_store::segment_file(1, 1)).exists());
-    drop(live);
-
-    // A fresh open on the swept directory recovers the full prefix: the
-    // deferred-GC bookkeeping never leaks into durable state.
-    assert_recovers_to_prefix(&dir, &[3]);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn reopen_gc_collects_segments_only_a_dead_process_pinned() {
-    // Pins are process-local: if the pinning process dies, the next open
-    // sees an unreferenced old segment as debris and collects it, exactly
-    // like any other orphan.
-    let dir = scratch_dir("gc-dead-pin");
-    fault::reset();
-    {
-        let mut live = Store::create(&dir).unwrap();
-        live.add_document("doc.xml", DOC_XML, 4).unwrap();
-        let snap = live.snapshot("doc.xml").unwrap();
-        let m = scripted_mutation(0, live.doc("doc.xml").unwrap().tree());
-        live.apply("doc.xml", &m).unwrap();
-        live.checkpoint("doc.xml").unwrap();
-        assert!(dir.join(xp_store::segment_file(1, 1)).exists());
-        // Simulate process death with the pin still held: the handle and
-        // store just drop; nothing sweeps in this lifetime.
-        std::mem::forget(snap);
-    }
-    let reopened = Store::open(&dir).unwrap();
-    reopened.verify().unwrap();
-    assert!(
-        !dir.join(xp_store::segment_file(1, 1)).exists(),
-        "open() GCs segments no manifest entry references"
-    );
-    drop(reopened);
-    assert_recovers_to_prefix(&dir, &[1]);
-    let _ = std::fs::remove_dir_all(&dir);
-}

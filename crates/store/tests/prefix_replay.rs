@@ -9,13 +9,12 @@
 //! the prefix, and (c) answer all nine query axes exactly like the oracle's
 //! label table.
 
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use xp_labelkit::{InsertPos, LabeledStore, Mutation};
 use xp_prime::DynamicPrime;
-use xp_query::engine::{eval_path, OrderOracle, Path as QueryPath};
+use xp_query::engine::{eval_path, Path as QueryPath, TreeOrderOracle};
 use xp_query::relstore::LabelTable;
 use xp_store::frame::decode_frames;
 use xp_store::{verify, Store, WAL_FILE};
@@ -83,20 +82,6 @@ const PATHS: &[&str] = &[
     "//t2/preceding-sibling::t1",
     "//t1[2]",
 ];
-
-struct TreeOrderOracle(HashMap<NodeId, u64>);
-
-impl TreeOrderOracle {
-    fn of(tree: &XmlTree) -> Self {
-        TreeOrderOracle(tree.elements().enumerate().map(|(i, n)| (n, i as u64)).collect())
-    }
-}
-
-impl OrderOracle for TreeOrderOracle {
-    fn rank(&self, node: NodeId) -> u64 {
-        self.0.get(&node).copied().unwrap_or(u64::MAX)
-    }
-}
 
 fn non_root(tree: &XmlTree, pick: usize) -> Option<NodeId> {
     let n = tree.elements().count();

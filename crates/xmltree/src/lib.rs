@@ -34,7 +34,6 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod parse;
-pub mod sax;
 pub mod serialize;
 pub mod snapshot;
 pub mod stats;

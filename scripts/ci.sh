@@ -225,3 +225,13 @@ echo "==> parallel-scaling bench smoke (xp-par determinism + no-lose gate)"
 # the checked-in results/bench_par_scaling.json.
 cargo run -q --release --offline -p xp-bench --bin par_scaling -- --smoke
 echo "OK: xp-par outputs are byte-identical across thread counts."
+
+echo "==> benchmark smoke (labelbench against the shipped server)"
+# Builds xmlprime and the out-of-workspace labelbench package from source
+# and runs every BENCHMARK.json workload at toy size, untraced and traced:
+# every named metric must be present and finite, and the answer,
+# durability and trace-coverage checks must pass. Nothing else in this
+# script compiles labelbench/, so this is what catches a change that
+# breaks its links into xp-store and xp-server.
+python3 labelbench/run.py --smoke
+echo "OK: the benchmark builds, runs, and checks its answers."

@@ -7,7 +7,6 @@ use xmlprime::datagen::auction::{generate_site, AuctionParams};
 use xmlprime::datagen::datasets::dataset;
 use xmlprime::labelkit::codec::{decode_doc, encode_doc};
 use xmlprime::prelude::*;
-use xmlprime::prime::stream::label_stream;
 
 #[test]
 fn full_pipeline_on_d9() {
@@ -39,16 +38,6 @@ fn full_pipeline_on_d9() {
     let decoded: LabeledDoc<PrimeLabel> = decode_doc(&tree, &bytes).unwrap();
     for &node in nodes.iter().step_by(97) {
         assert_eq!(decoded.label(node), prime.label(node));
-    }
-
-    // 4. Streaming labeling over the serialized document matches the
-    //    unoptimized tree labeling.
-    let xml = xmlprime::xmltree::serialize::to_string(&tree);
-    let rows = label_stream(&xml).unwrap();
-    assert_eq!(rows.len(), n);
-    let tree_labels = TopDownPrime::unoptimized().label(&tree);
-    for (row, &node) in rows.iter().zip(&nodes).step_by(83) {
-        assert_eq!(&row.label, tree_labels.label(node));
     }
 }
 
