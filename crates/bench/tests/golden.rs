@@ -2,7 +2,7 @@
 //! so its rows must regenerate bit-identically — and the analytic /
 //! seeded-data figures must match checked-in golden values.
 
-use xp_bench::experiments::{sizes, updates};
+use xp_bench::experiments::{sizes, timing, updates};
 
 #[test]
 fn experiments_are_deterministic() {
@@ -54,4 +54,27 @@ fn fig16_matches_golden_values() {
     assert_eq!(row[4], "1", "prefix-2");
     let interval: usize = row[1].parse().unwrap();
     assert!((4000..=5001).contains(&interval));
+}
+
+#[test]
+fn tab02_matches_golden_values() {
+    // Table 2's cardinalities on the seeded 5-replica Shakespeare corpus:
+    // every evaluation strategy must reproduce them exactly.
+    let r = timing::tab02(5);
+    let counts: Vec<(&str, &str)> =
+        r.rows().iter().map(|row| (row[0].as_str(), row[3].as_str())).collect();
+    assert_eq!(
+        counts,
+        [
+            ("Q1", "5"),
+            ("Q2", "22"),
+            ("Q3", "130"),
+            ("Q4", "3511"),
+            ("Q5", "19605"),
+            ("Q6", "3619"),
+            ("Q7", "4004"),
+            ("Q8", "4397"),
+            ("Q9", "19751"),
+        ]
+    );
 }

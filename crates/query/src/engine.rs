@@ -17,13 +17,24 @@
 //!
 //! `/name` is the child axis, `//name` the descendant axis. A positional
 //! predicate `[n]` selects the n-th matching node *per context node*, in
-//! document order — exactly the paper's evaluation strategy for
+//! document order — the semantics of the paper's strategy for
 //! `book/author[2]`: "retrieve all the author nodes who are descendants …
 //! sorted first according to their order numbers … return the author node
 //! that is in the second position".
+//!
+//! Evaluation runs each step once for the whole context set: the step's
+//! candidates are filtered by tag, `[="…"]` and `[tag]`, ranked once and
+//! sorted, and steps hand each other `(rank, row index)` pairs in document
+//! order. A position-free step keeps the candidates the stack-tree join
+//! ([`crate::join`]) matches to any context; a positional step takes each
+//! context's n-th match by index into the sorted candidates, so the paper's
+//! "collect, sort, index" costs one sort per step rather than one per
+//! context. The literal per-context strategy survives as the reference
+//! `eval_path_with(.., false)` the differential suites compare against.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
+use crate::join::{self, Ranked};
 use crate::relstore::LabelTable;
 use xp_labelkit::LabelOps;
 use xp_testkit::faultpoint;
@@ -333,9 +344,10 @@ impl OrderOracle for TreeOrderOracle {
 /// parent-label column for child/sibling axes) and the order oracle — the
 /// tree itself is never consulted, which is the labeling-scheme contract.
 ///
-/// Position-free steps run through the stack-based structural join
-/// ([`crate::join`]); positional steps fall back to per-context selection
-/// (the paper's own strategy: collect, sort by order number, index).
+/// Each step runs once for the whole context set: its candidates are
+/// filtered and ranked once, position-free steps match them through the
+/// stack-based structural join ([`crate::join`]), and positional steps pick
+/// every context's n-th match by index into the sorted candidate run.
 pub fn eval_path<L: LabelOps>(
     table: &LabelTable<L>,
     oracle: &dyn OrderOracle,
@@ -344,9 +356,11 @@ pub fn eval_path<L: LabelOps>(
     eval_path_with(table, oracle, path, true)
 }
 
-/// [`eval_path`] with an explicit choice of join strategy: `batch = false`
-/// forces the naive per-context nested loops (used by the differential
-/// tests and the join ablation bench).
+/// [`eval_path`] with an explicit choice of evaluation: `batch = false`
+/// runs the per-context reference instead — the paper's own strategy of
+/// scanning the tag once per context node, then "collect, sort by order
+/// number, index" — which the differential tests and the join ablation
+/// bench compare the batched steps against.
 pub fn eval_path_with<L: LabelOps>(
     table: &LabelTable<L>,
     oracle: &dyn OrderOracle,
@@ -355,6 +369,11 @@ pub fn eval_path_with<L: LabelOps>(
 ) -> Result<Vec<NodeId>, QueryError> {
     eval_path_limited(table, oracle, path, batch, &QueryLimits::default())
 }
+
+/// One row of an intermediate result: `(document-order rank, row index)`.
+/// Steps hand each other these sorted by rank, so no row is ranked twice
+/// within a step.
+type RankedRow = (u64, usize);
 
 /// [`eval_path_with`] with explicit [`QueryLimits`] budgets.
 pub fn eval_path_limited<L: LabelOps>(
@@ -367,252 +386,357 @@ pub fn eval_path_limited<L: LabelOps>(
     if path.steps.len() > limits.max_steps {
         return Err(QueryError::LimitExceeded(QueryLimit::Steps(limits.max_steps)));
     }
+    let within_budget = |rows: Vec<RankedRow>| {
+        if rows.len() > limits.max_rows {
+            Err(QueryError::LimitExceeded(QueryLimit::Rows(limits.max_rows)))
+        } else {
+            Ok(rows)
+        }
+    };
     // The initial context is the *document node*: `/play` selects the root
     // element itself when it is named `play`, and `//tag` selects every
     // element with that tag, the root included.
     let Some(first) = path.steps.first() else {
         return Err(QueryError::EmptyPath);
     };
-    let mut ctx: Vec<NodeId> = match first.axis {
+    let mut ctx: Vec<RankedRow> = match first.axis {
         Axis::Child => {
-            let root = table.root();
-            if first.tag == "*" || table.tag_name(table.row_of(root).tag) == first.tag {
-                vec![root]
-            } else {
-                Vec::new()
-            }
+            let root = table.row_index(table.root()).filter(|&i| {
+                first.tag == "*" || table.tag_name(table.rows()[i].tag) == first.tag
+            });
+            filter_and_rank(table, oracle, first, root)
         }
-        Axis::Descendant if first.tag == "*" => {
-            table.rows().iter().map(|r| r.node).collect()
-        }
-        Axis::Descendant => {
-            table.scan_tag(&first.tag).iter().map(|&i| table.rows()[i].node).collect()
-        }
+        Axis::Descendant => candidates(table, oracle, first),
         // The document node has no siblings, ancestors, or surroundings.
         _ => Vec::new(),
     };
-    if let Some(v) = &first.value {
-        ctx.retain(|&n| table.row_of(n).text.as_deref() == Some(v.as_str()));
-    }
-    if let Some(child_tag) = &first.has_child {
-        let parents = parents_with_child(table, child_tag);
-        ctx.retain(|n| parents.contains(n));
-    }
-    ctx.sort_by_key(|&n| oracle.rank(n));
     if let Some(n) = first.position {
-        ctx = match ctx.get(n - 1) {
-            Some(&m) => vec![m],
-            None => Vec::new(),
-        };
+        ctx = ctx.get(n - 1).copied().into_iter().collect();
     }
-    if ctx.len() > limits.max_rows {
-        return Err(QueryError::LimitExceeded(QueryLimit::Rows(limits.max_rows)));
-    }
+    ctx = within_budget(ctx)?;
     for step in &path.steps[1..] {
         if ctx.is_empty() {
             break;
         }
-        if batch && step.position.is_none() {
-            ctx = select_batch(table, oracle, &ctx, step)?;
+        ctx = within_budget(if batch {
+            select_batch(table, oracle, &ctx, step)?
         } else {
-            let mut next: Vec<NodeId> = Vec::new();
-            for &c in &ctx {
-                let mut matches = select(table, oracle, c, step);
-                if let Some(n) = step.position {
-                    matches = match matches.get(n - 1) {
-                        Some(&m) => vec![m],
-                        None => Vec::new(),
-                    };
-                }
-                next.extend(matches);
-            }
-            // Union semantics: document order, duplicates removed.
-            next.sort_by_key(|&n| oracle.rank(n));
-            next.dedup();
-            ctx = next;
-        }
-        if ctx.len() > limits.max_rows {
-            return Err(QueryError::LimitExceeded(QueryLimit::Rows(limits.max_rows)));
-        }
+            select_per_context(table, oracle, &ctx, step)
+        })?;
     }
-    Ok(ctx)
+    Ok(ctx.into_iter().map(|(_, i)| table.rows()[i].node).collect())
 }
 
-/// Evaluates one position-free step for the whole context set at once,
-/// using the stack-tree join for the containment axes.
+/// The rows `step` can select before its axis is applied: tag, `[="…"]`
+/// and `[tag]` filters passed, each row ranked once, in document order.
+fn candidates<L: LabelOps>(
+    table: &LabelTable<L>,
+    oracle: &dyn OrderOracle,
+    step: &Step,
+) -> Vec<RankedRow> {
+    if step.tag == "*" {
+        filter_and_rank(table, oracle, step, 0..table.len())
+    } else {
+        filter_and_rank(table, oracle, step, table.scan_tag(&step.tag).iter().copied())
+    }
+}
+
+/// Keeps the `rows` that pass `step`'s value and existence predicates and
+/// sorts them by rank.
+fn filter_and_rank<L: LabelOps>(
+    table: &LabelTable<L>,
+    oracle: &dyn OrderOracle,
+    step: &Step,
+    rows: impl IntoIterator<Item = usize>,
+) -> Vec<RankedRow> {
+    let parents = step.has_child.as_deref().map(|tag| parents_with_child(table, tag));
+    let mut out: Vec<RankedRow> = rows
+        .into_iter()
+        .filter(|&i| {
+            let row = &table.rows()[i];
+            step.value.as_deref().is_none_or(|v| row.text.as_deref() == Some(v))
+                && parents.as_ref().is_none_or(|p| p.contains(&row.node))
+        })
+        .map(|i| (oracle.rank(table.rows()[i].node), i))
+        .collect();
+    // Stable sort on purpose: a patched table's tag buckets stay mostly in
+    // document order, and the stable sort merges such runs in near-linear
+    // time where the unstable one falls back to a full quicksort.
+    out.sort();
+    out
+}
+
+/// Evaluates one step for the whole context set at once. The candidates
+/// are filtered and ranked once; a position-free step keeps every
+/// candidate some context matches ([`any_match`]), a positional step every
+/// candidate that is some context's n-th match ([`nth_match`]). The union
+/// comes out in candidate order — document order, without duplicates — so
+/// it needs no re-sort.
 fn select_batch<L: LabelOps>(
     table: &LabelTable<L>,
     oracle: &dyn OrderOracle,
-    ctx: &[NodeId],
+    ctx: &[RankedRow],
     step: &Step,
-) -> Result<Vec<NodeId>, QueryError> {
-    use std::collections::HashSet;
-
+) -> Result<Vec<RankedRow>, QueryError> {
     faultpoint!("query.join")?;
-
-    // Candidate rows (tag + value filtered), sorted by document order.
-    let mut cands: Vec<(u64, NodeId, &L)> = Vec::new();
-    let indices: Vec<usize> = if step.tag == "*" {
-        (0..table.rows().len()).collect()
-    } else {
-        table.scan_tag(&step.tag).to_vec()
+    let cands = candidates(table, oracle, step);
+    let keep = match step.position {
+        None => any_match(table, ctx, &cands, step.axis),
+        Some(n) => nth_match(table, ctx, &cands, step.axis, n - 1),
     };
-    for idx in indices {
-        let row = &table.rows()[idx];
-        let value_ok = match &step.value {
-            None => true,
-            Some(v) => row.text.as_deref() == Some(v.as_str()),
-        };
-        if value_ok {
-            cands.push((oracle.rank(row.node), row.node, &row.label));
-        }
-    }
-    cands.sort_by_key(|&(r, _, _)| r);
+    Ok(cands.into_iter().zip(keep).filter_map(|(c, k)| k.then_some(c)).collect())
+}
 
-    // Context set, sorted by document order.
-    let mut ctx_ranked: Vec<(u64, NodeId, &L)> =
-        ctx.iter().map(|&n| (oracle.rank(n), n, &table.row_of(n).label)).collect();
-    ctx_ranked.sort_by_key(|&(r, _, _)| r);
-    let ctx_ranks: Vec<u64> = ctx_ranked.iter().map(|&(r, _, _)| r).collect();
+/// `(rank, label)` views of ranked rows, the join's input shape.
+fn labeled<'t, L: LabelOps>(table: &'t LabelTable<L>, rows: &[RankedRow]) -> Vec<Ranked<'t, L>> {
+    rows.iter().map(|&(r, i)| (r, &table.rows()[i].label)).collect()
+}
 
-    let joined = |a: &[(u64, NodeId, &L)], t: &[(u64, NodeId, &L)]| {
-        let a_view: Vec<(u64, &L)> = a.iter().map(|&(r, _, l)| (r, l)).collect();
-        let t_view: Vec<(u64, &L)> = t.iter().map(|&(r, _, l)| (r, l)).collect();
-        crate::join::ancestor_descendant_counts_par(&a_view, &t_view)
+/// Marks the candidates at least one context matches on `axis`, using the
+/// stack-tree join for the containment axes.
+fn any_match<L: LabelOps>(
+    table: &LabelTable<L>,
+    ctx: &[RankedRow],
+    cands: &[RankedRow],
+    axis: Axis,
+) -> Vec<bool> {
+    let rows = table.rows();
+    let parent_of = |&(_, i): &RankedRow| rows[i].parent;
+    let join = |a: &[RankedRow], t: &[RankedRow]| {
+        join::ancestor_descendant_counts_par(&labeled(table, a), &labeled(table, t))
     };
-
-    let keep: Vec<NodeId> = match step.axis {
+    match axis {
         Axis::Child => {
-            let ctx_set: HashSet<NodeId> = ctx.iter().copied().collect();
-            cands
-                .iter()
-                .filter(|&&(_, n, _)| {
-                    table.row_of(n).parent.is_some_and(|p| ctx_set.contains(&p) && p != n)
-                })
-                .map(|&(_, n, _)| n)
-                .collect()
+            let ctx_nodes: HashSet<NodeId> = ctx.iter().map(|&(_, i)| rows[i].node).collect();
+            cands.iter().map(|c| parent_of(c).is_some_and(|p| ctx_nodes.contains(&p))).collect()
         }
         Axis::Descendant => {
-            let counts = joined(&ctx_ranked, &cands);
-            cands
-                .iter()
-                .zip(&counts.ancestors_of_target)
-                .filter(|&(_, &a)| a > 0)
-                .map(|(&(_, n, _), _)| n)
-                .collect()
+            join(ctx, cands).ancestors_of_target.into_iter().map(|a| a > 0).collect()
         }
         Axis::Following => {
             // Matches iff some context precedes it that is not an ancestor:
             // (#contexts before) > (#contexts that are ancestors).
-            let counts = joined(&ctx_ranked, &cands);
+            let counts = join(ctx, cands);
             cands
                 .iter()
-                .zip(&counts.ancestors_of_target)
-                .filter(|&(&(rank, _, _), &anc)| {
-                    let before = ctx_ranks.partition_point(|&r| r < rank);
-                    before > anc
-                })
-                .map(|(&(_, n, _), _)| n)
+                .zip(counts.ancestors_of_target)
+                .map(|(&(rank, _), anc)| ctx.partition_point(|&(r, _)| r < rank) > anc)
                 .collect()
         }
         Axis::Preceding => {
             // Matches iff some context follows it that is not a descendant:
             // (#contexts after) > (#contexts in the candidate's subtree).
-            let counts = joined(&cands, &ctx_ranked);
+            let counts = join(cands, ctx);
             cands
                 .iter()
-                .zip(&counts.targets_under_ancestor)
-                .filter(|&(&(rank, _, _), &desc)| {
-                    let after = ctx_ranks.len() - ctx_ranks.partition_point(|&r| r <= rank);
-                    after > desc
+                .zip(counts.targets_under_ancestor)
+                .map(|(&(rank, _), desc)| {
+                    ctx.len() - ctx.partition_point(|&(r, _)| r <= rank) > desc
                 })
-                .map(|(&(_, n, _), _)| n)
                 .collect()
         }
-        Axis::FollowingSibling => {
-            let mut min_rank: std::collections::HashMap<NodeId, u64> =
-                std::collections::HashMap::new();
-            for &(r, n, _) in &ctx_ranked {
-                if let Some(p) = table.row_of(n).parent {
-                    min_rank.entry(p).and_modify(|m| *m = (*m).min(r)).or_insert(r);
+        Axis::FollowingSibling | Axis::PrecedingSibling => {
+            // Per parent, the earliest (latest) context: a candidate under
+            // the same parent matches iff it comes after (before) it.
+            let following = axis == Axis::FollowingSibling;
+            let mut bound: HashMap<NodeId, u64> = HashMap::new();
+            for c in ctx {
+                if let Some(p) = parent_of(c) {
+                    let b = bound.entry(p).or_insert(c.0);
+                    *b = if following { (*b).min(c.0) } else { (*b).max(c.0) };
                 }
             }
             cands
                 .iter()
-                .filter(|&&(rank, n, _)| {
-                    table
-                        .row_of(n)
-                        .parent
-                        .and_then(|p| min_rank.get(&p))
-                        .is_some_and(|&m| rank > m)
+                .map(|c| {
+                    parent_of(c)
+                        .and_then(|p| bound.get(&p))
+                        .is_some_and(|&b| if following { c.0 > b } else { c.0 < b })
                 })
-                .map(|&(_, n, _)| n)
-                .collect()
-        }
-        Axis::PrecedingSibling => {
-            let mut max_rank: std::collections::HashMap<NodeId, u64> =
-                std::collections::HashMap::new();
-            for &(r, n, _) in &ctx_ranked {
-                if let Some(p) = table.row_of(n).parent {
-                    max_rank.entry(p).and_modify(|m| *m = (*m).max(r)).or_insert(r);
-                }
-            }
-            cands
-                .iter()
-                .filter(|&&(rank, n, _)| {
-                    table
-                        .row_of(n)
-                        .parent
-                        .and_then(|p| max_rank.get(&p))
-                        .is_some_and(|&m| rank < m)
-                })
-                .map(|&(_, n, _)| n)
                 .collect()
         }
         Axis::Parent => {
-            let parents: HashSet<NodeId> =
-                ctx.iter().filter_map(|&n| table.row_of(n).parent).collect();
-            cands.iter().filter(|&&(_, n, _)| parents.contains(&n)).map(|&(_, n, _)| n).collect()
+            let parents: HashSet<NodeId> = ctx.iter().filter_map(parent_of).collect();
+            cands.iter().map(|&(_, i)| parents.contains(&rows[i].node)).collect()
         }
         Axis::Ancestor => {
-            let counts = joined(&cands, &ctx_ranked);
-            cands
-                .iter()
-                .zip(&counts.targets_under_ancestor)
-                .filter(|&(_, &d)| d > 0)
-                .map(|(&(_, n, _), _)| n)
-                .collect()
+            join(cands, ctx).targets_under_ancestor.into_iter().map(|d| d > 0).collect()
         }
         Axis::AncestorOrSelf => {
-            let counts = joined(&cands, &ctx_ranked);
-            let ctx_set: HashSet<NodeId> = ctx.iter().copied().collect();
+            let counts = join(cands, ctx);
+            let ctx_rows: HashSet<usize> = ctx.iter().map(|&(_, i)| i).collect();
             cands
                 .iter()
-                .zip(&counts.targets_under_ancestor)
-                .filter(|&(&(_, n, _), &d)| d > 0 || ctx_set.contains(&n))
-                .map(|(&(_, n, _), _)| n)
+                .zip(counts.targets_under_ancestor)
+                .map(|(&(_, i), d)| d > 0 || ctx_rows.contains(&i))
                 .collect()
         }
-    };
-    Ok(match &step.has_child {
-        None => keep,
-        Some(child_tag) => {
-            let parents = parents_with_child(table, child_tag);
-            keep.into_iter().filter(|n| parents.contains(n)).collect()
-        }
-    })
+    }
 }
 
-/// All nodes matching one step for a single context node, document order.
+/// Marks, for every context, its `k`-th match on `axis` (0-based, document
+/// order) — the paper's per-context "collect, sort by order number, index"
+/// done for all contexts in one pass over the sorted candidate run. Each
+/// context costs index arithmetic plus at most a few label tests:
+///
+/// * descendants of a context are the contiguous candidate run right after
+///   it, so its k-th descendant is one test away, and the run's end — its
+///   first following candidate — a galloping search away;
+/// * child and sibling matches are positions in the candidates grouped by
+///   the parent column, and the parent is a lookup;
+/// * ancestor, ancestor-or-self and preceding read the context's ancestor
+///   chain from the stack-tree join ([`join::visit_ancestor_chains`]).
+fn nth_match<L: LabelOps>(
+    table: &LabelTable<L>,
+    ctx: &[RankedRow],
+    cands: &[RankedRow],
+    axis: Axis,
+    k: usize,
+) -> Vec<bool> {
+    let rows = table.rows();
+    let label = |&(_, i): &RankedRow| &rows[i].label;
+    // Position of the first candidate after a context.
+    let after = |rank: u64| cands.partition_point(|&(r, _)| r <= rank);
+    let mut picks: Vec<usize> = Vec::new();
+    match axis {
+        Axis::Descendant => {
+            for c in ctx {
+                let p = after(c.0) + k;
+                if p < cands.len() && label(c).is_ancestor_of(label(&cands[p])) {
+                    picks.push(p);
+                }
+            }
+        }
+        Axis::Following => {
+            for c in ctx {
+                let start = after(c.0);
+                picks.push(start + descendant_run(table, label(c), &cands[start..]) + k);
+            }
+        }
+        Axis::Child | Axis::FollowingSibling | Axis::PrecedingSibling => {
+            // Candidate positions grouped by parent, each group in rank order.
+            let mut children: HashMap<NodeId, Vec<usize>> = HashMap::new();
+            for (p, &(_, i)) in cands.iter().enumerate() {
+                if let Some(parent) = rows[i].parent {
+                    children.entry(parent).or_default().push(p);
+                }
+            }
+            for &(rank, i) in ctx {
+                let siblings = || rows[i].parent.and_then(|parent| children.get(&parent));
+                let pick = match axis {
+                    Axis::Child => children.get(&rows[i].node).and_then(|g| g.get(k)),
+                    Axis::FollowingSibling => siblings()
+                        .and_then(|g| g.get(g.partition_point(|&p| cands[p].0 <= rank) + k)),
+                    _ => siblings()
+                        .and_then(|g| g[..g.partition_point(|&p| cands[p].0 < rank)].get(k)),
+                };
+                picks.extend(pick);
+            }
+        }
+        Axis::Parent => {
+            if k == 0 {
+                let position: HashMap<NodeId, usize> =
+                    cands.iter().enumerate().map(|(p, &(_, i))| (rows[i].node, p)).collect();
+                picks.extend(
+                    ctx.iter().filter_map(|&(_, i)| rows[i].parent.and_then(|n| position.get(&n))),
+                );
+            }
+        }
+        Axis::Ancestor | Axis::AncestorOrSelf | Axis::Preceding => {
+            join::visit_ancestor_chains(&labeled(table, cands), &labeled(table, ctx), |t, chain| {
+                let c = ctx[t];
+                let pick = match axis {
+                    Axis::Ancestor => chain.get(k).copied(),
+                    // The chain, then the context itself if it is a candidate.
+                    Axis::AncestorOrSelf if k == chain.len() => cands.binary_search(&c).ok(),
+                    Axis::AncestorOrSelf => chain.get(k).copied(),
+                    _ => {
+                        // The k-th candidate before the context, skipping
+                        // the chain (ascending, all before the context).
+                        let mut p = k;
+                        for &a in chain {
+                            if a > p {
+                                break;
+                            }
+                            p += 1;
+                        }
+                        cands.get(p).filter(|&&(rank, _)| rank < c.0).map(|_| p)
+                    }
+                };
+                picks.extend(pick);
+            });
+        }
+    }
+    let mut keep = vec![false; cands.len()];
+    for p in picks {
+        if let Some(slot) = keep.get_mut(p) {
+            *slot = true;
+        }
+    }
+    keep
+}
+
+/// How many leading elements of `run` — candidates in document order, all
+/// after the context — lie in the context's subtree. A subtree is
+/// contiguous in document order, so the answer is found by galloping and
+/// then bisecting: `O(log d)` ancestor tests for `d` descendants.
+fn descendant_run<L: LabelOps>(table: &LabelTable<L>, ctx_label: &L, run: &[RankedRow]) -> usize {
+    let inside = |p: usize| ctx_label.is_ancestor_of(&table.rows()[run[p].1].label);
+    // run[..lo] is known inside, run[hi..] known outside.
+    let (mut lo, mut hi, mut stride) = (0, run.len(), 1);
+    while lo < hi {
+        let probe = (lo + stride - 1).min(hi - 1);
+        if !inside(probe) {
+            hi = probe;
+            break;
+        }
+        lo = probe + 1;
+        stride *= 2;
+    }
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if inside(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// The per-context reference for one step: each context's matches found
+/// by [`select`], the n-th kept when the step is positional, and the union
+/// sorted back into document order.
+fn select_per_context<L: LabelOps>(
+    table: &LabelTable<L>,
+    oracle: &dyn OrderOracle,
+    ctx: &[RankedRow],
+    step: &Step,
+) -> Vec<RankedRow> {
+    let mut next: Vec<RankedRow> = Vec::new();
+    for &c in ctx {
+        let matches = select(table, oracle, c, step);
+        match step.position {
+            Some(n) => next.extend(matches.get(n - 1)),
+            None => next.extend(matches),
+        }
+    }
+    // Union semantics: document order, duplicates removed.
+    next.sort();
+    next.dedup();
+    next
+}
+
+/// All rows matching one step for a single context row, document order.
 fn select<L: LabelOps>(
     table: &LabelTable<L>,
     oracle: &dyn OrderOracle,
-    context: NodeId,
+    (ctx_rank, ctx_idx): RankedRow,
     step: &Step,
-) -> Vec<NodeId> {
-    let ctx_row = table.row_of(context);
-    let ctx_rank = oracle.rank(context);
-    let mut out: Vec<NodeId> = Vec::new();
+) -> Vec<RankedRow> {
+    let ctx_row = &table.rows()[ctx_idx];
+    let context = ctx_row.node;
+    let mut out: Vec<RankedRow> = Vec::new();
     // The descendant and following axes test the *fixed* context label
     // against every candidate — exactly the shape `ancestor_tester` exists
     // for. Built once per step, so the prime scheme's Barrett context is
@@ -663,22 +787,19 @@ fn select<L: LabelOps>(
             Some(v) => row.text.as_deref() == Some(v.as_str()),
         };
         if keep && value_ok {
-            out.push(row.node);
+            out.push((oracle.rank(row.node), idx));
         }
     }
     if let Some(child_tag) = &step.has_child {
         let parents = parents_with_child(table, child_tag);
-        out.retain(|n| parents.contains(n));
+        out.retain(|&(_, i)| parents.contains(&table.rows()[i].node));
     }
-    out.sort_by_key(|&n| oracle.rank(n));
+    out.sort();
     out
 }
 
 /// Nodes that have at least one element child with the given tag.
-fn parents_with_child<L: LabelOps>(
-    table: &LabelTable<L>,
-    child_tag: &str,
-) -> std::collections::HashSet<NodeId> {
+fn parents_with_child<L: LabelOps>(table: &LabelTable<L>, child_tag: &str) -> HashSet<NodeId> {
     table
         .scan_tag(child_tag)
         .iter()
@@ -751,6 +872,26 @@ mod tests {
         assert!(matches!(Path::parse("/a[=John]"), Err(PathError::BadPredicate(_))));
         assert!(matches!(Path::parse("/a[=\"x]"), Err(PathError::BadPredicate(_))));
         assert!(matches!(Path::parse("/a[2"), Err(PathError::BadPredicate(_))));
+    }
+
+    #[test]
+    fn empty_tables_answer_every_shape_with_no_rows() {
+        use xp_baselines::interval::IntervalScheme;
+        use xp_labelkit::Scheme;
+
+        let tree = xp_xmltree::parse("<a><b/></a>").unwrap();
+        let doc = IntervalScheme::dense().label(&tree);
+        let full = LabelTable::build(&tree, &doc);
+        // A composition of no partitions: the root has no row.
+        let empty: LabelTable<xp_baselines::IntervalLabel> = LabelTable::concat(tree.root(), []);
+        let oracle = TreeOrderOracle::of(&tree);
+        for q in ["/a", "//a", "//a/b[1]", "/*", "//*[2]", "//a/b", "//a/ancestor::*[1]"] {
+            let path = Path::parse(q).unwrap();
+            for batch in [true, false] {
+                assert_eq!(eval_path_with(&empty, &oracle, &path, batch), Ok(vec![]), "{q}");
+            }
+        }
+        assert_eq!(eval_path(&full, &oracle, &Path::parse("//a/b[1]").unwrap()).unwrap().len(), 1);
     }
 
     #[test]

@@ -11,10 +11,15 @@
 //! * the `A`-elements that are ancestors of the current node form a nested
 //!   chain — a stack.
 //!
-//! [`ancestor_descendant_counts`] is the single primitive: one pass that
-//! reports, for every target, how many `A`-elements are its proper
-//! ancestors, and for every `A`-element, how many targets lie in its
-//! subtree. Every position-free axis of the engine reduces to it.
+//! [`visit_ancestor_chains`] is the single primitive: one pass that hands
+//! every target the chain of `A`-elements that are its proper ancestors.
+//! [`ancestor_descendant_counts`] folds those chains into counts — for
+//! every target, how many `A`-elements are its proper ancestors, and for
+//! every `A`-element, how many targets lie in its subtree — and every
+//! position-free axis of the engine reduces to it. Positional `ancestor`,
+//! `ancestor-or-self` and `preceding` steps read the chains themselves: a
+//! context's n-th match is an index into its chain, or into the candidates
+//! before it with the chain skipped.
 
 use xp_labelkit::{AncestorTester, LabelOps};
 
@@ -46,24 +51,26 @@ pub struct JoinCounts {
     pub targets_under_ancestor: Vec<usize>,
 }
 
-/// The stack-tree join. Both inputs must be sorted by rank (strictly
-/// increasing); ranks must come from one common document order, and a rank
-/// may appear in both lists (a node joined with itself is never its own
-/// ancestor).
+/// The stack-tree join as a visitor: calls `visit(t, chain)` for every
+/// target in order, where `chain` holds the indices into `ancestors` of
+/// exactly the elements that are proper ancestors of `targets[t]`,
+/// outermost (smallest rank) first. Both inputs must be sorted by rank
+/// (strictly increasing); ranks must come from one common document order,
+/// and a rank may appear in both lists (a node joined with itself is never
+/// its own ancestor).
 ///
 /// Runs in `O(|A| + Σ_t chain-depth(t))` after the inputs are sorted.
 ///
 /// # Panics
 /// Panics (debug assertion) if an input is not strictly increasing in rank.
-pub fn ancestor_descendant_counts<L: LabelOps>(
+pub fn visit_ancestor_chains<L: LabelOps>(
     ancestors: &[Ranked<'_, L>],
     targets: &[Ranked<'_, L>],
-) -> JoinCounts {
+    mut visit: impl FnMut(usize, &[usize]),
+) {
     debug_assert!(ancestors.windows(2).all(|w| w[0].0 < w[1].0), "ancestors unsorted");
     debug_assert!(targets.windows(2).all(|w| w[0].0 < w[1].0), "targets unsorted");
 
-    let mut ancestors_of_target = vec![0usize; targets.len()];
-    let mut targets_under_ancestor = vec![0usize; ancestors.len()];
     // Lazily-built fixed-ancestor predicates, one slot per ancestor (see
     // [`test_ancestor`]).
     let mut testers: Vec<Option<AncestorTester<'_, L>>> =
@@ -95,11 +102,25 @@ pub fn ancestor_descendant_counts<L: LabelOps>(
             stack.pop();
         }
         // Everything remaining on the stack is an ancestor of the target.
-        ancestors_of_target[t_idx] = stack.len();
-        for &a_idx in &stack {
+        visit(t_idx, &stack);
+    }
+}
+
+/// The stack-tree join folded into counts: [`visit_ancestor_chains`] with
+/// each chain's length recorded against its target and each chain member
+/// credited one target. Same input contract.
+pub fn ancestor_descendant_counts<L: LabelOps>(
+    ancestors: &[Ranked<'_, L>],
+    targets: &[Ranked<'_, L>],
+) -> JoinCounts {
+    let mut ancestors_of_target = vec![0usize; targets.len()];
+    let mut targets_under_ancestor = vec![0usize; ancestors.len()];
+    visit_ancestor_chains(ancestors, targets, |t_idx, chain| {
+        ancestors_of_target[t_idx] = chain.len();
+        for &a_idx in chain {
             targets_under_ancestor[a_idx] += 1;
         }
-    }
+    });
     JoinCounts { ancestors_of_target, targets_under_ancestor }
 }
 
@@ -222,6 +243,23 @@ mod tests {
             check(&tree, &thirds, &evens);
             check(&tree, &all, &evens);
         }
+    }
+
+    #[test]
+    fn chains_list_exactly_the_ancestors_outermost_first() {
+        let tree = parse("<a><b><c/><d/></b><e><f><g/></f></e><h/></a>").unwrap();
+        let all: Vec<NodeId> = tree.elements().collect();
+        let doc = IntervalScheme::dense().label(&tree);
+        let both = ranked(&tree, &doc, &all);
+        let mut chains: Vec<Vec<usize>> = Vec::new();
+        visit_ancestor_chains(&both, &both[2..], |t, chain| {
+            assert_eq!(t, chains.len(), "targets visited in order");
+            chains.push(chain.to_vec());
+        });
+        // c, d under a/b; e under a; f, g under a/e(/f); h under a.
+        let expected: Vec<Vec<usize>> =
+            vec![vec![0, 1], vec![0, 1], vec![0], vec![0, 4], vec![0, 4, 5], vec![0]];
+        assert_eq!(chains, expected);
     }
 
     #[test]

@@ -1,29 +1,19 @@
-//! Query plans: what the engine will actually do for a path, with
-//! cardinality estimates — `EXPLAIN` for the label-table engine.
+//! Query plans: the steps the engine will run for a path, with
+//! cardinality estimates — `EXPLAIN` for the label-table engine. Every
+//! step runs the same way (one pass over its ranked candidates for the
+//! whole context set, see [`crate::engine::eval_path`]), so a plan lists
+//! each step's axis, predicates and tag-scan size.
 
 use crate::engine::{Axis, Path};
 use crate::relstore::LabelTable;
 use std::fmt::Write;
 use xp_labelkit::LabelOps;
 
-/// How a step will be evaluated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Strategy {
-    /// Position-free step over the whole context set: one stack-tree
-    /// structural join (or hash lookup for child/sibling/parent axes).
-    BatchJoin,
-    /// Positional step: per-context selection, sort by order number, index
-    /// (the paper's own evaluation strategy).
-    PerContext,
-}
-
 /// The plan for one step.
 #[derive(Debug, Clone)]
 pub struct StepPlan {
     /// Rendered step (axis + tag + predicates).
     pub description: String,
-    /// Evaluation strategy.
-    pub strategy: Strategy,
     /// Rows the tag scan will produce (before structural predicates).
     pub scan_rows: usize,
 }
@@ -68,15 +58,7 @@ impl Plan {
                 if let Some(n) = step.position {
                     let _ = write!(description, "[{n}]");
                 }
-                StepPlan {
-                    description,
-                    strategy: if step.position.is_some() {
-                        Strategy::PerContext
-                    } else {
-                        Strategy::BatchJoin
-                    },
-                    scan_rows,
-                }
+                StepPlan { description, scan_rows }
             })
             .collect();
         Plan { steps }
@@ -86,13 +68,9 @@ impl Plan {
     pub fn render(&self) -> String {
         let mut out = String::new();
         for (i, step) in self.steps.iter().enumerate() {
-            let strategy = match step.strategy {
-                Strategy::BatchJoin => "stack-tree join",
-                Strategy::PerContext => "per-context sort+index",
-            };
             let _ = writeln!(
                 out,
-                "{:indent$}{}. {}  [{} rows scanned, {strategy}]",
+                "{:indent$}{}. {}  [{} rows scanned]",
                 "",
                 i + 1,
                 step.description,
@@ -119,14 +97,6 @@ mod tests {
     }
 
     #[test]
-    fn strategies_follow_positions() {
-        let p = plan_for("<a><b/><b/><c/></a>", "/a/b[2]/following::c");
-        assert_eq!(p.steps[0].strategy, Strategy::BatchJoin);
-        assert_eq!(p.steps[1].strategy, Strategy::PerContext);
-        assert_eq!(p.steps[2].strategy, Strategy::BatchJoin);
-    }
-
-    #[test]
     fn scan_estimates_use_the_tag_index() {
         let p = plan_for("<a><b/><b/><c/></a>", "//b/following::c");
         assert_eq!(p.steps[0].scan_rows, 2);
@@ -141,7 +111,6 @@ mod tests {
         let text = p.render();
         assert!(text.contains("1. child::a"));
         assert!(text.contains("2. child::b[1]"));
-        assert!(text.contains("per-context sort+index"));
     }
 
     #[test]

@@ -193,7 +193,9 @@ impl<L: LabelOps> LabelTable<L> {
         self.row_of_node[slot] = Some(idx);
     }
 
-    fn row_index(&self, node: NodeId) -> Option<usize> {
+    /// The index into [`LabelTable::rows`] of `node`'s row, if the table
+    /// holds one.
+    pub(crate) fn row_index(&self, node: NodeId) -> Option<usize> {
         self.row_of_node.get(node.index()).copied().flatten()
     }
 

@@ -38,8 +38,10 @@ fn tree_strategy(max_nodes: usize) -> Gen<XmlTree> {
 
 /// One query per axis the engine supports: child, descendant, parent,
 /// ancestor, ancestor-or-self, following, preceding, following-sibling,
-/// preceding-sibling — plus a positional step, which exercises the order
-/// oracle.
+/// preceding-sibling — plus positional steps, which exercise the order
+/// oracle: a first-step `[n]` and a mid-path `[n]` on every axis, so the
+/// one-pass positional join runs on tag buckets a patch left out of
+/// document order.
 const PATHS: &[&str] = &[
     "//t0/t1",
     "/t0//t2",
@@ -51,6 +53,15 @@ const PATHS: &[&str] = &[
     "//t1/following-sibling::t2",
     "//t2/preceding-sibling::t1",
     "//t1[2]",
+    "//t0/t1[2]",
+    "//t0//t2[2]",
+    "//t0/following::t1[1]",
+    "//t2/preceding::t1[2]",
+    "//t1/following-sibling::t2[1]",
+    "//t2/preceding-sibling::t1[2]",
+    "//t2/parent::*[1]",
+    "//t3/ancestor::*[1]",
+    "//t1/ancestor-or-self::*[2]",
 ];
 
 /// Picks the `pick`-th non-root element, if the document has one.

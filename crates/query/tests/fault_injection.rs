@@ -211,6 +211,14 @@ fn query_join_fault_surfaces_as_a_typed_query_error() {
     fault::reset();
     assert_eq!(err, QueryError::FaultInjected("query.join"), "got {err}");
     assert_eq!(ev.try_eval(&path).unwrap().len(), 20, "disarmed query succeeds");
+
+    // A positional step after the first runs through the same join pass.
+    let positional = Path::parse("//list/item[2]").unwrap();
+    fault::arm("query.join:1");
+    let err = ev.try_eval(&positional).unwrap_err();
+    fault::reset();
+    assert_eq!(err, QueryError::FaultInjected("query.join"), "got {err}");
+    assert_eq!(ev.try_eval(&positional).unwrap().len(), 1, "disarmed query succeeds");
 }
 
 /// First point of divergence between two SC tables, or `None` when they are
@@ -376,6 +384,7 @@ fn env_matrix() {
         let _ = doc.delete(&mut tree, victim);
         if let Ok(ev) = PrimeEvaluator::try_build(&tree, 5) {
             let _ = ev.try_eval(&Path::parse("//list/item").unwrap());
+            let _ = ev.try_eval(&Path::parse("//list/item[2]").unwrap());
         }
     }));
     assert!(outcome.is_ok(), "pipeline panicked under XP_FAULT");

@@ -104,6 +104,16 @@ echo "==> dynamic-differential gate (every scheme vs relabel-from-scratch oracle
 cargo test -q --offline -p xp-query --test dynamic_differential > /dev/null
 echo "OK: dynamic stores agree with the relabel oracle on every axis."
 
+echo "==> query-cost gate (rank lookups + ancestor tests per Table-2 query)"
+# Count gate for the query engine, independent of wall clock: on the
+# Figure-15 corpus at 2 and 8 replicas, every Table-2 query's rank lookups
+# plus ancestor tests must grow at most 5x for 4x the data, stay at most 8
+# per result row (queries with >= 100 rows), and match at 1 and 8 worker
+# threads. A step that rescans its candidates once per context fails it.
+# See crates/query/tests/query_cost.rs and DESIGN.md §15.
+cargo test -q --offline -p xp-query --test query_cost > /dev/null
+echo "OK: query cost is linear in the corpus and bounded per row."
+
 echo "==> dynamic-API bench smoke (incremental table patch vs rebuild)"
 # Wall-clock gate for RelabelReport -> LabelTable patching: fails if the
 # leaf-insert patch median exceeds a full table rebuild at any size, or if
