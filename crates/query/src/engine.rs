@@ -31,12 +31,16 @@
 //! "collect, sort, index" costs one sort per step rather than one per
 //! context. The literal per-context strategy survives as the reference
 //! `eval_path_with(.., false)` the differential suites compare against.
+//!
+//! Ranks come from an [`OrderOracle`]. [`TreeOrderOracle`] is a dense rank
+//! column: the tree-walk reference in tests, and the served snapshot's SC
+//! order materialised at publish, so a served rank lookup is an array read.
 
 use std::collections::{HashMap, HashSet};
 
 use crate::join::{self, Ranked};
 use crate::relstore::LabelTable;
-use xp_labelkit::LabelOps;
+use xp_labelkit::{LabelOps, RelabelReport};
 use xp_testkit::faultpoint;
 use xp_xmltree::{NodeId, XmlTree};
 
@@ -313,12 +317,18 @@ pub trait OrderOracle {
     fn rank(&self, node: NodeId) -> u64;
 }
 
-/// The reference order: a node's rank is its position in a given element
-/// order, by default the tree walk. Differential suites check every
-/// scheme's order against it. Nodes outside the order rank last
-/// (`u64::MAX`).
+/// A dense rank column indexed by [`NodeId::index`]. It is the reference
+/// order the differential suites check every scheme against (a node's
+/// position in the tree walk, [`TreeOrderOracle::of`]), and the order
+/// column a served snapshot reads its ranks from: SC order materialised
+/// once ([`TreeOrderOracle::from_ranks`]) and kept current mutation by
+/// mutation ([`TreeOrderOracle::apply_report`]). Nodes outside the column
+/// rank last (`u64::MAX`).
 #[derive(Debug, Clone, Default)]
-pub struct TreeOrderOracle(HashMap<NodeId, u64>);
+pub struct TreeOrderOracle(Vec<u64>);
+
+/// The rank of a node the column does not hold.
+const ABSENT: u64 = u64::MAX;
 
 impl TreeOrderOracle {
     /// Ranks `tree`'s elements in preorder.
@@ -328,13 +338,69 @@ impl TreeOrderOracle {
 
     /// Ranks nodes by their position in `order`.
     pub fn from_order(order: impl IntoIterator<Item = NodeId>) -> Self {
-        TreeOrderOracle(order.into_iter().enumerate().map(|(i, n)| (n, i as u64)).collect())
+        Self::from_ranks(order.into_iter().zip(0..))
+    }
+
+    /// Ranks each node as given — for instance by its SC order number
+    /// (`SC mod self-label`), gaps included.
+    pub fn from_ranks(pairs: impl IntoIterator<Item = (NodeId, u64)>) -> Self {
+        let mut column = TreeOrderOracle::default();
+        for (node, rank) in pairs {
+            column.set(node, rank);
+        }
+        column
+    }
+
+    fn set(&mut self, node: NodeId, rank: u64) {
+        let i = node.index();
+        if i >= self.0.len() {
+            self.0.resize(i + 1, ABSENT);
+        }
+        self.0[i] = rank;
+    }
+
+    /// Folds one mutation into the column the way the SC table moves order
+    /// numbers (§4.2). Removed nodes leave without shifting anyone: their
+    /// orders become gaps. Inserted nodes take their new order from
+    /// `order_of`. Every surviving rank `r` becomes `r + j` for the least
+    /// `j` with `j = #{inserted orders ≤ r + j}`, because each insertion
+    /// opened a slot at its order and pushed everything at or after it one
+    /// place on. Relabeled nodes are survivors: a relabel never moves an
+    /// order number. One `u64` pass over the column, no bignum work.
+    pub fn apply_report(
+        &mut self,
+        report: &RelabelReport,
+        order_of: impl Fn(NodeId) -> Option<u64>,
+    ) {
+        for n in &report.removed {
+            if let Some(rank) = self.0.get_mut(n.index()) {
+                *rank = ABSENT;
+            }
+        }
+        let inserted: Vec<(NodeId, u64)> =
+            report.inserted.iter().filter_map(|&n| Some((n, order_of(n)?))).collect();
+        let mut orders: Vec<u64> = inserted.iter().map(|&(_, o)| o).collect();
+        orders.sort_unstable();
+        // The least fixed point in closed form: below the m-th inserted
+        // order `o_m` (ascending, from 0) lie `o_m - m` old slots, so a
+        // survivor at `r` lands after `o_m` exactly when `o_m - m ≤ r`. The
+        // thresholds `o_m - m` ascend, so `j` is one binary search.
+        let thresholds: Vec<u64> =
+            orders.iter().zip(0..).map(|(&o, m)| o.saturating_sub(m)).collect();
+        if !thresholds.is_empty() {
+            for rank in self.0.iter_mut().filter(|r| **r != ABSENT) {
+                *rank += thresholds.partition_point(|&t| t <= *rank) as u64;
+            }
+        }
+        for (n, o) in inserted {
+            self.set(n, o);
+        }
     }
 }
 
 impl OrderOracle for TreeOrderOracle {
     fn rank(&self, node: NodeId) -> u64 {
-        self.0.get(&node).copied().unwrap_or(u64::MAX)
+        self.0.get(node.index()).copied().unwrap_or(ABSENT)
     }
 }
 

@@ -5,6 +5,10 @@
 //! relabeling of the mutated tree — the oracle that cannot be wrong about
 //! what the labels should say.
 //!
+//! `prime_rank_column_tracks_sc_order` checks the served rank column: a
+//! [`TreeOrderOracle`] folded report by report must stay equal to the
+//! prime scheme's `SC mod self-label` order.
+//!
 //! The final `dynamic_env_matrix` test is the CI hook: with
 //! `XP_FAULT=<site>:<n>` armed, the same mutation pipeline must never
 //! panic, and whatever state survives must still satisfy the structural
@@ -16,7 +20,7 @@ use xp_baselines::{
 };
 use xp_labelkit::{DynamicScheme, InsertPos, LabelOps, LabeledStore, RelabelReport};
 use xp_prime::DynamicPrime;
-use xp_query::engine::{eval_path, Path, TreeOrderOracle};
+use xp_query::engine::{eval_path, OrderOracle, Path, TreeOrderOracle};
 use xp_query::relstore::LabelTable;
 use xp_testkit::propcheck::{usizes, vec_of, Gen};
 use xp_testkit::{fault, prop_assert, propcheck};
@@ -210,6 +214,73 @@ propcheck! {
         for outcome in outcomes {
             prop_assert!(outcome.is_ok(), "{}", outcome.err().unwrap_or_default());
         }
+    }
+}
+
+/// Folds every mutation's report into a rank column the way a served
+/// snapshot does, and checks it against the SC table after each step: every
+/// element ranks at its SC order, every node ever removed ranks last, and
+/// every query answers with the column as its oracle exactly as with the
+/// tree-walk order.
+fn check_rank_column(tree: &XmlTree, ops: &[usize]) -> Result<(), String> {
+    let mut store = LabeledStore::build(DynamicPrime::new(3), tree.clone())
+        .map_err(|e| format!("build: {e}"))?;
+    let mut table = LabelTable::build(store.tree(), store.doc());
+    let state = store.state();
+    let mut column =
+        TreeOrderOracle::from_ranks(store.tree().elements().map(|n| (n, state.order_of(n))));
+    let mut removed: Vec<NodeId> = Vec::new();
+
+    for (step, &seed) in ops.iter().enumerate() {
+        let ctx = |what: &str| format!("step {step} (seed {seed}): {what}");
+        let report = match apply_random_op(&mut store, seed) {
+            Ok(Some(report)) => report,
+            Ok(None) => continue,
+            Err(e) => return Err(ctx(&format!("mutation failed: {e}"))),
+        };
+        table.apply_report(store.tree(), store.doc(), &report);
+        let state = store.state();
+        column.apply_report(&report, |n| state.try_order_of(n).ok());
+        removed.extend(&report.removed);
+
+        for n in store.tree().elements() {
+            let sc = state.try_order_of(n).map_err(|e| ctx(&format!("order of {n}: {e}")))?;
+            if column.rank(n) != sc {
+                return Err(ctx(&format!("{n} ranks {} but its SC order is {sc}", column.rank(n))));
+            }
+        }
+        if let Some(n) = removed.iter().find(|&&n| column.rank(n) != u64::MAX) {
+            return Err(ctx(&format!("removed {n} still ranks {}", column.rank(*n))));
+        }
+        let ranks = TreeOrderOracle::of(store.tree());
+        for path_str in PATHS {
+            let path = Path::parse(path_str).map_err(|e| ctx(&e.to_string()))?;
+            let by_column =
+                eval_path(&table, &column, &path).map_err(|e| ctx(&format!("{path_str}: {e}")))?;
+            let by_tree = eval_path(&table, &ranks, &path)
+                .map_err(|e| ctx(&format!("{path_str} (tree order): {e}")))?;
+            if by_column != by_tree {
+                return Err(ctx(&format!(
+                    "{path_str}: column order {by_column:?} vs tree order {by_tree:?}"
+                )));
+            }
+        }
+    }
+    Ok(())
+}
+
+propcheck! {
+    #![config(cases = 200)]
+
+    /// Scripts over every mutation kind — sibling insert, subtree insert,
+    /// wrap, delete and move: the folded column is SC order throughout.
+    #[test]
+    fn prime_rank_column_tracks_sc_order(
+        tree in tree_strategy(24),
+        ops in vec_of(usizes(0..1 << 12), 1..13),
+    ) {
+        let outcome = check_rank_column(&tree, &ops);
+        prop_assert!(outcome.is_ok(), "{}", outcome.err().unwrap_or_default());
     }
 }
 

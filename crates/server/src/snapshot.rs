@@ -4,9 +4,21 @@
 //! store). After each batch it *publishes* an immutable [`Snapshot`]
 //! behind an `Arc`; readers clone the `Arc` and evaluate queries against a
 //! labeling that never changes underneath them — the paper's query
-//! machinery (structural joins over the label table, order from the SC
-//! table) runs with zero coordination against the writer. A flat document
-//! publishes [`EpochSnapshot`]s, a sharded one [`ShardedEpochSnapshot`]s.
+//! machinery (structural joins over the label table, SC order materialised
+//! at publish as a rank column) runs with zero coordination against the
+//! writer. A flat document publishes [`EpochSnapshot`]s, a sharded one
+//! [`ShardedEpochSnapshot`]s.
+//!
+//! # Order
+//!
+//! A flat snapshot reads `SC mod self-label` (§4.1) for every row once,
+//! when it is first built, into a dense column ([`TreeOrderOracle`]). Every
+//! mutation the publisher replays onto it then folds its report into the
+//! column the way the SC table moves orders: removals leave gaps, inserted
+//! nodes take their SC order, and survivors shift past the inserted
+//! orders; only a mutation that fails inside the scheme makes it read the
+//! whole column again. A query's rank lookup is an array read, never an SC
+//! lookup.
 //!
 //! # Reclamation
 //!
@@ -37,7 +49,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use xp_labelkit::{LabeledStore, Mutation, ShardId, ShardedLabel};
+use xp_labelkit::{DynamicError, LabeledStore, Mutation, ShardId, ShardedLabel};
 use xp_prime::dynamic::DynamicPrime;
 use xp_prime::PrimeLabel;
 use xp_query::engine::{eval_path, OrderOracle, Path, QueryError, TreeOrderOracle};
@@ -76,34 +88,41 @@ const HISTORY_CAP: usize = 64;
 /// An immutable, epoch-stamped view of one document.
 ///
 /// Holds everything a query needs — the label table for structural joins
-/// and the scheme state for document order — so readers never touch the
-/// store or the writer's tree.
+/// and the rank column for document order — so readers never touch the
+/// store or the writer's tree. The labeled document (tree, labels, SC
+/// state) rides along for the publisher's catch-up replay.
 #[derive(Debug)]
 pub struct EpochSnapshot {
     epoch: u64,
     seq: u64,
     labeled: LabeledStore<DynamicPrime>,
     table: LabelTable<PrimeLabel>,
+    /// SC order of every row, materialised (see the module docs).
+    order: TreeOrderOracle,
 }
 
-/// Order oracle over the snapshot's SC table (`order = SC mod self-label`).
-struct SnapOracle<'a>(&'a EpochSnapshot);
-
-impl OrderOracle for SnapOracle<'_> {
-    fn rank(&self, node: NodeId) -> u64 {
-        self.0.labeled.state().order_of(node)
-    }
+/// The SC order (`SC mod self-label`) of every row of `table`, read once.
+fn sc_order(
+    labeled: &LabeledStore<DynamicPrime>,
+    table: &LabelTable<PrimeLabel>,
+) -> TreeOrderOracle {
+    let state = labeled.state();
+    TreeOrderOracle::from_ranks(
+        table.rows().iter().filter_map(|row| Some((row.node, state.try_order_of(row.node).ok()?))),
+    )
 }
 
 impl EpochSnapshot {
-    /// Wraps a labeled document as the snapshot for `epoch`/`seq`.
+    /// Wraps a labeled document as the snapshot for `epoch`/`seq`, reading
+    /// every row's SC order into the rank column.
     pub fn new(
         epoch: u64,
         seq: u64,
         labeled: LabeledStore<DynamicPrime>,
         table: LabelTable<PrimeLabel>,
     ) -> Self {
-        EpochSnapshot { epoch, seq, labeled, table }
+        let order = sc_order(&labeled, &table);
+        EpochSnapshot { epoch, seq, labeled, table, order }
     }
 
     /// Label epoch this snapshot was published at.
@@ -133,13 +152,13 @@ impl EpochSnapshot {
 
     /// Evaluates a parsed path against this snapshot.
     pub fn query(&self, path: &Path) -> Result<Vec<NodeId>, QueryError> {
-        eval_path(&self.table, &SnapOracle(self), path)
+        eval_path(&self.table, &self.order, path)
     }
 
-    /// Document-order rank of a node (for tests and order-sensitive
-    /// callers).
+    /// Document-order rank of a node — its SC order number, read from the
+    /// rank column — or `u64::MAX` for a node outside this snapshot.
     pub fn rank(&self, node: NodeId) -> u64 {
-        self.labeled.state().order_of(node)
+        self.order.rank(node)
     }
 }
 
@@ -175,8 +194,8 @@ pub struct ShardedEpochSnapshot {
 impl ShardedEpochSnapshot {
     /// Snapshots `store`'s current state as `epoch`: the composed table (a
     /// row concat of the partitions — the [`ShardedLabel`]s answer every
-    /// axis across shard boundaries by themselves) plus the document-order
-    /// rank map (per-shard SC order composed through the boundary chains).
+    /// axis across shard boundaries by themselves) plus the dense rank
+    /// column (per-shard SC order composed through the boundary chains).
     /// Both are `O(n)` and involve no label arithmetic.
     pub fn new(store: &ShardedDocStore, tables: &ShardedTables<PrimeLabel>, epoch: u64) -> Self {
         ShardedEpochSnapshot {
@@ -282,6 +301,7 @@ impl Publisher {
                     seq: self.current.seq,
                     labeled: self.current.labeled.fork(),
                     table: self.current.table.clone(),
+                    order: self.current.order.clone(),
                 }
             }
         };
@@ -317,6 +337,8 @@ impl Publisher {
     }
 
     /// Replays the batches `snap` missed, bringing it to `epoch`/`seq`.
+    /// Each mutation's report is folded into the rank column right after
+    /// the mutation applies, so the next one shifts from current orders.
     fn catch_up(&mut self, snap: &mut EpochSnapshot, epoch: u64, seq: u64) {
         for (batch_epoch, batch) in &self.history {
             if *batch_epoch <= snap.epoch {
@@ -325,10 +347,21 @@ impl Publisher {
             for mutation in batch {
                 // Mirrors Store::apply_batch: a mutation that failed in
                 // the writer fails identically here (deterministic
-                // schemes are the WAL-replay contract) and changes
-                // nothing.
-                if let Ok(report) = snap.labeled.apply(mutation) {
-                    snap.table.apply_report(snap.labeled.tree(), snap.labeled.doc(), &report);
+                // schemes are the WAL-replay contract).
+                match snap.labeled.apply(mutation) {
+                    Ok(report) => {
+                        snap.table.apply_report(snap.labeled.tree(), snap.labeled.doc(), &report);
+                        let state = snap.labeled.state();
+                        snap.order.apply_report(&report, |n| state.try_order_of(n).ok());
+                    }
+                    // Validation failures change nothing. A scheme failure
+                    // can strand SC shifts (a subtree insert that grafted
+                    // some nodes before failing leaves gaps where they
+                    // were), so the column is read again from the table.
+                    Err(DynamicError::Scheme(_)) => {
+                        snap.order = sc_order(&snap.labeled, &snap.table);
+                    }
+                    Err(_) => {}
                 }
             }
         }
@@ -365,15 +398,34 @@ mod tests {
         EpochSnapshot::new(0, 0, labeled, table)
     }
 
+    /// Cycles through every kind the publisher must fold into the rank
+    /// column, all at the front of the document so each one moves every
+    /// later order: a sibling insert, a two-node subtree insert, a wrap of
+    /// that subtree (a relabel of every wrapped node) and the deletion of
+    /// the wrapper's whole subtree.
     fn mutation_for(snap: &EpochSnapshot, i: u64) -> Mutation {
-        let anchor = snap.labeled.tree().elements().nth(1).unwrap();
-        if i % 2 == 0 {
-            Mutation::InsertBefore { anchor, tag: "x".into() }
-        } else {
-            Mutation::InsertSubtree {
-                pos: InsertPos::LastChildOf(snap.labeled.tree().root()),
-                xml: "<y><z/></y>".into(),
+        let tree = snap.labeled.tree();
+        let first = tree.first_child(tree.root()).unwrap();
+        match i % 4 {
+            0 => Mutation::InsertBefore { anchor: first, tag: "x".into() },
+            1 => {
+                Mutation::InsertSubtree { pos: InsertPos::Before(first), xml: "<y><z/></y>".into() }
             }
+            2 => Mutation::InsertParent { target: first, tag: "w".into() },
+            _ => Mutation::Delete { target: first },
+        }
+    }
+
+    /// Every element of `snap` ranks at its own SC order number.
+    fn assert_column_is_sc_order(snap: &EpochSnapshot) {
+        let state = snap.labeled().state();
+        for n in snap.labeled().tree().elements() {
+            assert_eq!(
+                snap.rank(n),
+                state.order_of(n),
+                "epoch {}: the rank column diverged from SC order at {n}",
+                snap.epoch()
+            );
         }
     }
 
@@ -473,6 +525,7 @@ mod tests {
                 writer.labeled().ordered_nodes(),
                 "published document order diverged at epoch {epoch}"
             );
+            assert_column_is_sc_order(&published);
             assert!(
                 publisher.history.len() <= HISTORY_CAP,
                 "history must stay bounded, holds {}",
@@ -514,6 +567,48 @@ mod tests {
                 "epoch {epoch}: a publish went uncounted or double-counted"
             );
         }
+    }
+
+    #[test]
+    fn rank_outside_the_snapshot_is_u64_max() {
+        let mut publisher = Publisher::new(base());
+        // <r><a/><b><c/></b></r>: delete b's subtree.
+        let elements: Vec<NodeId> = publisher.current().labeled().tree().elements().collect();
+        let (b, c) = (elements[2], elements[3]);
+        publisher.publish(1, 1, &[Mutation::Delete { target: b }]);
+        let snap = publisher.current();
+        assert_eq!(snap.rank(b), u64::MAX, "a deleted node ranks last, it does not panic");
+        assert_eq!(snap.rank(c), u64::MAX, "so does every node of its subtree");
+        assert_column_is_sc_order(&snap);
+    }
+
+    /// A subtree insert that fails after grafting its root leaves a gap in
+    /// SC order where the root was. The column must follow, or the next
+    /// insert, placed by SC order, lands on the wrong side of its anchor.
+    #[test]
+    fn a_failed_subtree_insert_keeps_the_column_on_sc_order() {
+        let mut publisher = Publisher::new(base());
+        // <r><a/><b><c/></b></r>: c has order 3 and self-label 5, so y
+        // fits before it without an overflow relabel.
+        let c = publisher.current().labeled().tree().elements().nth(3).unwrap();
+        let batch = [
+            Mutation::InsertSubtree { pos: InsertPos::Before(c), xml: "<y><z/></y>".into() },
+            Mutation::InsertBefore { anchor: c, tag: "x".into() },
+        ];
+        // The second SC insert is z's: y is already in the table.
+        xp_testkit::fault::arm("sc.insert:2");
+        publisher.publish(1, 1, &batch);
+        xp_testkit::fault::reset();
+        let snap = publisher.current();
+        assert!(snap.query(&Path::parse("//y").unwrap()).unwrap().is_empty(), "the graft failed");
+        assert_column_is_sc_order(&snap);
+        let order: Vec<String> = snap
+            .query(&Path::parse("//*").unwrap())
+            .unwrap()
+            .into_iter()
+            .map(|n| snap.labeled().tree().tag(n).unwrap().to_string())
+            .collect();
+        assert_eq!(order, ["r", "a", "b", "x", "c"]);
     }
 
     #[test]

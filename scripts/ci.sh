@@ -104,6 +104,23 @@ echo "==> dynamic-differential gate (every scheme vs relabel-from-scratch oracle
 cargo test -q --offline -p xp-query --test dynamic_differential > /dev/null
 echo "OK: dynamic stores agree with the relabel oracle on every axis."
 
+echo "==> rank-column gate (served document order vs SC mod self-label)"
+# A served snapshot reads ranks from a column it folds report by report.
+# The propcheck drives the prime scheme through every mutation kind and
+# requires the folded column to equal the SC table's order for every
+# element, rank every removed node last, and answer the nine axes like the
+# tree-walk order; the snapshot unit tests check the same column on the
+# publisher's reclaim and clone paths, after a failed subtree insert, and
+# for nodes outside the snapshot. Run under the serial fallback and a
+# parallel pool. See crates/query/tests/dynamic_differential.rs,
+# crates/server/src/snapshot.rs and DESIGN.md §12.3.
+for threads in 1 8; do
+    XP_THREADS=$threads cargo test -q --offline -p xp-query --test dynamic_differential \
+        prime_rank_column_tracks_sc_order > /dev/null
+    XP_THREADS=$threads cargo test -q --offline -p xp-server --lib snapshot > /dev/null
+done
+echo "OK: the served rank column equals SC order after every mutation."
+
 echo "==> query-cost gate (rank lookups + ancestor tests per Table-2 query)"
 # Count gate for the query engine, independent of wall clock: on the
 # Figure-15 corpus at 2 and 8 replicas, every Table-2 query's rank lookups
