@@ -24,10 +24,16 @@
 //! preserving sequential semantics (global arena ids, labels, and
 //! outcomes are byte-identical to the one-at-a-time facade at every
 //! `XP_THREADS`; see its docs for the one relabel-attribution caveat).
-//! Shards that outgrow [`ShardPolicy::max_shard_nodes`]
-//! are split by [`maintain_shards`] / [`split_shard`], cold shards merged
-//! back by [`merge_shard`], and a hot shard can be relabeled from scratch —
-//! without touching its siblings — by [`relabel_shard`].
+//! Shards that outgrow [`ShardPolicy::max_shard_nodes`] are split by
+//! [`maintain_shards`] / [`split_shard`].
+//!
+//! Every mutation and split marks *dirty* each shard it changed — its
+//! content or its members' labels, including the child shards a relabeled
+//! stub cascades into. [`take_dirty_shards`] drains that set: the
+//! persistence layer rewrites exactly those shards' files and the query
+//! layer rebuilds exactly those table partitions. A fresh labeling and a
+//! recovered checkpoint are glued together by the same
+//! [`ShardedScheme::assemble`].
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -368,13 +374,6 @@ impl<S: DynamicScheme> ShardCell<S> {
     pub fn is_stub(&self, local: NodeId) -> bool {
         self.stubs.contains_key(&local.index())
     }
-
-    fn set_global(&mut self, local: NodeId, global: NodeId) {
-        if self.to_global.len() <= local.index() {
-            self.to_global.resize(local.index() + 1, None);
-        }
-        self.to_global[local.index()] = Some(global);
-    }
 }
 
 impl<S: DynamicScheme> Clone for ShardCell<S>
@@ -528,8 +527,9 @@ impl<S: DynamicScheme> ShardedState<S> {
     /// Re-derives the mirror labels of every member of `start`, then
     /// cascades into child shards whose recorded anchor chain no longer
     /// matches (their stub was relabeled, or their chain prefix changed).
-    /// Returns the globals whose mirror label actually changed, sorted by
-    /// arena index.
+    /// Every shard whose member labels it rewrites is marked dirty. Returns
+    /// the globals whose mirror label actually changed, sorted by arena
+    /// index.
     fn sync_from(
         &mut self,
         doc: &mut LabeledDoc<ShardedLabel<S::Label>>,
@@ -594,6 +594,11 @@ impl<S: DynamicScheme> ShardedState<S> {
                     }
                 }
             }
+            if !updates.is_empty() {
+                if let Some(cell) = self.cell_mut(sid) {
+                    cell.dirty = true;
+                }
+            }
             for (g, l) in updates {
                 doc.set(g, l);
                 changed.push(g);
@@ -640,13 +645,12 @@ struct PreShard {
     stubs: Vec<(NodeId, ShardId)>,
 }
 
-impl PreShard {
-    fn set_global(&mut self, local: NodeId, global: NodeId) {
-        if self.to_global.len() <= local.index() {
-            self.to_global.resize(local.index() + 1, None);
-        }
-        self.to_global[local.index()] = Some(global);
+/// Records `local ↦ global` in a shadow's local→global map, growing it.
+fn set_global(to_global: &mut Vec<Option<NodeId>>, local: NodeId, global: Option<NodeId>) {
+    if to_global.len() <= local.index() {
+        to_global.resize(local.index() + 1, None);
     }
+    to_global[local.index()] = global;
 }
 
 /// Pure decomposition: cut `tree` into shadow trees at every depth that is
@@ -663,7 +667,7 @@ fn decompose_plan(tree: &XmlTree, cut_depth: usize) -> Result<Vec<PreShard>, Dyn
         stubs: Vec::new(),
     }];
     let top_root = shards[0].shadow.root();
-    shards[0].set_global(top_root, root);
+    set_global(&mut shards[0].to_global, top_root, Some(root));
 
     // Work items: a global node to place, the shard and local parent it
     // lands under, and its global depth. Children are pushed reversed so
@@ -689,7 +693,7 @@ fn decompose_plan(tree: &XmlTree, cut_depth: usize) -> Result<Vec<PreShard>, Dyn
                 shard_capacity_check(shards.len(), SHARD_ID_CAPACITY).map_err(capacity_err)?,
             );
             let stub = shards[sid.index()].shadow.append_element(lparent, tag);
-            shards[sid.index()].set_global(stub, g);
+            set_global(&mut shards[sid.index()].to_global, stub, Some(g));
             shards[sid.index()].stubs.push((stub, new_sid));
             let mut pre = PreShard {
                 shadow: XmlTree::new(tag),
@@ -699,12 +703,12 @@ fn decompose_plan(tree: &XmlTree, cut_depth: usize) -> Result<Vec<PreShard>, Dyn
                 stubs: Vec::new(),
             };
             let r = pre.shadow.root();
-            pre.set_global(r, g);
+            set_global(&mut pre.to_global, r, Some(g));
             shards.push(pre);
             (new_sid, r)
         } else {
             let l = shards[sid.index()].shadow.append_element(lparent, tag);
-            shards[sid.index()].set_global(l, g);
+            set_global(&mut shards[sid.index()].to_global, l, Some(g));
             (sid, l)
         };
         let kids: Vec<NodeId> = tree.children(g).collect();
@@ -848,7 +852,7 @@ fn post_op<S: DynamicScheme>(
             .ok_or_else(|| internal("mutation routed to a purged shard"))?;
         for (&g, &l) in created.iter().zip(rep.inserted.iter()) {
             cell.to_local.insert(g.index(), l);
-            cell.set_global(l, g);
+            set_global(&mut cell.to_global, l, Some(g));
             cell.members += 1;
         }
         cell.dirty = true;
@@ -857,7 +861,6 @@ fn post_op<S: DynamicScheme>(
         state.set_shard_of(g, sid);
     }
     let chain = state.chain_arc(sid);
-    let mut cascade = false;
     {
         let cell = state
             .cell(sid)
@@ -874,32 +877,8 @@ fn post_op<S: DynamicScheme>(
             );
             out.inserted.push(g);
         }
-        for &l in &rep.relabeled {
-            if cell.is_stub(l) {
-                cascade = true;
-                continue;
-            }
-            if let (Some(g), Some(ll)) = (cell.global_of(l), cell.local_doc.get(l)) {
-                doc.set(
-                    g,
-                    ShardedLabel {
-                        shard: sid,
-                        chain: chain.clone(),
-                        local: ll.clone(),
-                        at_root: g == cell.root_global,
-                    },
-                );
-                out.relabeled.push(g);
-            }
-        }
     }
-    if cascade {
-        for g in state.sync_from(doc, sid) {
-            if !out.relabeled.contains(&g) && !out.inserted.contains(&g) {
-                out.relabeled.push(g);
-            }
-        }
-    }
+    mirror_relabels(state, doc, sid, &rep.relabeled, &mut out)?;
     Ok(out)
 }
 
@@ -953,40 +932,43 @@ fn finish_delete<S: DynamicScheme>(
     for &s in &purged {
         state.drop_cell(s);
     }
+    mirror_relabels(state, doc, sid, &rep.relabeled, &mut out)?;
+    out.removed = subtree;
+    Ok(out)
+}
+
+/// Mirrors the inner scheme's relabels of shard `sid`'s members into the
+/// global doc and, if one reached a stub, cascades through the shards
+/// below it ([`ShardedState::sync_from`]). Each changed global lands in
+/// `out.relabeled` once, unless `out` already reports it inserted.
+fn mirror_relabels<S: DynamicScheme>(
+    state: &mut ShardedState<S>,
+    doc: &mut LabeledDoc<ShardedLabel<S::Label>>,
+    sid: ShardId,
+    relabeled: &[NodeId],
+    out: &mut RelabelReport,
+) -> Result<(), DynamicError> {
     let chain = state.chain_arc(sid);
+    let cell = state.cell(sid).ok_or_else(|| internal("mutation routed to a purged shard"))?;
     let mut cascade = false;
-    {
-        let cell = state
-            .cell(sid)
-            .ok_or_else(|| internal("delete routed to a purged shard"))?;
-        for &l in &rep.relabeled {
-            if cell.is_stub(l) {
-                cascade = true;
-                continue;
-            }
-            if let (Some(g), Some(ll)) = (cell.global_of(l), cell.local_doc.get(l)) {
-                doc.set(
-                    g,
-                    ShardedLabel {
-                        shard: sid,
-                        chain: chain.clone(),
-                        local: ll.clone(),
-                        at_root: g == cell.root_global,
-                    },
-                );
-                out.relabeled.push(g);
-            }
+    for &l in relabeled {
+        if cell.is_stub(l) {
+            cascade = true;
+        } else if let (Some(g), Some(ll)) = (cell.global_of(l), cell.local_doc.get(l)) {
+            let at_root = g == cell.root_global;
+            let local = ll.clone();
+            doc.set(g, ShardedLabel { shard: sid, chain: chain.clone(), local, at_root });
+            out.relabeled.push(g);
         }
     }
     if cascade {
         for g in state.sync_from(doc, sid) {
-            if !out.relabeled.contains(&g) {
+            if !out.relabeled.contains(&g) && !out.inserted.contains(&g) {
                 out.relabeled.push(g);
             }
         }
     }
-    out.removed = subtree;
-    Ok(out)
+    Ok(())
 }
 
 impl<S> DynamicScheme for ShardedScheme<S>
@@ -1004,98 +986,29 @@ where
         // Label every shard independently — in parallel when the pool is
         // on and no fault spec is armed (armed faults fire on global
         // trigger counters, so parallel interleaving would make the
-        // failing shard nondeterministic; sequential keeps it exact).
+        // failing shard nondeterministic; sequential keeps it exact) —
+        // then glue the parts together exactly as recovery does.
         let inited: Vec<Result<(LabeledDoc<S::Label>, S::State), DynamicError>> =
             if xp_testkit::fault::active() || xp_par::threads() <= 1 {
                 pre.iter().map(|p| self.inner.init(&p.shadow)).collect()
             } else {
                 xp_par::par_map(&pre, |p| self.inner.init(&p.shadow))
             };
-
-        let mut state = ShardedState::empty();
-        for (pre_shard, res) in pre.into_iter().zip(inited) {
-            let (local_doc, inner_state) = res?;
-            let stubs: BTreeMap<usize, ShardId> =
-                pre_shard.stubs.iter().map(|&(n, s)| (n.index(), s)).collect();
-            let stub_node: BTreeMap<ShardId, NodeId> =
-                pre_shard.stubs.iter().map(|&(n, s)| (s, n)).collect();
-            let mut to_local = HashMap::new();
-            for (li, slot) in pre_shard.to_global.iter().enumerate() {
-                if let Some(g) = slot {
-                    if !stubs.contains_key(&li) {
-                        if let Some(l) = pre_shard.shadow.node_at(li) {
-                            to_local.insert(g.index(), l);
-                        }
-                    }
-                }
-            }
-            let members = to_local.len();
-            state.shards.push(Some(ShardCell {
-                shadow: pre_shard.shadow,
+        let mut parts = Vec::with_capacity(pre.len());
+        for (i, (p, res)) in pre.into_iter().zip(inited).enumerate() {
+            let (local_doc, state) = res?;
+            parts.push(ShardPart {
+                id: ShardId(i as u32),
+                shadow: p.shadow,
                 local_doc,
-                state: inner_state,
-                parent: pre_shard.parent,
-                root_global: pre_shard.root_global,
-                to_local,
-                to_global: pre_shard.to_global,
-                stubs,
-                stub_node,
-                members,
-                dirty: false,
-            }));
-            state.chains.push(Arc::new(Vec::new()));
+                state,
+                parent: p.parent,
+                root_global: p.root_global,
+                to_global: p.to_global,
+                stubs: p.stubs,
+            });
         }
-        // Anchor chains, top-down (a shard's id is always greater than its
-        // parent's, so one ascending pass suffices).
-        for i in 0..state.shards.len() {
-            let sid = ShardId(i as u32);
-            let Some(p) = state.cell(sid).and_then(|c| c.parent) else { continue };
-            let stub_label = state
-                .cell(p)
-                .and_then(|pc| {
-                    pc.stub_node
-                        .get(&sid)
-                        .copied()
-                        .and_then(|sn| pc.local_doc.get(sn).cloned())
-                })
-                .ok_or_else(|| internal("decomposition lost a stub label"))?;
-            let mut links = state.chain_links(p).to_vec();
-            links.push(ChainLink { shard: p, stub: stub_label });
-            state.chains[i] = Arc::new(links);
-        }
-        // Shard ownership and the mirror doc, in global document order.
-        for i in 0..state.shards.len() {
-            let sid = ShardId(i as u32);
-            let globals: Vec<NodeId> = match state.cell(sid) {
-                Some(c) => c.to_local.keys().filter_map(|&gi| tree.node_at(gi)).collect(),
-                None => continue,
-            };
-            for g in globals {
-                state.set_shard_of(g, sid);
-            }
-        }
-        let mut doc = LabeledDoc::new(tree);
-        for g in tree.elements() {
-            let sid = state
-                .shard_of_node(g)
-                .ok_or_else(|| internal("decomposition missed an element"))?;
-            let chain = state.chain_arc(sid);
-            let cell =
-                state.cell(sid).ok_or_else(|| internal("decomposition lost a shard"))?;
-            let l = cell
-                .local_of(g)
-                .ok_or_else(|| internal("decomposition lost a node mapping"))?;
-            let local = cell
-                .local_doc
-                .get(l)
-                .cloned()
-                .ok_or_else(|| internal("inner scheme left a node unlabeled"))?;
-            doc.set(
-                g,
-                ShardedLabel { shard: sid, chain, local, at_root: g == cell.root_global },
-            );
-        }
-        Ok((doc, state))
+        self.assemble(tree, parts)
     }
 
     fn insert_before(
@@ -1294,37 +1207,13 @@ where
 }
 
 // ---------------------------------------------------------------------------
-// Shard maintenance: relabel / split / merge
+// Shard maintenance: split
 // ---------------------------------------------------------------------------
-
-/// Relabels one shard from scratch with the inner scheme — its siblings
-/// are untouched (this is the O(shard) answer to a §4.2 relabel storm).
-/// Returns the report of mirror labels that actually changed.
-pub fn relabel_shard<S>(
-    store: &mut LabeledStore<ShardedScheme<S>>,
-    sid: ShardId,
-) -> Result<RelabelReport, DynamicError>
-where
-    S: DynamicScheme + Send + Sync,
-    S::State: Send,
-{
-    let (scheme, _tree, doc, state) = store.parts_mut();
-    {
-        let cell = state.cell_mut(sid).ok_or_else(|| internal("relabel of a missing shard"))?;
-        let (local_doc, inner_state) = scheme.inner().init(&cell.shadow)?;
-        cell.local_doc = local_doc;
-        cell.state = inner_state;
-        cell.dirty = true;
-    }
-    let changed = state.sync_from(doc, sid);
-    Ok(RelabelReport { relabeled: changed, ..Default::default() })
-}
 
 struct RebuiltShadow {
     shadow: XmlTree,
     to_global: Vec<Option<NodeId>>,
     stubs: Vec<(NodeId, ShardId)>,
-    members: usize,
 }
 
 /// Copies `cell.shadow`'s subtree rooted at `from` into a fresh tree.
@@ -1341,17 +1230,9 @@ fn rebuild_shadow<S: DynamicScheme>(
         shadow: XmlTree::new(tag),
         to_global: Vec::new(),
         stubs: Vec::new(),
-        members: 0,
     };
     let root = out.shadow.root();
-    let set_global = |to_global: &mut Vec<Option<NodeId>>, l: NodeId, old: NodeId| {
-        if to_global.len() <= l.index() {
-            to_global.resize(l.index() + 1, None);
-        }
-        to_global[l.index()] = cell.to_global.get(old.index()).copied().flatten();
-    };
-    set_global(&mut out.to_global, root, from);
-    out.members = 1;
+    set_global(&mut out.to_global, root, cell.global_of(from));
     let mut stack: Vec<(NodeId, NodeId)> = src
         .children(from)
         .collect::<Vec<_>>()
@@ -1366,7 +1247,7 @@ fn rebuild_shadow<S: DynamicScheme>(
         }
         let Some(tag) = src.tag(old) else { continue };
         let l = out.shadow.append_element(dst, tag);
-        set_global(&mut out.to_global, l, old);
+        set_global(&mut out.to_global, l, cell.global_of(old));
         if let Some(&existing_child) = cell.stubs.get(&old.index()) {
             out.stubs.push((l, existing_child));
             continue; // stubs are leaves
@@ -1377,7 +1258,6 @@ fn rebuild_shadow<S: DynamicScheme>(
                 continue; // the cut subtree moves to the new shard
             }
         }
-        out.members += 1;
         let kids: Vec<NodeId> = src.children(old).collect();
         for c in kids.into_iter().rev() {
             stack.push((c, l));
@@ -1413,11 +1293,11 @@ fn make_cell<S: DynamicScheme>(
         state: inner_state,
         parent,
         root_global,
+        members: to_local.len(),
         to_local,
         to_global: built.to_global,
         stubs,
         stub_node,
-        members: built.members,
         dirty: true,
     }
 }
@@ -1502,177 +1382,43 @@ where
     Ok(Some(RelabelReport { relabeled: changed, ..Default::default() }))
 }
 
-/// Merges shard `sid` back into its parent, splicing its shadow over the
-/// stub. Atomic in the same sense as [`split_shard`]. The merged shard's
-/// id slot is retired (never reused).
-pub fn merge_shard<S>(
-    store: &mut LabeledStore<ShardedScheme<S>>,
-    sid: ShardId,
-) -> Result<RelabelReport, DynamicError>
-where
-    S: DynamicScheme + Send + Sync,
-    S::State: Send,
-{
-    let (scheme, _tree, doc, state) = store.parts_mut();
-    let Some(cell) = state.cell(sid) else {
-        return Err(internal("merge of a missing shard"));
-    };
-    let p = cell.parent.ok_or_else(|| internal("cannot merge the top shard"))?;
-    let pcell = state.cell(p).ok_or_else(|| internal("merge parent is missing"))?;
-    let stub_l = pcell
-        .stub_node
-        .get(&sid)
-        .copied()
-        .ok_or_else(|| internal("merge parent lost the stub"))?;
-
-    // Rebuild the parent shadow with the child's content spliced in at
-    // the stub site. Nodes come from two source shadows, so this walk is
-    // bespoke rather than rebuild_shadow.
-    enum Src {
-        P(NodeId),
-        C(NodeId),
-    }
-    let ptag = pcell
-        .shadow
-        .tag(pcell.shadow.root())
-        .ok_or_else(|| internal("shadow root is not an element"))?;
-    let mut built = RebuiltShadow {
-        shadow: XmlTree::new(ptag),
-        to_global: Vec::new(),
-        stubs: Vec::new(),
-        members: 0,
-    };
-    let root = built.shadow.root();
-    let set_global = |to_global: &mut Vec<Option<NodeId>>, l: NodeId, g: Option<NodeId>| {
-        if to_global.len() <= l.index() {
-            to_global.resize(l.index() + 1, None);
-        }
-        to_global[l.index()] = g;
-    };
-    set_global(&mut built.to_global, root, pcell.global_of(pcell.shadow.root()));
-    built.members = 1;
-    let mut stack: Vec<(Src, NodeId)> = pcell
-        .shadow
-        .children(pcell.shadow.root())
-        .collect::<Vec<_>>()
-        .into_iter()
-        .rev()
-        .map(|c| (Src::P(c), root))
-        .collect();
-    while let Some((src, dst)) = stack.pop() {
-        match src {
-            Src::P(old) => {
-                if let Some(text) = pcell.shadow.text(old) {
-                    built.shadow.append_text(dst, text);
-                    continue;
-                }
-                let Some(tag) = pcell.shadow.tag(old) else { continue };
-                let l = built.shadow.append_element(dst, tag);
-                set_global(&mut built.to_global, l, pcell.global_of(old));
-                if old == stub_l {
-                    // Splice: the stub becomes a real member; the child
-                    // shard's root children continue under it.
-                    built.members += 1;
-                    let kids: Vec<NodeId> =
-                        cell.shadow.children(cell.shadow.root()).collect();
-                    for c in kids.into_iter().rev() {
-                        stack.push((Src::C(c), l));
-                    }
-                    continue;
-                }
-                if let Some(&child) = pcell.stubs.get(&old.index()) {
-                    built.stubs.push((l, child));
-                    continue;
-                }
-                built.members += 1;
-                let kids: Vec<NodeId> = pcell.shadow.children(old).collect();
-                for c in kids.into_iter().rev() {
-                    stack.push((Src::P(c), l));
-                }
-            }
-            Src::C(old) => {
-                if let Some(text) = cell.shadow.text(old) {
-                    built.shadow.append_text(dst, text);
-                    continue;
-                }
-                let Some(tag) = cell.shadow.tag(old) else { continue };
-                let l = built.shadow.append_element(dst, tag);
-                set_global(&mut built.to_global, l, cell.global_of(old));
-                if let Some(&child) = cell.stubs.get(&old.index()) {
-                    built.stubs.push((l, child));
-                    continue;
-                }
-                built.members += 1;
-                let kids: Vec<NodeId> = cell.shadow.children(old).collect();
-                for c in kids.into_iter().rev() {
-                    stack.push((Src::C(c), l));
-                }
-            }
-        }
-    }
-    let (new_doc, new_state) = scheme.inner().init(&built.shadow)?;
-    // Commit point.
-    let old_child = state
-        .take_cell(sid)
-        .ok_or_else(|| internal("merge of a missing shard"))?;
-    let old_parent = state
-        .take_cell(p)
-        .ok_or_else(|| internal("merge parent is missing"))?;
-    let merged =
-        make_cell::<S>(built, new_doc, new_state, old_parent.parent, old_parent.root_global);
-    let adopted: Vec<ShardId> = old_child.stub_node.keys().copied().collect();
-    state.put_cell(p, merged);
-    for child in adopted {
-        if let Some(c) = state.cell_mut(child) {
-            c.parent = Some(p);
-        }
-    }
-    let moved: Vec<usize> = old_child.to_local.keys().copied().collect();
-    for gi in moved {
-        if gi >= state.shard_of.len() {
-            state.shard_of.resize(gi + 1, NO_SHARD);
-        }
-        state.shard_of[gi] = p.0;
-    }
-    let changed = state.sync_from(doc, p);
-    Ok(RelabelReport { relabeled: changed, ..Default::default() })
-}
-
 /// Splits every shard that outgrew [`ShardPolicy::max_shard_nodes`],
-/// repeatedly, until all shards fit (or can't be split further). Called
-/// by the server's epoch loop after each batch, so split timing never
-/// differs between the per-mutation facade and the batch applier.
-pub fn maintain_shards<S>(
-    store: &mut LabeledStore<ShardedScheme<S>>,
-) -> Result<RelabelReport, DynamicError>
+/// repeatedly, until all shards fit (or can't be split further), and
+/// returns how many splits it made. Called after each batch and after WAL
+/// replay, so split timing never differs between the per-mutation facade
+/// and the batch applier. A failed split changed nothing ([`split_shard`]
+/// is atomic), so its shard is skipped for this pass like an unsplittable
+/// one and retried on the next call: an applied batch never turns into
+/// an error here.
+pub fn maintain_shards<S>(store: &mut LabeledStore<ShardedScheme<S>>) -> usize
 where
     S: DynamicScheme + Send + Sync,
     S::State: Send,
 {
     let max = store.scheme().policy().max_shard_nodes;
-    let mut report = RelabelReport::default();
+    let mut splits = 0;
     if max == 0 {
-        return Ok(report);
+        return splits;
     }
-    let mut unsplittable: BTreeSet<ShardId> = BTreeSet::new();
+    let mut skipped: BTreeSet<ShardId> = BTreeSet::new();
     loop {
         let next = store
             .state()
             .live_shards()
             .into_iter()
             .find(|&sid| {
-                !unsplittable.contains(&sid)
+                !skipped.contains(&sid)
                     && store.state().cell(sid).is_some_and(|c| c.members > max)
             });
         let Some(sid) = next else { break };
-        match split_shard(store, sid)? {
-            Some(r) => report.merge(r),
-            None => {
-                unsplittable.insert(sid);
+        match split_shard(store, sid) {
+            Ok(Some(_)) => splits += 1,
+            Ok(None) | Err(_) => {
+                skipped.insert(sid);
             }
         }
     }
-    Ok(report)
+    splits
 }
 
 /// Drains the dirty flags of a sharded store: the shards mutated since the
@@ -2019,13 +1765,13 @@ where
 }
 
 // ---------------------------------------------------------------------------
-// Serialization parts (per-shard checkpointing)
+// Shard parts: the one assembly path
 // ---------------------------------------------------------------------------
 
-/// One shard's persistable pieces, for per-shard checkpoint segments in
-/// `xp-store`. [`ShardCell::export`] produces these; a full set (plus the
-/// global tree) reassembles into a live store via
-/// [`ShardedScheme::assemble`].
+/// One shard's pieces: what [`ShardedScheme::init`] labels fresh, what
+/// [`ShardCell::export`] clones for a per-shard checkpoint segment in
+/// `xp-store`, and what a recovered checkpoint decodes to. A full set plus
+/// the global tree becomes a live store through [`ShardedScheme::assemble`].
 pub struct ShardPart<S: DynamicScheme> {
     /// The shard's id (gaps allowed — purged ids simply don't appear).
     pub id: ShardId,
@@ -2071,10 +1817,12 @@ where
     S: DynamicScheme + Send + Sync,
     S::State: Send,
 {
-    /// Reassembles a live sharded document from recovered parts: derives
-    /// the id maps, ownership table, anchor chains, and mirror labels.
-    /// `tree` must be the recovered *global* tree the parts were
-    /// checkpointed against.
+    /// Assembles a live sharded document from shard parts — freshly
+    /// labeled by [`ShardedScheme::init`], or recovered from a checkpoint:
+    /// derives the id maps, ownership table, anchor chains, and mirror
+    /// labels. `tree` must be the *global* tree the parts were cut from.
+    /// The assembled shards start clean (not dirty), except one whose
+    /// recorded parent disagrees with the stub that names it.
     pub fn assemble(
         &self,
         tree: &XmlTree,
@@ -2085,33 +1833,56 @@ where
         state.shards.resize_with(slots, || None);
         state.chains = vec![Arc::new(Vec::new()); slots];
         for part in parts {
-            let built = RebuiltShadow {
-                shadow: part.shadow,
-                to_global: part.to_global,
-                stubs: part.stubs,
-                members: 0, // recomputed by make_cell's to_local pass below
-            };
+            let built =
+                RebuiltShadow { shadow: part.shadow, to_global: part.to_global, stubs: part.stubs };
             let mut cell =
                 make_cell::<S>(built, part.local_doc, part.state, part.parent, part.root_global);
-            cell.members = cell.to_local.len();
             cell.dirty = false;
             state.shards[part.id.index()] = Some(cell);
         }
-        for i in 0..slots {
-            let sid = ShardId(i as u32);
-            let Some(p) = state.cell(sid).and_then(|c| c.parent) else { continue };
-            let stub_label = state
-                .cell(p)
-                .and_then(|pc| {
-                    pc.stub_node
-                        .get(&sid)
-                        .copied()
-                        .and_then(|sn| pc.local_doc.get(sn).cloned())
-                })
-                .ok_or_else(|| internal("recovered parts lost a stub label"))?;
-            let mut links = state.chain_links(p).to_vec();
-            links.push(ChainLink { shard: p, stub: stub_label });
-            state.chains[i] = Arc::new(links);
+        // Anchor chains, parents before children: walk down the stubs from
+        // the top shard. Ids do not order them, because a split re-parents
+        // existing shards under a fresh, higher id. Every live shard must
+        // be reached exactly once.
+        let live = state.live_count();
+        let mut order: Vec<ShardId> = state
+            .live_shards()
+            .into_iter()
+            .filter(|&sid| state.cell(sid).is_some_and(|c| c.parent.is_none()))
+            .collect();
+        let mut qi = 0;
+        while qi < order.len() && order.len() <= live {
+            let p = order[qi];
+            qi += 1;
+            let Some(pc) = state.cell(p) else { break };
+            let mut kids = Vec::with_capacity(pc.stub_node.len());
+            for (&child, &stub_l) in &pc.stub_node {
+                let stub = pc
+                    .local_doc
+                    .get(stub_l)
+                    .cloned()
+                    .ok_or_else(|| internal("shard parts lost a stub label"))?;
+                let mut links = state.chain_links(p).to_vec();
+                links.push(ChainLink { shard: p, stub });
+                kids.push((child, Arc::new(links)));
+            }
+            for (child, chain) in kids {
+                if let Some(slot) = state.chains.get_mut(child.index()) {
+                    *slot = chain;
+                }
+                // The stub decides the parent. A checkpoint written while
+                // cascades did not dirty a split's re-parented shards can
+                // record a stale one; fix it and let the next checkpoint
+                // rewrite that shard.
+                if let Some(c) = state.cell_mut(child).filter(|c| c.parent != Some(p)) {
+                    c.parent = Some(p);
+                    c.dirty = true;
+                }
+                order.push(child);
+            }
+        }
+        if order.len() != live || order.iter().any(|&sid| state.cell(sid).is_none()) {
+            return Err(internal("shard parts do not form one tree of shards"));
         }
         for i in 0..slots {
             let sid = ShardId(i as u32);
@@ -2123,21 +1894,22 @@ where
                 state.set_shard_of(g, sid);
             }
         }
+        // The mirror doc, in global document order.
         let mut doc = LabeledDoc::new(tree);
         for g in tree.elements() {
             let sid = state
                 .shard_of_node(g)
-                .ok_or_else(|| internal("recovered parts miss an element"))?;
+                .ok_or_else(|| internal("shard parts miss an element"))?;
             let chain = state.chain_arc(sid);
-            let cell = state.cell(sid).ok_or_else(|| internal("recovered parts lost a shard"))?;
+            let cell = state.cell(sid).ok_or_else(|| internal("shard parts lost a shard"))?;
             let l = cell
                 .local_of(g)
-                .ok_or_else(|| internal("recovered parts lost a node mapping"))?;
+                .ok_or_else(|| internal("shard parts lost a node mapping"))?;
             let local = cell
                 .local_doc
                 .get(l)
                 .cloned()
-                .ok_or_else(|| internal("recovered shard left a node unlabeled"))?;
+                .ok_or_else(|| internal("inner scheme left a node unlabeled"))?;
             doc.set(
                 g,
                 ShardedLabel { shard: sid, chain, local, at_root: g == cell.root_global },
@@ -2502,8 +2274,37 @@ mod tests {
         check_against_tree(&s);
     }
 
+    fn export_all(store: &LabeledStore<ShardedScheme<DeweyScheme>>) -> Vec<ShardPart<DeweyScheme>> {
+        let state = store.state();
+        let live = state.live_shards().into_iter();
+        live.filter_map(|sid| state.cell(sid).map(|c| c.export(sid))).collect()
+    }
+
+    /// Exports every live shard and reassembles them against the same
+    /// tree, as recovery does: labels and topology must come back intact.
+    fn assert_reassembles(store: &LabeledStore<ShardedScheme<DeweyScheme>>) {
+        let live = store.state().live_shards();
+        let (doc, state) = match store.scheme().assemble(store.tree(), export_all(store)) {
+            Ok(x) => x,
+            Err(e) => panic!("assemble failed: {e}"),
+        };
+        for n in store.tree().elements() {
+            assert_eq!(store.doc().get(n), doc.get(n), "label of {n:?}");
+        }
+        assert_eq!(state.live_shards(), live);
+        for sid in live {
+            let (a, b) = match (store.state().cell(sid), state.cell(sid)) {
+                (Some(a), Some(b)) => (a, b),
+                _ => panic!("{sid} lost in roundtrip"),
+            };
+            assert_eq!(a.members(), b.members(), "{sid} members");
+            assert_eq!(a.root_global(), b.root_global(), "{sid} root");
+            assert_eq!(a.parent(), b.parent(), "{sid} parent");
+        }
+    }
+
     #[test]
-    fn split_merge_relabel_preserve_truth() {
+    fn split_preserves_truth() {
         // A deep spine with a side branch per level: at cut depth 3 each
         // shadow spans three levels, so the top shard has a shadow-root
         // child with ≥ 2 non-stub descendants — i.e. it is splittable.
@@ -2536,43 +2337,54 @@ mod tests {
         };
         check_against_tree(&s);
         assert_eq!(s.ordered_nodes(), before_order, "split must not reorder");
-        // The new shard is the last slot; merge it back.
+        // The new shard is the last slot, under the split shard, and it
+        // adopted the stubs below the victim: shards with lower ids now
+        // hang below it.
         let new_sid = ShardId((s.state().shard_slots() - 1) as u32);
-        assert_eq!(
-            s.state().cell(new_sid).and_then(|c| c.parent()),
-            Some(split_id)
+        let new_cell = match s.state().cell(new_sid) {
+            Some(c) => c,
+            None => panic!("the split's new shard is missing"),
+        };
+        assert_eq!(new_cell.parent(), Some(split_id));
+        let adopted: Vec<ShardId> = new_cell.stub_children().map(|(_, child)| child).collect();
+        assert!(
+            adopted.iter().any(|&child| child < new_sid),
+            "the victim must carry stubs of older shards"
         );
-        match merge_shard(&mut s, new_sid) {
-            Ok(_) => {}
-            Err(e) => panic!("merge failed: {e}"),
+        // Recovery assembles the split topology back to the same labels.
+        assert_reassembles(&s);
+        // A checkpoint that never rewrote the adopted shards still records
+        // their old parent: assembly takes the parent from the stub and
+        // marks those shards dirty, so the next checkpoint rewrites them.
+        let mut parts = export_all(&s);
+        for part in parts.iter_mut().filter(|p| adopted.contains(&p.id)) {
+            part.parent = Some(split_id);
         }
-        assert!(s.state().cell(new_sid).is_none(), "merged slot is retired");
-        check_against_tree(&s);
-        assert_eq!(s.ordered_nodes(), before_order, "merge must not reorder");
-        // Relabel a shard in place: deterministic init ⇒ no label changes.
-        for sid in s.state().live_shards() {
-            let rep = match relabel_shard(&mut s, sid) {
-                Ok(r) => r,
-                Err(e) => panic!("relabel failed: {e}"),
-            };
-            assert!(rep.relabeled.is_empty(), "idempotent relabel of {sid}");
+        let (doc, mut state) = match s.scheme().assemble(s.tree(), parts) {
+            Ok(x) => x,
+            Err(e) => panic!("assemble of stale parents failed: {e}"),
+        };
+        for n in s.tree().elements() {
+            assert_eq!(s.doc().get(n), doc.get(n), "label of {n:?}");
         }
-        check_against_tree(&s);
+        for &child in &adopted {
+            assert_eq!(state.cell(child).and_then(|c| c.parent()), Some(new_sid));
+        }
+        assert_eq!(state.take_dirty(), adopted);
     }
 
     #[test]
     fn maintain_shards_enforces_max_members() {
+        // Cut depth 3: a shadow then spans three levels, so a shadow-root
+        // child can own two or more members and a split has weight to move.
         let tree = random_tree(21, 80);
         let scheme =
-            ShardedScheme::new(DeweyScheme, ShardPolicy::at_depth(2).with_max_shard_nodes(8));
+            ShardedScheme::new(DeweyScheme, ShardPolicy::at_depth(3).with_max_shard_nodes(8));
         let mut s = match LabeledStore::build(scheme, tree.clone()) {
             Ok(s) => s,
             Err(e) => panic!("build failed: {e}"),
         };
-        match maintain_shards(&mut s) {
-            Ok(_) => {}
-            Err(e) => panic!("maintain failed: {e}"),
-        }
+        assert!(maintain_shards(&mut s) > 0, "the bound must force splits");
         for sid in s.state().live_shards() {
             let cell = match s.state().cell(sid) {
                 Some(c) => c,
@@ -2726,37 +2538,20 @@ mod tests {
             Some(x) => x,
             None => panic!("a owned"),
         };
+        // `target` roots its own shard, so the insert lands before its stub
+        // in a's shard and renumbers that stub: every label in the target's
+        // shard changes with its anchor chain, so that shard is dirty too.
+        let x_sid = match s.state().shard_of_node(target) {
+            Some(x) => x,
+            None => panic!("x owned"),
+        };
         let (_, _, _, state) = s.parts_mut();
-        assert_eq!(state.take_dirty(), vec![a_sid]);
+        assert_eq!(state.take_dirty(), vec![a_sid, x_sid]);
         assert!(state.take_dirty().is_empty(), "flags drained");
     }
 
     #[test]
     fn export_assemble_roundtrip() {
-        let tree = random_tree(17, 45);
-        let s = sharded(&tree, 2);
-        let parts: Vec<ShardPart<DeweyScheme>> = s
-            .state()
-            .live_shards()
-            .into_iter()
-            .filter_map(|sid| s.state().cell(sid).map(|c| c.export(sid)))
-            .collect();
-        let (doc2, state2) = match s.scheme().assemble(s.tree(), parts) {
-            Ok(x) => x,
-            Err(e) => panic!("assemble failed: {e}"),
-        };
-        for n in s.tree().elements() {
-            assert_eq!(s.doc().get(n), doc2.get(n), "label of {n:?}");
-        }
-        assert_eq!(state2.live_count(), s.state().live_count());
-        for sid in s.state().live_shards() {
-            let (a, b) = match (s.state().cell(sid), state2.cell(sid)) {
-                (Some(a), Some(b)) => (a, b),
-                _ => panic!("{sid} lost in roundtrip"),
-            };
-            assert_eq!(a.members(), b.members(), "{sid} members");
-            assert_eq!(a.root_global(), b.root_global(), "{sid} root");
-            assert_eq!(a.parent(), b.parent(), "{sid} parent");
-        }
+        assert_reassembles(&sharded(&random_tree(17, 45), 2));
     }
 }

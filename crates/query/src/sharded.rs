@@ -1,19 +1,20 @@
 //! Per-shard [`LabelTable`] partitions over a sharded document.
 //!
 //! Under the shard facade ([`xp_labelkit::ShardedScheme`]) each shard owns
-//! its slice of the label table, so table maintenance is `O(shard)`: a
-//! mutation patches (or a relabel rebuilds) exactly the partitions of the
-//! shards it touched, never the document-sized table. Cross-shard queries
+//! its slice of the label table, so table maintenance is per shard: after
+//! a batch, [`ShardedTables::refresh`] rebuilds exactly the partitions of
+//! the shards whose labels changed and drops those of shards that died,
+//! never the document-sized table. The server's commit and the
+//! shard-differential gate both refresh through it. Cross-shard queries
 //! compose the per-shard answers through the shard boundary labels — a
 //! [`ShardedLabel`] answers every axis test across shards by itself, so
 //! [`ShardedTables::compose`] just concatenates the partitions into the one
 //! table the engine evaluates; no per-axis stitching logic is needed.
 
-use crate::relstore::{LabelTable, PatchStats};
+use crate::cache::TouchedTags;
+use crate::relstore::LabelTable;
 use std::collections::BTreeMap;
-use xp_labelkit::{
-    DynamicScheme, LabelOps, LabeledStore, RelabelReport, ShardId, ShardedLabel, ShardedScheme,
-};
+use xp_labelkit::{DynamicScheme, LabelOps, LabeledStore, ShardId, ShardedLabel, ShardedScheme};
 use xp_xmltree::NodeId;
 
 /// Per-shard label-table partitions for a `LabeledStore<ShardedScheme<S>>`.
@@ -25,35 +26,15 @@ pub struct ShardedTables<L: LabelOps> {
 
 impl<L: LabelOps> ShardedTables<L> {
     /// Builds one partition per live shard, each holding exactly the rows
-    /// of that shard's members.
+    /// of that shard's members: a refresh of every shard from nothing.
     pub fn build<S>(store: &LabeledStore<ShardedScheme<S>>) -> Self
     where
         S: DynamicScheme<Label = L> + Send + Sync,
         S::State: Send,
     {
-        let mut parts = BTreeMap::new();
-        for sid in store.state().live_shards() {
-            parts.insert(sid, Self::partition_of(store, sid));
-        }
-        ShardedTables { parts, root: store.tree().root() }
-    }
-
-    fn partition_of<S>(
-        store: &LabeledStore<ShardedScheme<S>>,
-        sid: ShardId,
-    ) -> LabelTable<ShardedLabel<L>>
-    where
-        S: DynamicScheme<Label = L> + Send + Sync,
-        S::State: Send,
-    {
-        LabelTable::build_where(store.tree(), store.doc(), |n| {
-            store.state().shard_of_node(n) == Some(sid)
-        })
-    }
-
-    /// The partition owned by `sid`, if that shard is live.
-    pub fn partition(&self, sid: ShardId) -> Option<&LabelTable<ShardedLabel<L>>> {
-        self.parts.get(&sid)
+        let mut tables = ShardedTables { parts: BTreeMap::new(), root: store.tree().root() };
+        tables.refresh(store, &store.state().live_shards(), None);
+        tables
     }
 
     /// Live partitions in ascending shard order.
@@ -61,97 +42,46 @@ impl<L: LabelOps> ShardedTables<L> {
         self.parts.iter().map(|(&sid, t)| (sid, t))
     }
 
-    /// Number of live partitions.
-    pub fn partition_count(&self) -> usize {
-        self.parts.len()
-    }
-
-    /// Total rows across all partitions.
-    pub fn len(&self) -> usize {
-        self.parts.values().map(LabelTable::len).sum()
-    }
-
-    /// Whether no partition holds any row.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Rebuilds (or drops, if the shard died) one partition from the
-    /// store's current labels — `O(shard)`, the maintenance unit after
-    /// [`xp_labelkit::relabel_shard`] / split / merge touched `sid`.
-    pub fn rebuild_partition<S>(&mut self, store: &LabeledStore<ShardedScheme<S>>, sid: ShardId)
-    where
-        S: DynamicScheme<Label = L> + Send + Sync,
-        S::State: Send,
-    {
-        if store.state().cell(sid).is_some() {
-            self.parts.insert(sid, Self::partition_of(store, sid));
-        } else {
-            self.parts.remove(&sid);
-        }
-    }
-
-    /// Routes a mutation's [`RelabelReport`] to the partitions it touches:
-    /// inserted and relabeled rows go to the owning shard's partition
-    /// (migrating a row whose node changed shards), removed rows leave
-    /// whichever partition holds them. Work is `O(rows touched)`, spread
-    /// over only the mutated shards.
-    pub fn apply_report<S>(
+    /// Brings the partitions up to date after the store changed: drops the
+    /// partitions of shards that no longer exist and rebuilds those of the
+    /// `dirty` shards (what [`xp_labelkit::take_dirty_shards`] drained —
+    /// every shard whose member labels changed, label cascades and splits
+    /// included). With `touched`, also records every tag of every
+    /// refreshed partition, before and after its rebuild, so removed and
+    /// inserted rows are covered alike: shard-granular cache invalidation.
+    pub fn refresh<S>(
         &mut self,
         store: &LabeledStore<ShardedScheme<S>>,
-        report: &RelabelReport,
-    ) -> PatchStats
-    where
+        dirty: &[ShardId],
+        mut touched: Option<&mut TouchedTags>,
+    ) where
         S: DynamicScheme<Label = L> + Send + Sync,
         S::State: Send,
     {
-        let mut per_shard: BTreeMap<ShardId, RelabelReport> = BTreeMap::new();
-        for &n in &report.inserted {
-            if let Some(sid) = store.state().shard_of_node(n) {
-                per_shard.entry(sid).or_default().inserted.push(n);
-            }
-        }
-        for &n in &report.relabeled {
-            let Some(sid) = store.state().shard_of_node(n) else { continue };
-            // A split/merge report relabels nodes into a different shard;
-            // evict the stale row so the owning partition can re-add it.
-            let stale: Vec<ShardId> = self
-                .parts
-                .iter()
-                .filter(|&(&p, t)| p != sid && t.contains(n))
-                .map(|(&p, _)| p)
-                .collect();
-            let migrated = !stale.is_empty();
-            for p in stale {
-                per_shard.entry(p).or_default().removed.push(n);
-            }
-            let sub = per_shard.entry(sid).or_default();
-            if migrated || !self.parts.get(&sid).is_some_and(|t| t.contains(n)) {
-                sub.inserted.push(n);
-            } else {
-                sub.relabeled.push(n);
-            }
-        }
-        for &n in &report.removed {
-            for (&p, t) in &self.parts {
-                if t.contains(n) {
-                    per_shard.entry(p).or_default().removed.push(n);
+        let dead: Vec<ShardId> =
+            self.parts.keys().copied().filter(|&sid| store.state().cell(sid).is_none()).collect();
+        for sid in dead {
+            if let Some(part) = self.parts.remove(&sid) {
+                if let Some(t) = touched.as_deref_mut() {
+                    add_tags(&part, t);
                 }
             }
         }
-        let mut stats = PatchStats::default();
-        for (sid, sub) in per_shard {
-            let part = self
-                .parts
-                .entry(sid)
-                .or_insert_with(|| LabelTable::build_where(store.tree(), store.doc(), |_| false));
-            let s = part.apply_report(store.tree(), store.doc(), &sub);
-            stats.rows_added += s.rows_added;
-            stats.rows_updated += s.rows_updated;
-            stats.rows_removed += s.rows_removed;
+        for &sid in dirty {
+            if store.state().cell(sid).is_none() {
+                continue;
+            }
+            let part = LabelTable::build_where(store.tree(), store.doc(), |n| {
+                store.state().shard_of_node(n) == Some(sid)
+            });
+            if let Some(t) = touched.as_deref_mut() {
+                if let Some(old) = self.parts.get(&sid) {
+                    add_tags(old, t);
+                }
+                add_tags(&part, t);
+            }
+            self.parts.insert(sid, part);
         }
-        self.parts.retain(|&sid, t| !t.is_empty() || store.state().cell(sid).is_some());
-        stats
     }
 
     /// The composed table cross-shard queries evaluate against: the
@@ -160,5 +90,12 @@ impl<L: LabelOps> ShardedTables<L> {
     /// across shard boundaries without further stitching.
     pub fn compose(&self) -> LabelTable<ShardedLabel<L>> {
         LabelTable::concat(self.root, self.parts.values())
+    }
+}
+
+/// Folds every tag that appears in `part` into `touched`.
+fn add_tags<L: LabelOps>(part: &LabelTable<ShardedLabel<L>>, touched: &mut TouchedTags) {
+    for row in part.rows() {
+        touched.add(part.tag_name(row.tag));
     }
 }

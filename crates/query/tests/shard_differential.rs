@@ -1,12 +1,16 @@
 //! Sharded-document differential property test: random mutation scripts
 //! run lockstep through a sharded prime store ([`ShardedPrime`]) and the
-//! unsharded [`DynamicPrime`] oracle. After every mutation the per-shard
-//! [`ShardedTables`] partitions — patched incrementally from the mutation's
-//! report — compose into one table that must answer all nine query axes
-//! (plus a positional step) byte-identically to a table over the unsharded
-//! oracle's labels, at `XP_THREADS ∈ {1, 2, 8}`. A second property pins the
-//! batch applier: `apply_batch_sharded` must leave the same tree, labels,
-//! and document order as the per-mutation facade at every thread count.
+//! unsharded [`DynamicPrime`] oracle. After every mutation (and the split
+//! pass the store runs after each batch) the per-shard [`ShardedTables`]
+//! partitions are refreshed the way the server refreshes them — from the
+//! drained dirty set, through [`ShardedTables::refresh`] — and must hold
+//! exactly what a from-scratch build holds; composed, they must answer all
+//! nine query axes (plus positional steps) byte-identically to a table
+//! over the unsharded oracle's labels, at `XP_THREADS ∈ {1, 2, 8}`. One of
+//! the three layouts bounds shard size, so splits run under the gate too.
+//! A second property pins the batch applier: `apply_batch_sharded` must
+//! leave the same tree, labels, and document order as the per-mutation
+//! facade at every thread count.
 //!
 //! The final `shard_env_matrix` test is the CI hook: with
 //! `XP_FAULT=<site>:<n>` armed, the sharded pipeline (per-op and batch,
@@ -16,9 +20,10 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use xp_labelkit::{
-    apply_batch_sharded, InsertPos, LabelOps, LabeledStore, Mutation, ShardPolicy,
+    apply_batch_sharded, maintain_shards, take_dirty_shards, InsertPos, LabelOps, LabeledStore,
+    Mutation, ShardId, ShardPolicy, ShardedLabel,
 };
-use xp_prime::{DynamicPrime, ShardedPrime};
+use xp_prime::{DynamicPrime, PrimeLabel, ShardedPrime};
 use xp_query::engine::{eval_path, Path, TreeOrderOracle};
 use xp_query::relstore::LabelTable;
 use xp_query::sharded::ShardedTables;
@@ -123,32 +128,40 @@ fn signature(tree: &XmlTree) -> Vec<(usize, String)> {
     out
 }
 
-/// Runs `ops` lockstep through a sharded store (cut depth `cut`) and the
-/// unsharded oracle, patching the per-shard table partitions incrementally;
-/// after every mutation the composed partitions must answer all paths
-/// byte-identically to a table over the oracle's labels. Returns the first
-/// divergence as an error.
-fn check_sharded_vs_oracle(cut: usize, tree: &XmlTree, ops: &[usize]) -> Result<(), String> {
-    let scheme = ShardedPrime::new(DynamicPrime::new(3), ShardPolicy::at_depth(cut));
+/// Runs `ops` lockstep through a sharded store under `policy` and the
+/// unsharded oracle, running the split pass after every mutation and
+/// refreshing the per-shard table partitions from the dirty set; after
+/// every mutation the composed partitions must answer all paths
+/// byte-identically to a table over the oracle's labels. Returns how many
+/// splits ran, or the first divergence as an error.
+fn check_sharded_vs_oracle(
+    policy: ShardPolicy,
+    tree: &XmlTree,
+    ops: &[usize],
+) -> Result<usize, String> {
+    let scheme = ShardedPrime::new(DynamicPrime::new(3), policy);
     let mut s = LabeledStore::build(scheme, tree.clone())
         .map_err(|e| format!("sharded build: {e}"))?;
     let mut o = LabeledStore::build(DynamicPrime::new(3), tree.clone())
         .map_err(|e| format!("oracle build: {e}"))?;
-    let mut tables: ShardedTables<xp_prime::PrimeLabel> = ShardedTables::build(&s);
+    let mut tables: ShardedTables<PrimeLabel> = ShardedTables::build(&s);
+    let mut splits = 0;
 
     for (step, &seed) in ops.iter().enumerate() {
-        let ctx = |what: &str| format!("cut {cut}, step {step} (seed {seed}): {what}");
+        let ctx = |what: &str| format!("{policy:?}, step {step} (seed {seed}): {what}");
         let Some(m) = random_mutation(o.tree(), seed) else { continue };
         let rs = s.apply(&m);
         let ro = o.apply(&m);
         if rs.is_ok() != ro.is_ok() {
             return Err(ctx(&format!("outcome split: {rs:?} vs {ro:?}")));
         }
+        splits += maintain_shards(&mut s);
+        let dirty = take_dirty_shards(&mut s);
+        tables.refresh(&s, &dirty, None);
         let (Ok(rs), Ok(ro)) = (rs, ro) else { continue };
         if rs.inserted != ro.inserted || rs.removed != ro.removed {
             return Err(ctx("inserted/removed diverged from the oracle"));
         }
-        tables.apply_report(&s, &rs);
 
         // Arena lockstep and document order.
         if signature(s.tree()) != signature(o.tree()) {
@@ -158,27 +171,10 @@ fn check_sharded_vs_oracle(cut: usize, tree: &XmlTree, ops: &[usize]) -> Result<
             return Err(ctx("document order diverged"));
         }
 
-        // The incrementally-patched partitions must hold exactly what a
-        // from-scratch partition build holds.
-        let fresh: ShardedTables<xp_prime::PrimeLabel> = ShardedTables::build(&s);
-        if fresh.partition_count() != tables.partition_count() || fresh.len() != tables.len() {
-            return Err(ctx(&format!(
-                "partitions drifted: patched {}p/{}r vs fresh {}p/{}r",
-                tables.partition_count(),
-                tables.len(),
-                fresh.partition_count(),
-                fresh.len()
-            )));
-        }
-        for (sid, part) in fresh.partitions() {
-            let patched = tables.partition(sid).ok_or_else(|| ctx(&format!("{sid} lost")))?;
-            let mut a: Vec<NodeId> = part.rows().iter().map(|r| r.node).collect();
-            let mut b: Vec<NodeId> = patched.rows().iter().map(|r| r.node).collect();
-            a.sort();
-            b.sort();
-            if a != b {
-                return Err(ctx(&format!("{sid} partition rows drifted")));
-            }
+        // The refreshed partitions must hold exactly what a from-scratch
+        // build holds: the same shards, rows, and labels.
+        if partition_rows(&tables) != partition_rows(&ShardedTables::build(&s)) {
+            return Err(ctx("refreshed partitions drifted from a fresh build"));
         }
 
         // All nine axes + positional: composed partitions vs the oracle.
@@ -198,7 +194,19 @@ fn check_sharded_vs_oracle(cut: usize, tree: &XmlTree, ops: &[usize]) -> Result<
             }
         }
     }
-    Ok(())
+    Ok(splits)
+}
+
+type Rows = Vec<(NodeId, ShardedLabel<PrimeLabel>)>;
+
+/// Every partition's `(node, label)` rows in arena order, by shard.
+fn partition_rows(tables: &ShardedTables<PrimeLabel>) -> Vec<(ShardId, Rows)> {
+    let rows = |part: &LabelTable<ShardedLabel<PrimeLabel>>| {
+        let mut rows: Rows = part.rows().iter().map(|r| (r.node, r.label.clone())).collect();
+        rows.sort_by_key(|&(n, _)| n);
+        rows
+    };
+    tables.partitions().map(|(sid, part)| (sid, rows(part))).collect()
 }
 
 /// Applies each round of mutations as one batch to one sharded store and
@@ -242,17 +250,23 @@ propcheck! {
     #![config(cases = 24)]
 
     /// Sharded store + composed partitions answer every axis like the
-    /// unsharded oracle, at every cut depth and thread count.
+    /// unsharded oracle, in every layout and at every thread count.
     #[test]
     fn sharded_answers_match_unsharded_oracle(
         tree in tree_strategy(24),
         ops in vec_of(usizes(0..1 << 12), 1..7),
     ) {
         for threads in [1usize, 2, 8] {
-            for cut in [1usize, 2] {
+            // A shard per element, one every two levels, and the latter with
+            // a bound small enough that inserted subtrees get split off.
+            for policy in [
+                ShardPolicy::at_depth(1),
+                ShardPolicy::at_depth(2),
+                ShardPolicy::at_depth(2).with_max_shard_nodes(4),
+            ] {
                 let outcome = xp_par::with_threads(
                     threads,
-                    || check_sharded_vs_oracle(cut, &tree, &ops),
+                    || check_sharded_vs_oracle(policy, &tree, &ops),
                 );
                 prop_assert!(
                     outcome.is_ok(),
@@ -282,6 +296,22 @@ propcheck! {
                 threads,
                 outcome.err().unwrap_or_default()
             );
+        }
+    }
+}
+
+/// The size-bounded layout really splits: a fixed script that grows
+/// subtrees past the bound keeps answering like the oracle across splits.
+#[test]
+fn splits_run_under_the_differential() {
+    let tree =
+        xp_xmltree::parse("<t0><t1><t2/><t3/></t1><t2/><t1><t3/><t2><t3/></t2></t1></t0>").unwrap();
+    let ops = [2usize, 18, 3, 34, 11, 50, 2, 26];
+    let policy = ShardPolicy::at_depth(2).with_max_shard_nodes(4);
+    for threads in [1usize, 8] {
+        match xp_par::with_threads(threads, || check_sharded_vs_oracle(policy, &tree, &ops)) {
+            Ok(splits) => assert!(splits > 0, "threads {threads}: no split ran"),
+            Err(e) => panic!("threads {threads}: {e}"),
         }
     }
 }

@@ -12,15 +12,16 @@
 //!   one.
 //! * **sharded** ([`ShardedDocStore`]) — commit is
 //!   [`ShardedDocStore::apply_batch`] (one fsync, applies fanned across
-//!   shards in parallel, then the split/merge pass) followed by a refresh
-//!   of exactly the dirtied [`ShardedTables`] partitions; touched tags are
-//!   those partitions' tag vocabulary; publish composes one
-//!   [`ShardedEpochSnapshot`] covering all shards.
+//!   shards in parallel, then the split pass) followed by
+//!   [`ShardedTables::refresh`], which rebuilds exactly the partitions of
+//!   the dirtied shards (label cascades included) and drops dead ones;
+//!   touched tags are those partitions' tag vocabulary; publish composes
+//!   one [`ShardedEpochSnapshot`] covering all shards.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use xp_labelkit::{DynamicError, Mutation, RelabelReport, ShardId};
+use xp_labelkit::{DynamicError, Mutation, RelabelReport};
 use xp_prime::PrimeLabel;
 use xp_query::{ShardedTables, TouchedTags};
 use xp_store::{ShardedDocStore, Store, StoreError};
@@ -191,34 +192,12 @@ impl DocKind for ShardedDocStore {
         track_tags: bool,
     ) -> Result<(MutationResults, TouchedTags), StoreError> {
         let outcome = self.apply_batch(batch)?;
-        // O(touched shards): refresh exactly the dirtied partitions, and
-        // drop the partitions of shards that merged away. The batch's
-        // touched tags are those partitions' tag vocabulary: *before* the
-        // refresh to cover removed rows, *after* to cover inserts —
-        // shard-granular invalidation, never the whole document.
-        let dead: Vec<ShardId> = tables
-            .partitions()
-            .map(|(sid, _)| sid)
-            .filter(|&sid| self.labeled().state().cell(sid).is_none())
-            .collect();
         let mut touched = TouchedTags::new();
-        if track_tags {
-            if outcome.results.iter().any(Result::is_err) {
-                // A failed mutation's partial effects cannot be attributed.
-                touched.mark_unknown();
-            }
-            for &sid in outcome.dirty.iter().chain(&dead) {
-                collect_partition_tags(tables, sid, &mut touched);
-            }
+        if track_tags && outcome.results.iter().any(Result::is_err) {
+            // A failed mutation's partial effects cannot be attributed.
+            touched.mark_unknown();
         }
-        for &sid in outcome.dirty.iter().chain(&dead) {
-            tables.rebuild_partition(self.labeled(), sid);
-        }
-        if track_tags {
-            for &sid in &outcome.dirty {
-                collect_partition_tags(tables, sid, &mut touched);
-            }
-        }
+        tables.refresh(self.labeled(), &outcome.dirty, track_tags.then_some(&mut touched));
         Ok((outcome.results, touched))
     }
 
@@ -248,19 +227,6 @@ impl DocKind for ShardedDocStore {
         // Every publish composes a fresh snapshot; nothing is reclaimed or
         // cloned.
         PublishStats::default()
-    }
-}
-
-/// Folds every tag that appears in shard `sid`'s partition into `touched`.
-fn collect_partition_tags(
-    tables: &ShardedTables<PrimeLabel>,
-    sid: ShardId,
-    touched: &mut TouchedTags,
-) {
-    if let Some(part) = tables.partition(sid) {
-        for row in part.rows() {
-            touched.add(part.tag_name(row.tag));
-        }
     }
 }
 
@@ -350,6 +316,37 @@ mod tests {
         nodes.iter().map(|n| n.index() as u64).collect()
     }
 
+    /// Every path in `paths` must answer through the request handler
+    /// exactly as an unsharded prime document (SC chunk `chunk`) over
+    /// `tree` answers after `muts`, ranked by its own SC order.
+    fn assert_serves_like_oracle<K: DocKind>(
+        lp: &EpochLoop<K>,
+        tree: XmlTree,
+        chunk: usize,
+        muts: &[Mutation],
+        paths: &[&str],
+    ) {
+        let mut oracle = LabeledStore::build(DynamicPrime::new(chunk), tree).unwrap();
+        for m in muts {
+            oracle.apply(m).unwrap();
+        }
+        let otable = LabelTable::build(oracle.tree(), oracle.doc());
+        struct O<'a>(&'a LabeledStore<DynamicPrime>);
+        impl OrderOracle for O<'_> {
+            fn rank(&self, n: NodeId) -> u64 {
+                self.0.state().order_of(n)
+            }
+        }
+        for q in paths {
+            let want: Vec<u64> = eval_path(&otable, &O(&oracle), &Path::parse(q).unwrap())
+                .unwrap()
+                .iter()
+                .map(|n| n.index() as u64)
+                .collect();
+            assert_eq!(query(lp, q), want, "query {q}");
+        }
+    }
+
     #[test]
     fn one_batch_fans_across_shards_into_one_snapshot() {
         let (lp, dir) = start("fan");
@@ -380,27 +377,8 @@ mod tests {
         // to an unsharded oracle over the same mutations.
         let snap = snapshot(&lp);
         assert_eq!(snap.epoch(), epoch);
-        let mut oracle = LabeledStore::build(DynamicPrime::new(8), sample_tree()).unwrap();
-        for m in &muts {
-            oracle.apply(m).unwrap();
-        }
-        let otable = LabelTable::build(oracle.tree(), oracle.doc());
-        struct O<'a>(&'a LabeledStore<DynamicPrime>);
-        impl OrderOracle for O<'_> {
-            fn rank(&self, n: NodeId) -> u64 {
-                self.0.state().order_of(n)
-            }
-        }
-        for q in ["//book", "//title", "/lib/shelf", "//book/following-sibling::*", "//neu"] {
-            let path = Path::parse(q).unwrap();
-            let got = query(&lp, q);
-            let want: Vec<u64> = eval_path(&otable, &O(&oracle), &path)
-                .unwrap()
-                .iter()
-                .map(|n| n.index() as u64)
-                .collect();
-            assert_eq!(got, want, "query {q}");
-        }
+        let paths = ["//book", "//title", "/lib/shelf", "//book/following-sibling::*", "//neu"];
+        assert_serves_like_oracle(&lp, sample_tree(), 8, &muts, &paths);
 
         // Old snapshot still answers the pre-batch state.
         assert_eq!(snap0.elements() + 4, snap.elements());
@@ -499,6 +477,57 @@ mod tests {
         assert!(results[2].is_ok());
         assert_eq!(query(&lp, "//ok").len(), 1);
         assert_eq!(query(&lp, "//ok2").len(), 1);
+        drop(lp.shutdown());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A front insert into the top shard relabels an overflow victim's
+    /// subtree up to a stub, which changes every label in the shard below
+    /// it. That shard's partition must be refreshed (and its cached
+    /// answers dropped) although the mutation never touched its content.
+    #[test]
+    fn a_stub_relabel_cascade_is_served_fresh() {
+        let tree = xp_xmltree::parse(
+            "<t0><t0><t0><t1/></t0></t0><t1/><t2/><t3/><t2/><t3/><t0/><t1/><t2/></t0>",
+        )
+        .unwrap();
+        let dir = tmpdir("cascade");
+        let store =
+            ShardedDocStore::create(&dir, URI, tree.clone(), 3, ShardPolicy::at_depth(2)).unwrap();
+        let lp = EpochLoop::start_with_cache(store, BatchPolicy::default(), 64);
+        let paths = ["//t1/ancestor::*", "//t1/ancestor-or-self::*", "//t0//t1"];
+        for p in paths {
+            query(&lp, p);
+        }
+        let anchor = first(&lp, "/t0/t0");
+        let muts = [Mutation::InsertBefore { anchor, tag: "t1".into() }];
+        let (_, _, results) = apply(&lp, &muts);
+        assert!(results[0].is_ok());
+        assert_serves_like_oracle(&lp, tree, 3, &muts, &paths);
+        drop(lp.shutdown());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A batch that grows a shard past the size bound splits it inside the
+    /// commit; the published snapshot covers the new shard and answers
+    /// like the unsharded oracle.
+    #[test]
+    fn a_batch_that_splits_a_shard_is_served_like_the_oracle() {
+        let dir = tmpdir("split");
+        let policy = ShardPolicy::at_depth(2).with_max_shard_nodes(4);
+        let store = ShardedDocStore::create(&dir, URI, sample_tree(), 8, policy).unwrap();
+        let lp = EpochLoop::start(store, BatchPolicy::default());
+        let before = snapshot(&lp).shards().len();
+        let case = first(&lp, "//case");
+        let muts = [Mutation::InsertSubtree {
+            pos: InsertPos::LastChildOf(case),
+            xml: "<disc><trk/><trk/></disc>".into(),
+        }];
+        let (_, _, results) = apply(&lp, &muts);
+        assert!(results[0].is_ok());
+        assert!(snapshot(&lp).shards().len() > before, "the batch must split the case shard");
+        let paths = ["//book", "//case//trk", "//trk/ancestor::*", "//trk/following::*"];
+        assert_serves_like_oracle(&lp, sample_tree(), 8, &muts, &paths);
         drop(lp.shutdown());
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -28,23 +28,17 @@
 //! unaffected either way because the manifest swap is the only commit
 //! point and the WAL replays everything past the durable seq.
 //!
+//! The dirty set covers label cascades, so a shard below a relabeled stub
+//! is rewritten too although only its (unpersisted) anchor chain changed;
+//! under the prime scheme that is rare.
+//!
 //! Recovery (`open`) mirrors [`crate::Store::open`]: manifest load, stale
 //! file GC, skeleton + part loads, [`ShardedScheme::assemble`], torn-tail
 //! WAL truncation, replay, and one [`maintain_shards`] pass (split timing
 //! during replay may differ from the crashed process, which changes only
-//! shard topology, never document content or query answers).
-//!
-//! [`relabel_shard`] is **not** WAL-logged — a relabel changes labels, not
-//! the document — so it checkpoints *immediately* instead: the relabeled
-//! shard's file (plus the skeleton) is rewritten and the manifest swapped
-//! before the call returns. Deferring that to the next scheduled
-//! checkpoint would open a durability hole: mutations WAL-logged *after*
-//! the relabel would replay on recovery against the pre-relabel labels,
-//! where an insert that succeeded live can fail (or label differently)
-//! against the unrelabeled, gap-exhausted shard. With the immediate swap,
-//! recovery always starts from the post-relabel labels; a crash *during*
-//! the swap leaves the old checkpoint fully live (pre-relabel labels, same
-//! document), which is the other byte-identical fixed point.
+//! shard topology, never document content or query answers). Every label
+//! change comes from a logged mutation or a split, so the WAL over the
+//! last checkpoint always reproduces the live document.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -291,16 +285,16 @@ fn decode_shard_part(
 // ---------------------------------------------------------------------------
 
 /// Outcome of one [`ShardedDocStore::apply_batch`]: per-mutation results
-/// in submission order, plus the shards the batch (including its
-/// split/merge maintenance pass) dirtied.
+/// in submission order, plus the shards the batch (including its split
+/// pass) dirtied.
 #[derive(Debug, Default)]
 pub struct ShardedBatch {
     /// One entry per submitted mutation.
     pub results: Vec<Result<RelabelReport, DynamicError>>,
-    /// Shards mutated by this batch, ascending — the unit of table refresh
-    /// and checkpoint rewrite. A shard merged away mid-batch is absent;
-    /// callers prune dead partitions against
-    /// [`ShardedDocStore::live_shards`].
+    /// Live shards whose member labels this batch changed, ascending —
+    /// label cascades and splits included. The unit of table refresh and
+    /// checkpoint rewrite. A shard a delete purged is absent; callers drop
+    /// dead partitions against [`ShardedDocStore::live_shards`].
     pub dirty: Vec<ShardId>,
 }
 
@@ -336,8 +330,7 @@ impl ShardedDocStore {
     ) -> Result<ShardedDocStore, StoreError> {
         std::fs::create_dir_all(dir).map_err(|e| io_err("create", dir, e))?;
         let scheme = ShardedScheme::new(DynamicPrime::new(chunk_capacity), policy);
-        let mut labeled = LabeledStore::build(scheme, tree)?;
-        let _ = take_dirty_shards(&mut labeled);
+        let labeled = LabeledStore::build(scheme, tree)?;
         let (wal, _) = Wal::open(dir)?;
         let mut store = ShardedDocStore {
             dir: dir.to_path_buf(),
@@ -416,7 +409,7 @@ impl ShardedDocStore {
             store.replay_frame(frame)?;
         }
         if store.seq > store.durable_seq {
-            maintain_shards(&mut store.labeled)?;
+            maintain_shards(&mut store.labeled);
         }
         let drained = take_dirty_shards(&mut store.labeled);
         store.pending_dirty.extend(drained);
@@ -451,11 +444,12 @@ impl ShardedDocStore {
 
     /// Applies one epoch batch: WAL-logs every mutation (group commit, one
     /// fsync), fans the applies across shards via [`apply_batch_sharded`],
-    /// then runs the split/merge maintenance pass. Per-mutation outcomes
-    /// come back in order together with the shards the batch dirtied (the
-    /// unit the query layer refreshes and the next checkpoint rewrites);
-    /// a WAL-level error aborts the whole batch before any in-memory
-    /// change.
+    /// then runs the split pass. Per-mutation outcomes come back in order
+    /// together with the shards the batch dirtied (the unit the query layer
+    /// refreshes and the next checkpoint rewrites); a WAL-level error
+    /// aborts the whole batch before any in-memory change. Once logged, the
+    /// batch is never reported as failed: a split that fails leaves its
+    /// shard as it was, to be split after a later batch.
     pub fn apply_batch(&mut self, mutations: &[Mutation]) -> Result<ShardedBatch, StoreError> {
         if mutations.is_empty() {
             return Ok(ShardedBatch::default());
@@ -473,25 +467,10 @@ impl ShardedDocStore {
         self.wal.append_batch(&payloads)?;
         self.seq += mutations.len() as u64;
         let results = apply_batch_sharded(&mut self.labeled, mutations);
-        maintain_shards(&mut self.labeled)?;
+        maintain_shards(&mut self.labeled);
         let dirty = take_dirty_shards(&mut self.labeled);
         self.pending_dirty.extend(dirty.iter().copied());
         Ok(ShardedBatch { results, dirty })
-    }
-
-    /// Relabels one hot shard from scratch without touching its siblings
-    /// and checkpoints **immediately** — the relabel is not WAL-logged, so
-    /// it must be durable before any later WAL frame can depend on the new
-    /// labels (see the module docs for the replay divergence a deferred
-    /// checkpoint would allow). The write is `O(dirty shards)`, normally
-    /// just `sid` plus the skeleton.
-    pub fn relabel_shard(&mut self, sid: ShardId) -> Result<RelabelReport, StoreError> {
-        let report = xp_labelkit::relabel_shard(&mut self.labeled, sid)?;
-        let drained = take_dirty_shards(&mut self.labeled);
-        self.pending_dirty.extend(drained);
-        self.pending_dirty.insert(sid);
-        self.persist(self.epoch + 1)?;
-        Ok(report)
     }
 
     /// Checkpoints at the next epoch, rewriting only the skeleton and the
@@ -805,27 +784,9 @@ mod tests {
     }
 
     #[test]
-    fn relabeled_hot_shard_persists_alone() {
-        let dir = tmpdir("relabel");
-        let mut store =
-            ShardedDocStore::create(&dir, "d", sample_tree(), 8, ShardPolicy::at_depth(1)).unwrap();
-        let hot = *store.live_shards().last().unwrap();
-        store.relabel_shard(hot).unwrap();
-        store.checkpoint().unwrap();
-        let files = shard_files(&dir);
-        for (who, epoch) in &files {
-            let expected = if who == "skel" || *who == hot.0.to_string() { 2 } else { 1 };
-            assert_eq!(*epoch, expected, "file {who}");
-        }
-        drop(store);
-        assert_consistent(&ShardedDocStore::open(&dir).unwrap());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn split_topology_survives_reopen() {
         let dir = tmpdir("split");
-        let policy = ShardPolicy { cut_depth: 1, max_shard_nodes: 4 };
+        let policy = ShardPolicy::at_depth(2).with_max_shard_nodes(4);
         let mut store = ShardedDocStore::create(&dir, "d", sample_tree(), 8, policy).unwrap();
         let start = store.live_shards().len();
         // Grow one subtree past the bound so maintain_shards splits it.
@@ -838,15 +799,24 @@ mod tests {
                 }])
                 .unwrap();
         }
+        assert!(store.live_shards().len() > start, "growth must have split a shard");
+        // Wrapping a top-shard child gives it weight, so that split moves
+        // it into a fresh, higher-id shard together with the shards below
+        // it, whose files must then be rewritten with their new parent.
+        let shelf = nth_element(store.labeled().tree(), 1);
+        store.apply_batch(&[Mutation::InsertParent { target: shelf, tag: "w".into() }]).unwrap();
         let grown = store.live_shards();
-        assert!(grown.len() > start, "growth must have split a shard");
+        let newest = store.labeled().state().cell(*grown.last().unwrap()).unwrap();
+        assert!(newest.stub_children().count() > 0, "the wrap's split must move shards");
         store.checkpoint().unwrap();
         let snap = store.labeled().tree().snapshot();
+        let labels = element_labels(&store);
         drop(store);
 
         let back = ShardedDocStore::open(&dir).unwrap();
         assert_eq!(back.live_shards(), grown);
         assert_eq!(back.labeled().tree().snapshot(), snap);
+        assert_eq!(element_labels(&back), labels);
         assert_consistent(&back);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -862,120 +832,64 @@ mod tests {
             .collect()
     }
 
-    /// The durability hole the immediate relabel checkpoint closes:
-    /// mutations WAL-logged *after* a relabel replay on recovery against
-    /// whatever labels are durable. The relabel must therefore be durable
-    /// before `relabel_shard` returns, so a crash at any later point
-    /// recovers labels byte-identical to the live process.
+    /// The split pass runs after the batch is logged and applied, so a
+    /// split that fails must not turn the batch into an error: the mutation
+    /// reports `Ok`, the shard stays whole, and it splits after the next
+    /// batch. Recovery replays to the same document and topology.
     #[test]
-    fn wal_frames_after_a_relabel_replay_against_the_relabeled_labels() {
-        let dir = tmpdir("relabel-replay");
-        let mut store =
-            ShardedDocStore::create(&dir, "d", sample_tree(), 8, ShardPolicy::at_depth(1)).unwrap();
-        // Chew through the hot shard's label gaps so the relabel actually
-        // reassigns, then relabel (durable immediately, not WAL-logged).
-        let anchor = nth_element(store.labeled().tree(), 3);
-        for _ in 0..6 {
-            store.apply_batch(&[Mutation::InsertBefore { anchor, tag: "pad".into() }]).unwrap();
-        }
-        let hot = store.labeled().state().shard_of_node(anchor).unwrap();
-        store.relabel_shard(hot).unwrap();
-        assert_eq!(
-            store.durable_seq(),
-            store.seq(),
-            "the relabel checkpoint must fold the WAL into the manifest"
-        );
+    fn a_failed_split_leaves_the_batch_applied() {
+        use xp_testkit::fault;
+        let grow = Mutation::InsertSubtree {
+            pos: InsertPos::LastChildOf(nth_element(&sample_tree(), 3)),
+            xml: "<g><h/><h/><h/><h/></g>".into(),
+        };
+        // Count the batch's own multiplications on a twin with no size
+        // bound, where no split runs.
+        let batch_hits = {
+            let dir = tmpdir("split-fault-twin");
+            let mut twin =
+                ShardedDocStore::create(&dir, "d", sample_tree(), 8, ShardPolicy::at_depth(1))
+                    .unwrap();
+            fault::arm("bignum.mul:1000000000");
+            let batch = twin.apply_batch(std::slice::from_ref(&grow));
+            let hits = fault::hits("bignum.mul");
+            fault::reset();
+            assert!(batch.unwrap().results[0].is_ok());
+            let _ = std::fs::remove_dir_all(&dir);
+            hits
+        };
 
-        // Mutations *after* the relabel hand out labels that depend on the
-        // relabeled state; they stay WAL-only (no further checkpoint).
-        store
-            .apply_batch(&[
-                Mutation::InsertBefore { anchor, tag: "neu".into() },
-                Mutation::InsertSubtree {
-                    pos: InsertPos::LastChildOf(anchor),
-                    xml: "<x><y/></x>".into(),
-                },
-            ])
-            .unwrap();
-        let live_labels = element_labels(&store);
-        let live_snap = store.labeled().tree().snapshot();
+        let dir = tmpdir("split-fault");
+        let policy = ShardPolicy { cut_depth: 1, max_shard_nodes: 4 };
+        let mut store = ShardedDocStore::create(&dir, "d", sample_tree(), 8, policy).unwrap();
+        let start = store.live_shards().len();
+        // The first multiplication past the batch's own is the split's.
+        fault::arm(&format!("bignum.mul:{}", batch_hits + 1));
+        let batch = store.apply_batch(std::slice::from_ref(&grow));
+        let fired = fault::hits("bignum.mul") > batch_hits;
+        fault::reset();
+        assert!(fired, "the armed fault must land in the split");
+        let batch = batch.unwrap_or_else(|e| panic!("a failed split failed the batch: {e}"));
+        assert!(batch.results[0].is_ok());
+        assert_eq!(store.seq(), 1);
+        assert_eq!(store.labeled().tree().elements().count(), 17);
+        assert_eq!(store.live_shards().len(), start, "the failed split changed nothing");
+        assert_consistent(&store);
+
+        let anchor = nth_element(store.labeled().tree(), 1);
+        store.apply_batch(&[Mutation::InsertBefore { anchor, tag: "n".into() }]).unwrap();
+        assert!(store.live_shards().len() > start, "the next batch retries the split");
+        let labels = element_labels(&store);
+        let shards = store.live_shards();
+        let snap = store.labeled().tree().snapshot();
         drop(store);
 
         let back = ShardedDocStore::open(&dir).unwrap();
-        assert_eq!(back.labeled().tree().snapshot(), live_snap);
-        assert_eq!(
-            element_labels(&back),
-            live_labels,
-            "replayed labels must be byte-identical to the live process"
-        );
+        assert_eq!(back.labeled().tree().snapshot(), snap);
+        assert_eq!(back.live_shards(), shards);
+        assert_eq!(element_labels(&back), labels);
         assert_consistent(&back);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// A crash *during* the relabel's immediate checkpoint must land on a
-    /// byte-identical fixed point: either the pre-relabel labels (manifest
-    /// swap never committed) or the post-relabel labels (it did).
-    #[test]
-    fn a_crash_during_the_relabel_checkpoint_reopens_byte_identical() {
-        use xp_testkit::fault;
-        // The deterministic post-relabel oracle: the same store, same
-        // history, relabeled without a fault.
-        let post_labels = {
-            let dir = tmpdir("relabel-crash-oracle");
-            let mut store =
-                ShardedDocStore::create(&dir, "d", sample_tree(), 8, ShardPolicy::at_depth(1))
-                    .unwrap();
-            let anchor = nth_element(store.labeled().tree(), 3);
-            for _ in 0..6 {
-                store.apply_batch(&[Mutation::InsertBefore { anchor, tag: "pad".into() }]).unwrap();
-            }
-            let hot = store.labeled().state().shard_of_node(anchor).unwrap();
-            store.relabel_shard(hot).unwrap();
-            let labels = element_labels(&store);
-            let _ = std::fs::remove_dir_all(&dir);
-            labels
-        };
-
-        let sites = [
-            "store.checkpoint.write:1",
-            "store.checkpoint.write:1:torn",
-            "store.checkpoint.write:2",
-            "store.checkpoint.write:2:torn",
-            "store.manifest.swap:1",
-            "store.manifest.swap:1:torn",
-        ];
-        for (i, site) in sites.iter().enumerate() {
-            let dir = tmpdir(&format!("relabel-crash{i}"));
-            fault::reset();
-            let mut store =
-                ShardedDocStore::create(&dir, "d", sample_tree(), 8, ShardPolicy::at_depth(1))
-                    .unwrap();
-            let anchor = nth_element(store.labeled().tree(), 3);
-            for _ in 0..6 {
-                store.apply_batch(&[Mutation::InsertBefore { anchor, tag: "pad".into() }]).unwrap();
-            }
-            store.checkpoint().unwrap();
-            let pre_labels = element_labels(&store);
-            let pre_snap = store.labeled().tree().snapshot();
-            let hot = store.labeled().state().shard_of_node(anchor).unwrap();
-
-            fault::arm(site);
-            let res = store.relabel_shard(hot);
-            fault::reset();
-            assert!(res.is_err(), "{site}: the armed fault must surface");
-            drop(store);
-
-            let back = ShardedDocStore::open(&dir)
-                .unwrap_or_else(|e| panic!("{site}: reopen failed: {e}"));
-            assert_eq!(back.labeled().tree().snapshot(), pre_snap, "{site}: document changed");
-            let got = element_labels(&back);
-            assert!(
-                got == pre_labels || got == post_labels,
-                "{site}: recovered labels are neither the pre- nor the post-relabel fixed point"
-            );
-            assert_consistent(&back);
-            let _ = std::fs::remove_dir_all(&dir);
-        }
     }
 
     #[test]

@@ -1,23 +1,28 @@
-//! The central crash-safety property: **every** WAL prefix recovers.
+//! The central crash-safety property: **every** WAL prefix recovers, for
+//! both store kinds.
 //!
-//! A random document and mutation script run through a durable [`Store`].
-//! Then, for every byte-length prefix of the resulting WAL (with a little
-//! garbage appended to odd cuts, modeling a torn tail), a scratch copy of
-//! the store directory is reopened. The reopened store must (a) pass the
-//! quadruple consistency check, (b) be logically byte-identical to an
-//! in-memory oracle that applied exactly the mutations whose frames fit in
-//! the prefix, and (c) answer all nine query axes exactly like the oracle's
-//! label table.
+//! A random document and mutation script run through a durable store: the
+//! flat [`Store`], or a [`ShardedDocStore`] (cut depth 1, one
+//! `apply_batch` per mutation). Then, for every byte-length prefix of the
+//! resulting WAL (with a little garbage appended to odd cuts, modeling a
+//! torn tail), a scratch copy of the store directory is reopened. The
+//! reopened store must (a) be logically identical to an in-memory oracle
+//! that applied exactly the mutations whose frames fit in the prefix — for
+//! the flat store the quadruple consistency check and byte-identity, for
+//! the sharded store the same tree and document order — and (b) answer
+//! all nine query axes exactly like the oracle's label table (the sharded
+//! store through freshly built, composed table partitions).
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use xp_labelkit::{InsertPos, LabeledStore, Mutation};
-use xp_prime::DynamicPrime;
+use xp_labelkit::{InsertPos, LabelOps, LabeledStore, Mutation, ShardPolicy};
+use xp_prime::{DynamicPrime, PrimeLabel};
 use xp_query::engine::{eval_path, Path as QueryPath, TreeOrderOracle};
 use xp_query::relstore::LabelTable;
+use xp_query::ShardedTables;
 use xp_store::frame::decode_frames;
-use xp_store::{verify, Store, WAL_FILE};
+use xp_store::{verify, ShardedDocStore, Store, WAL_FILE};
 use xp_testkit::propcheck::{usizes, vec_of, Gen};
 use xp_testkit::{prop_assert, propcheck};
 use xp_xmltree::{NodeId, XmlTree};
@@ -144,29 +149,77 @@ fn copy_store_sans_wal(src: &Path, dst: &Path) {
     }
 }
 
-fn run_case(tree: &XmlTree, ops: &[usize]) -> Result<(), String> {
+/// Which durable store a case drives.
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    Flat,
+    Sharded,
+}
+
+/// Runs `ops` through a fresh store of `kind` in `dir`, returning the
+/// mutations it logged, in order.
+fn drive(
+    kind: Kind,
+    dir: &Path,
+    xml: &str,
+    base: &XmlTree,
+    ops: &[usize],
+) -> Result<Vec<Mutation>, String> {
+    let mut muts: Vec<Mutation> = Vec::new();
+    // Scheme rejections are allowed; WAL faults are not armed here.
+    match kind {
+        Kind::Flat => {
+            let mut live = Store::create(dir).map_err(|e| format!("create: {e}"))?;
+            live.add_document("doc.xml", xml, 3).map_err(|e| format!("add: {e}"))?;
+            for &seed in ops {
+                let tree = live.doc("doc.xml").ok_or("doc vanished")?.tree();
+                let Some(m) = random_mutation(tree, seed) else { continue };
+                let _ = live.apply("doc.xml", &m);
+                muts.push(m);
+            }
+        }
+        Kind::Sharded => {
+            let mut live =
+                ShardedDocStore::create(dir, "doc.xml", base.clone(), 3, ShardPolicy::at_depth(1))
+                    .map_err(|e| format!("create: {e}"))?;
+            for &seed in ops {
+                let Some(m) = random_mutation(live.labeled().tree(), seed) else { continue };
+                live.apply_batch(std::slice::from_ref(&m)).map_err(|e| format!("apply: {e}"))?;
+                muts.push(m);
+            }
+        }
+    }
+    Ok(muts)
+}
+
+/// Nine axes: `table` answers every path exactly like the oracle's table.
+fn answers_match<L: LabelOps>(
+    table: &LabelTable<L>,
+    oracle_table: &LabelTable<PrimeLabel>,
+    ranks: &TreeOrderOracle,
+    at: &str,
+) -> Result<(), String> {
+    for path_str in PATHS {
+        let path = QueryPath::parse(path_str).map_err(|e| e.to_string())?;
+        let got = eval_path(table, ranks, &path).map_err(|e| format!("{at}: {path_str}: {e}"))?;
+        let want = eval_path(oracle_table, ranks, &path)
+            .map_err(|e| format!("{at}: {path_str} (oracle): {e}"))?;
+        if got != want {
+            return Err(format!("{at}: {path_str}: recovered {got:?} vs oracle {want:?}"));
+        }
+    }
+    Ok(())
+}
+
+fn run_case(kind: Kind, tree: &XmlTree, ops: &[usize]) -> Result<(), String> {
     let dir = scratch_dir("live");
     let mut xml = String::new();
     to_xml(tree, tree.root(), &mut xml);
     // The store parses the XML, which assigns arena slots in document
     // order — not necessarily the generated tree's insertion order. The
-    // oracle must start from the identical arena.
+    // oracle (and the sharded store) must start from the identical arena.
     let base = xp_xmltree::parse(&xml).map_err(|e| format!("reparse: {e}"))?;
-
-    let mut live = Store::create(&dir).map_err(|e| format!("create: {e}"))?;
-    live.add_document("doc.xml", &xml, 3).map_err(|e| format!("add: {e}"))?;
-    let mut muts: Vec<Mutation> = Vec::new();
-    for &seed in ops {
-        let Some(m) = random_mutation(
-            live.doc("doc.xml").ok_or("doc vanished")?.tree(),
-            seed,
-        ) else {
-            continue;
-        };
-        // Scheme rejections are allowed; WAL faults are not armed here.
-        let _ = live.apply("doc.xml", &m);
-        muts.push(m);
-    }
+    let muts = drive(kind, &dir, &xml, &base, ops)?;
     let wal_bytes = std::fs::read(dir.join(WAL_FILE)).map_err(|e| e.to_string())?;
 
     for cut in 0..=wal_bytes.len() {
@@ -182,11 +235,7 @@ fn run_case(tree: &XmlTree, ops: &[usize]) -> Result<(), String> {
         // How many complete frames fit in this prefix = how many mutations
         // the oracle applies.
         let k = decode_frames(&wal_bytes[..cut]).frames.len();
-
-        let reopened = Store::open(&scratch)
-            .map_err(|e| format!("cut {cut}: open failed: {e}"))?;
-        reopened.verify().map_err(|e| format!("cut {cut}: verify: {e}"))?;
-        let redoc = reopened.doc("doc.xml").ok_or_else(|| format!("cut {cut}: doc lost"))?;
+        let at = format!("{kind:?} cut {cut} (k={k})");
 
         let mut oracle = LabeledStore::build(DynamicPrime::new(3), base.clone())
             .map_err(|e| format!("oracle build: {e}"))?;
@@ -196,23 +245,30 @@ fn run_case(tree: &XmlTree, ops: &[usize]) -> Result<(), String> {
                 oracle_table.apply_report(oracle.tree(), oracle.doc(), &report);
             }
         }
-
-        verify::equivalent(redoc.labeled(), &oracle)
-            .map_err(|e| format!("cut {cut} (k={k}): reopened != oracle: {e}"))?;
-
-        // Nine axes: the recovered label table answers exactly like the
-        // oracle's.
         let ranks = TreeOrderOracle::of(oracle.tree());
-        for path_str in PATHS {
-            let path = QueryPath::parse(path_str).map_err(|e| e.to_string())?;
-            let got = eval_path(redoc.table(), &ranks, &path)
-                .map_err(|e| format!("cut {cut}: {path_str}: {e}"))?;
-            let want = eval_path(&oracle_table, &ranks, &path)
-                .map_err(|e| format!("cut {cut}: {path_str} (oracle): {e}"))?;
-            if got != want {
-                return Err(format!(
-                    "cut {cut} (k={k}): {path_str}: recovered {got:?} vs oracle {want:?}"
-                ));
+
+        match kind {
+            Kind::Flat => {
+                let reopened =
+                    Store::open(&scratch).map_err(|e| format!("{at}: open failed: {e}"))?;
+                reopened.verify().map_err(|e| format!("{at}: verify: {e}"))?;
+                let redoc = reopened.doc("doc.xml").ok_or_else(|| format!("{at}: doc lost"))?;
+                verify::equivalent(redoc.labeled(), &oracle)
+                    .map_err(|e| format!("{at}: reopened != oracle: {e}"))?;
+                answers_match(redoc.table(), &oracle_table, &ranks, &at)?;
+            }
+            Kind::Sharded => {
+                let reopened = ShardedDocStore::open(&scratch)
+                    .map_err(|e| format!("{at}: open failed: {e}"))?;
+                let labeled = reopened.labeled();
+                if labeled.tree().snapshot() != oracle.tree().snapshot() {
+                    return Err(format!("{at}: reopened tree != oracle tree"));
+                }
+                if labeled.ordered_nodes() != oracle.ordered_nodes() {
+                    return Err(format!("{at}: reopened document order != oracle order"));
+                }
+                let table = ShardedTables::build(labeled).compose();
+                answers_match(&table, &oracle_table, &ranks, &at)?;
             }
         }
         let _ = std::fs::remove_dir_all(&scratch);
@@ -231,16 +287,40 @@ propcheck! {
         tree in tree_strategy(14),
         ops in vec_of(usizes(0..1 << 12), 1..6),
     ) {
-        let outcome = run_case(&tree, &ops);
+        let outcome = run_case(Kind::Flat, &tree, &ops);
         prop_assert!(outcome.is_ok(), "{}", outcome.err().unwrap_or_default());
     }
+
+    /// The same property for a sharded document: every WAL prefix reopens
+    /// to the prefix oracle's tree and order, and its partitions answer
+    /// all nine axes like the oracle.
+    #[test]
+    fn every_sharded_wal_prefix_recovers_to_a_consistent_prefix_oracle(
+        tree in tree_strategy(14),
+        ops in vec_of(usizes(0..1 << 12), 1..6),
+    ) {
+        let outcome = run_case(Kind::Sharded, &tree, &ops);
+        prop_assert!(outcome.is_ok(), "{}", outcome.err().unwrap_or_default());
+    }
+}
+
+/// The fixed tree and script every deterministic case below runs.
+fn fixed_script() -> (XmlTree, Vec<usize>) {
+    let tree = xp_xmltree::parse("<t0><t1><t2/><t3/></t1><t2/><t1><t3/></t1></t0>").unwrap();
+    (tree, vec![0, 9, 2, 18, 3, 12, 6, 27, 35])
 }
 
 /// Deterministic single case for quick CI runs and debugging: a fixed tree
 /// and script through the same prefix machinery.
 #[test]
 fn fixed_script_every_prefix() {
-    let tree = xp_xmltree::parse("<t0><t1><t2/><t3/></t1><t2/><t1><t3/></t1></t0>").unwrap();
-    let ops: Vec<usize> = vec![0, 9, 2, 18, 3, 12, 6, 27, 35];
-    run_case(&tree, &ops).unwrap();
+    let (tree, ops) = fixed_script();
+    run_case(Kind::Flat, &tree, &ops).unwrap();
+}
+
+/// The fixed script through a sharded store.
+#[test]
+fn fixed_script_every_sharded_prefix() {
+    let (tree, ops) = fixed_script();
+    run_case(Kind::Sharded, &tree, &ops).unwrap();
 }

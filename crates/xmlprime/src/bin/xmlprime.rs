@@ -562,8 +562,9 @@ fn apply_mutation<S: DynamicScheme>(
 }
 
 /// The `--shards` path: the same mutation, routed through the shard
-/// facade so only the touched shard's labels move; reports which shards
-/// the mutation (plus any split/merge maintenance) dirtied.
+/// facade so only the touched shard's labels move; reports how many
+/// shards the mutation dirtied, those a relabeled stub cascaded into
+/// included.
 fn apply_mutation_sharded(
     opts: &MutationOpts,
     flag: &ShardsFlag,

@@ -74,8 +74,11 @@ done
 echo "==> shard-differential gate (shard facade vs unsharded oracle + fault matrix)"
 # Propcheck differential: random documents and mutation scripts through the
 # ShardedScheme facade must answer all nine axes exactly like the unsharded
-# scheme, per-op and batched, at every thread count; then the same pipeline
-# with each core fault site armed must fail typed, never torn. See
+# scheme, per-op and batched, at every thread count. Table partitions are
+# refreshed the way the server refreshes them (ShardedTables::refresh over
+# the drained dirty set), and one layout bounds shard size, so splits run
+# under the gate too. Then the same pipeline with each core fault site
+# armed must fail typed, never torn. See
 # crates/query/tests/shard_differential.rs and DESIGN.md §13.
 cargo test -q --offline -p xp-query --test shard_differential > /dev/null
 for site in sc.insert sc.insert.record sc.relabel sc.remove bignum.mul; do
@@ -169,12 +172,16 @@ echo "==> store crash matrix (fault sites x failure modes, in-process)"
 cargo test -q --offline -p xp-store --test crash_matrix > /dev/null
 echo "OK: every injected I/O failure recovers to a consistent prefix."
 
-echo "==> store prefix-replay property (every WAL byte prefix recovers)"
-# Random documents and mutation scripts; every byte-length prefix of the
-# resulting WAL (plus torn-tail garbage) must reopen to the exact
-# mutation-prefix oracle, consistent on all nine query axes.
-cargo test -q --offline -p xp-store --test prefix_replay > /dev/null
-echo "OK: every WAL prefix replays to a consistent prefix oracle."
+echo "==> store prefix-replay property (every WAL byte prefix recovers, both store kinds)"
+# Random documents and mutation scripts through the flat Store and through
+# a ShardedDocStore (cut depth 1, one batch per mutation); every
+# byte-length prefix of the resulting WAL (plus torn-tail garbage) must
+# reopen to the exact mutation-prefix oracle, consistent on all nine query
+# axes. Run under the serial fallback and a parallel pool.
+for threads in 1 8; do
+    XP_THREADS=$threads cargo test -q --offline -p xp-store --test prefix_replay > /dev/null
+done
+echo "OK: every WAL prefix of either store kind replays to a consistent prefix oracle."
 
 echo "==> store kill harness (real process abort at every fault site)"
 # The test binary re-executes itself and dies via std::process::abort() at
