@@ -57,6 +57,20 @@ fn fig16_matches_golden_values() {
 }
 
 #[test]
+fn update_counts_match_the_checked_in_csvs() {
+    // Figures 17 and 18 and the chunk-size ablation are pure counts (the
+    // storage column holds bit lengths of canonical SC values), so any
+    // change to SC maintenance must leave them byte-identical to what
+    // `emit()` wrote.
+    assert_eq!(updates::fig17().to_csv(), include_str!("../../../results/fig17_update_nonleaf.csv"));
+    assert_eq!(updates::fig18(5).to_csv(), include_str!("../../../results/fig18_ordered_update.csv"));
+    assert_eq!(
+        updates::ablation_chunk_size().to_csv(),
+        include_str!("../../../results/ablation_chunk_size.csv")
+    );
+}
+
+#[test]
 fn tab02_matches_golden_values() {
     // Table 2's cardinalities on the seeded 5-replica Shakespeare corpus:
     // every evaluation strategy must reproduce them exactly.

@@ -3,8 +3,9 @@
 //!
 //! These are the primitives behind §4 of the paper: the Chinese Remainder
 //! Theorem solver that folds document order into a simultaneous-congruence
-//! (SC) value needs modular inverses (or, in the paper's Euler-totient
-//! formulation, modular powers) of the cofactors `C / mᵢ`.
+//! (SC) value needs the inverse of the running modulus product modulo each
+//! new modulus (or, in the paper's Euler-totient formulation, modular powers
+//! of the cofactors `C / mᵢ`).
 
 use crate::{IBig, UBig};
 
@@ -86,9 +87,9 @@ pub fn mod_inverse(a: &UBig, m: &UBig) -> Option<UBig> {
 /// Machine-word modular inverse: the unique `x` in `[0, m)` with
 /// `a*x ≡ 1 (mod m)`, or `None` when `gcd(a, m) != 1`.
 ///
-/// The SC basis constructor inverts cofactor residues modulo word-sized
-/// self-labels on every record rebuild; doing the extended Euclid in `i128`
-/// avoids round-tripping through heap-allocated [`UBig`]s.
+/// Each step of the SC table's CRT fold inverts the running product's
+/// residue modulo a word-sized self-label; doing the extended Euclid in
+/// `i128` avoids round-tripping through heap-allocated [`UBig`]s.
 pub fn mod_inverse_u64(a: u64, m: u64) -> Option<u64> {
     if m <= 1 {
         return None;
@@ -179,20 +180,6 @@ pub fn euler_phi_u64(n: u64) -> u64 {
         result -= result / n;
     }
     result
-}
-
-/// Solves the two-congruence system `x ≡ r1 (mod m1)`, `x ≡ r2 (mod m2)` for
-/// coprime moduli; returns the unique solution in `[0, m1*m2)`, or `None` if
-/// the moduli are not coprime.
-pub fn crt_pair(r1: &UBig, m1: &UBig, r2: &UBig, m2: &UBig) -> Option<UBig> {
-    // Canonicalize residues, then x = r1 + m1*t with
-    // t ≡ (r2 - r1) · m1^{-1} (mod m2), giving x in [0, m1*m2).
-    let r1 = r1 % m1;
-    let r2 = r2 % m2;
-    let inv = mod_inverse(m1, m2)?;
-    let diff = (IBig::from(r2) - IBig::from(r1.clone())).rem_euclid(m2);
-    let t = &diff * &inv % m2;
-    Some(&r1 + &(m1 * &t))
 }
 
 #[cfg(test)]
@@ -305,26 +292,5 @@ mod tests {
         assert_eq!(euler_phi_u64(97), 96); // prime
         assert_eq!(euler_phi_u64(360), 96);
         assert_eq!(euler_phi_u64(0), 0);
-    }
-
-    #[test]
-    fn crt_pair_paper_example() {
-        // §4.2: x ≡ 7 (mod 13), x ≡ 3 (mod 17) — the updated-SC example.
-        let x = crt_pair(&u(7), &u(13), &u(3), &u(17)).unwrap();
-        assert_eq!(&x % u(13), u(7));
-        assert_eq!(&x % u(17), u(3));
-        assert!(x < u(13 * 17));
-    }
-
-    #[test]
-    fn crt_pair_rejects_common_factor() {
-        assert_eq!(crt_pair(&u(1), &u(6), &u(2), &u(9)), None);
-    }
-
-    #[test]
-    fn crt_pair_handles_r1_larger_than_m1() {
-        let x = crt_pair(&u(58), &u(3), &u(2), &u(4)).unwrap();
-        assert_eq!(&x % u(3), u(1));
-        assert_eq!(&x % u(4), u(2));
     }
 }

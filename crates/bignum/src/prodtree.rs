@@ -7,8 +7,8 @@
 //! operands of equal size at every level, so the total is `O(M(B) log k)`
 //! for a `B`-bit result, and the big multiplications near the root go
 //! through the Karatsuba layer that a skewed accumulator never reaches.
-//! `ScTable::build` and the SC basis constructor batch their chunk products
-//! through here.
+//! `ScTable::build` and the SC table's record re-solves (relabel, removal)
+//! batch their chunk products through here.
 
 use crate::checked::{mul_u64_within, mul_within, BudgetError};
 use crate::UBig;

@@ -4,7 +4,7 @@
 //! limbs.
 
 use xp_bignum::{modular, UBig};
-use xp_testkit::propcheck::{constant, one_of, u64s, u8s, vec_of, Gen};
+use xp_testkit::propcheck::{u64s, u8s, vec_of, Gen};
 use xp_testkit::refint::RefUint;
 use xp_testkit::{prop_assert, prop_assert_eq, prop_assume, propcheck};
 
@@ -147,19 +147,5 @@ propcheck! {
             }
             None => prop_assert!(!modular::gcd(&a, &m).is_one()),
         }
-    }
-
-    #[test]
-    fn crt_pair_satisfies_both_congruences(
-        r1 in u64s(0..10_000), p1 in one_of([3u64, 5, 7, 11, 13, 17, 19, 23].map(constant).to_vec()),
-        r2 in u64s(0..10_000), p2 in one_of([29u64, 31, 37, 41, 43, 47, 53].map(constant).to_vec()),
-    ) {
-        let x = modular::crt_pair(
-            &UBig::from(r1), &UBig::from(p1),
-            &UBig::from(r2), &UBig::from(p2),
-        ).unwrap();
-        prop_assert_eq!(x.rem_u64(p1), r1 % p1);
-        prop_assert_eq!(x.rem_u64(p2), r2 % p2);
-        prop_assert!(x < UBig::from(p1 * p2));
     }
 }

@@ -7,18 +7,24 @@
 //!
 //! Two solvers are provided:
 //!
-//! * [`solve`] — incremental folding with extended-Euclid modular inverses,
-//!   the standard O(k) construction (also what the paper's worked update
-//!   example in §4.2 does pair by pair).
+//! * [`solve`] — folds [`extend`] over the system, one congruence at a time
+//!   (Garner's construction, and what the paper's worked update example in
+//!   §4.2 does pair by pair). Each step works modulo one word-sized modulus:
+//!   a few passes over the limbs of the growing solution, no bignum
+//!   division. The SC table computes every SC value through this fold,
+//!   [`extend`], or its whole-record `SC + 1` shift.
 //! * [`solve_euler`] — the paper's formulation via Euler's totient:
 //!   `x = Σᵢ (C/mᵢ)^φ(mᵢ) · nᵢ mod C`. Since `gcd(C/mᵢ, mᵢ) = 1`,
 //!   Euler's theorem gives `(C/mᵢ)^φ(mᵢ) ≡ 1 (mod mᵢ)`, while every other
 //!   `mⱼ` divides `C/mᵢ`; so each term contributes `nᵢ` at position i and 0
 //!   elsewhere. (The paper prints the formula with the totient as a factor
 //!   rather than an exponent — a typo; as printed it is not a CRT solution.)
+//!   It is the reference the fold is tested against.
 //!
-//! The ablation bench `ablation_crt` compares the two.
+//! `cargo bench -p xp-bench --bench ablations` times the two (group
+//! `crt_solver`).
 
+use xp_bignum::reduce::Reducer64;
 use xp_bignum::{modular, UBig};
 
 /// Why a CRT system could not be solved.
@@ -36,9 +42,9 @@ pub enum CrtError {
     /// A modulus was 0 (1 is allowed but useless).
     ZeroModulus,
     /// A congruence could not be folded into an already-accumulated system:
-    /// the caller's cached product shares a factor with `modulus`, so the two
-    /// fell out of sync (the pairwise check, which would name the offending
-    /// pair, was bypassed or its inputs drifted).
+    /// the caller's cached product shares a factor with `modulus`. Only
+    /// [`extend`] reports this, since it sees the product but not the
+    /// moduli; [`solve`] names the offending pair instead.
     Inconsistent {
         /// The modulus that failed to fold into the accumulated product.
         modulus: u64,
@@ -60,37 +66,27 @@ impl std::fmt::Display for CrtError {
 
 impl std::error::Error for CrtError {}
 
-fn validate(moduli: &[u64], residues: &[u64]) -> Result<(), CrtError> {
+/// The O(k) shape checks both solvers share: equal lengths, no zero modulus.
+fn check_shape(moduli: &[u64], residues: &[u64]) -> Result<(), CrtError> {
     if moduli.len() != residues.len() {
         return Err(CrtError::LengthMismatch);
     }
     if moduli.contains(&0) {
         return Err(CrtError::ZeroModulus);
     }
-    for (i, &a) in moduli.iter().enumerate() {
-        for &b in &moduli[i + 1..] {
-            if !modular::coprime(&UBig::from(a), &UBig::from(b)) {
-                return Err(CrtError::NotCoprime { a, b });
-            }
-        }
-    }
     Ok(())
 }
 
-/// Solves the system by incrementally folding one congruence at a time with
-/// extended-Euclid inverses. Returns `SC ∈ [0, Πmᵢ)`.
+/// Solves the system by folding [`extend`] over it, one congruence at a
+/// time. Returns `SC ∈ [0, Πmᵢ)`. A modulus that fails to fold is reported
+/// with the earlier modulus it shares a factor with.
 pub fn solve(moduli: &[u64], residues: &[u64]) -> Result<UBig, CrtError> {
-    validate(moduli, residues)?;
+    check_shape(moduli, residues)?;
     let mut x = UBig::zero();
-    let mut m_acc = UBig::one();
+    let mut product = UBig::one();
     for (i, (&m, &r)) in moduli.iter().zip(residues).enumerate() {
-        // `validate` proved pairwise coprimality, so `crt_pair` cannot fail
-        // here — but surface it as an error rather than aborting if the two
-        // ever fall out of sync, naming the earlier modulus that actually
-        // conflicts so the diagnostic points at the real pair.
-        x = modular::crt_pair(&x, &m_acc, &UBig::from(r), &UBig::from(m))
-            .ok_or_else(|| conflict_with_earlier(&moduli[..i], m))?;
-        m_acc = &m_acc * &UBig::from(m);
+        x = extend(&x, &product, m, r).map_err(|_| conflict_with_earlier(&moduli[..i], m))?;
+        product.mul_u64_assign(m);
     }
     Ok(x)
 }
@@ -108,7 +104,14 @@ fn conflict_with_earlier(earlier: &[u64], m: u64) -> CrtError {
 /// Solves the system with the paper's Euler-totient construction:
 /// `x = Σ (C/mᵢ)^φ(mᵢ) · nᵢ mod C`.
 pub fn solve_euler(moduli: &[u64], residues: &[u64]) -> Result<UBig, CrtError> {
-    validate(moduli, residues)?;
+    check_shape(moduli, residues)?;
+    // The formula silently yields a wrong answer for a shared factor, so
+    // check every pair first.
+    for (j, &m) in moduli.iter().enumerate() {
+        if let err @ CrtError::NotCoprime { .. } = conflict_with_earlier(&moduli[..j], m) {
+            return Err(err);
+        }
+    }
     let mut c = UBig::one();
     for &m in moduli {
         c *= UBig::from(m);
@@ -124,15 +127,42 @@ pub fn solve_euler(moduli: &[u64], residues: &[u64]) -> Result<UBig, CrtError> {
     Ok(x)
 }
 
-/// Extends an existing solution: given `x ≡ old (mod old_product)`, adds the
-/// congruence `x ≡ r (mod m)` — the paper's §4.2 update step
-/// (`x mod 13 = 7, x mod 17 = 3`).
+/// Extends a solution by one congruence — the paper's §4.2 update step
+/// (`x mod 13 = 7, x mod 17 = 3`): given `x ≡ old (mod old_product)`,
+/// returns the canonical `x ∈ [0, old_product·m)` that also satisfies
+/// `x ≡ r (mod m)`. `old` and `r` may exceed their moduli.
+///
+/// One Garner step over the word modulus `m`: with `P = old_product` and
+/// `x₀ = old mod P`, the answer is `x₀ + P·t` for
+/// `t = (r − x₀)·P⁻¹ mod m`. Both residues come from one [`Reducer64`], the
+/// inverse from [`modular::mod_inverse_u64`], and the only bignum work is
+/// one `mul_u64` and one addition. Fails with
+/// [`CrtError::Inconsistent`] when `P` shares a factor with `m`; the caller
+/// holds only the product, so no conflicting pair can be named here.
 pub fn extend(old: &UBig, old_product: &UBig, m: u64, r: u64) -> Result<UBig, CrtError> {
-    // The caller holds only the accumulated product, not the member list, so
-    // no conflicting *pair* can be named here: report the one modulus that
-    // failed to fold instead of inventing a placeholder pair.
-    modular::crt_pair(old, old_product, &UBig::from(r), &UBig::from(m))
-        .ok_or(CrtError::Inconsistent { modulus: m })
+    if m == 0 || old_product.is_zero() {
+        return Err(CrtError::ZeroModulus);
+    }
+    let reduced;
+    let old = if old < old_product {
+        old
+    } else {
+        reduced = old % old_product;
+        &reduced
+    };
+    if m == 1 {
+        // Every x satisfies x ≡ r (mod 1): the solution stands.
+        return Ok(old.clone());
+    }
+    let red = Reducer64::new(m);
+    let inv = modular::mod_inverse_u64(red.rem(old_product), m)
+        .ok_or(CrtError::Inconsistent { modulus: m })?;
+    let (have, want) = (red.rem(old), r % m);
+    let diff = if want >= have { want - have } else { want + (m - have) };
+    let t = (u128::from(diff) * u128::from(inv) % u128::from(m)) as u64;
+    let mut x = old_product.mul_u64(t);
+    x += old;
+    Ok(x)
 }
 
 #[cfg(test)]
@@ -242,6 +272,16 @@ mod tests {
     }
 
     #[test]
+    fn extend_reduces_an_old_solution_above_its_product() {
+        // §4.2's update step, then an `old` far above its product: 58 ≡ 1
+        // (mod 3), so x ≡ 1 (mod 3), x ≡ 2 (mod 4) gives the canonical 10.
+        let x = extend(&UBig::from(7u64), &UBig::from(13u64), 17, 3).unwrap();
+        assert_eq!((x.rem_u64(13), x.rem_u64(17)), (7, 3));
+        assert!(x < UBig::from(13u64 * 17));
+        assert_eq!(extend(&UBig::from(58u64), &UBig::from(3u64), 4, 2).unwrap(), UBig::from(10u64));
+    }
+
+    #[test]
     fn large_chunk_of_primes() {
         // A realistic SC chunk: consecutive primes with arbitrary orders.
         let moduli: Vec<u64> = xp_primes::first_primes(25);
@@ -251,5 +291,67 @@ mod tests {
             assert_eq!(x.rem_u64(m), r % m, "mod {m}");
         }
         assert_eq!(x, solve_euler(&moduli, &residues).unwrap());
+    }
+
+    use xp_testkit::propcheck::{index, u64s, usizes, vec_of};
+    use xp_testkit::{prop_assert, prop_assert_eq, propcheck};
+
+    propcheck! {
+        #![config(cases = 64)]
+
+        /// On random systems of up to 64 distinct primes plus a modulus of 1,
+        /// with residues drawn past their moduli, the fold must equal the
+        /// paper's formula, and so must `extend` applied one congruence at a
+        /// time, also to a running solution left above its product. A
+        /// repeated factor must fail with a pair that really shares one.
+        #[test]
+        fn fold_matches_euler_and_stepwise_extend(
+            picks in vec_of(usizes(0..200), 0..65),
+            residues in vec_of(u64s(0..2_500), 66..67),
+            lifts in vec_of(u64s(0..3), 66..67),
+            one_at in index(),
+            shared_at in index(),
+            cofactor in index(),
+            bad_at in index(),
+        ) {
+            // The 200th prime is 1223, so residues reach past every modulus.
+            let pool = xp_primes::first_primes(200);
+            let mut moduli: Vec<u64> = Vec::new();
+            for &i in &picks {
+                if !moduli.contains(&pool[i]) {
+                    moduli.push(pool[i]);
+                }
+            }
+            let primes = moduli.clone();
+            moduli.insert(one_at.index(moduli.len() + 1), 1);
+            let x = solve(&moduli, &residues[..moduli.len()]).unwrap();
+            prop_assert_eq!(&x, &solve_euler(&moduli, &residues[..moduli.len()]).unwrap());
+
+            let mut folded = UBig::zero();
+            let mut product = UBig::one();
+            for ((&m, &r), &lift) in moduli.iter().zip(&residues).zip(&lifts) {
+                folded = extend(&(&folded + &product.mul_u64(lift)), &product, m, r).unwrap();
+                product.mul_u64_assign(m);
+            }
+            prop_assert_eq!(&folded, &x);
+
+            if primes.is_empty() {
+                return Ok(());
+            }
+            // The prime itself (a repeat) or a multiple of it.
+            let k = cofactor.index(pool.len() + 1);
+            let shared = primes[shared_at.index(primes.len())] * if k == 0 { 1 } else { pool[k - 1] };
+            let mut bad = moduli.clone();
+            bad.insert(bad_at.index(bad.len() + 1), shared);
+            for result in [solve(&bad, &residues[..bad.len()]), solve_euler(&bad, &residues[..bad.len()])] {
+                match result {
+                    Err(CrtError::NotCoprime { a, b }) => {
+                        prop_assert!(bad.contains(&a) && bad.contains(&b), "{a}, {b} not in {bad:?}");
+                        prop_assert!(!modular::coprime(&UBig::from(a), &UBig::from(b)), "{a}, {b}");
+                    }
+                    other => prop_assert!(false, "{bad:?} gave {other:?}"),
+                }
+            }
+        }
     }
 }

@@ -10,12 +10,14 @@
 //! (Figure 18 counts one "relabeling" per touched record).
 //!
 //! Maintenance is **incremental** (DESIGN.md §7). Each record caches its
-//! order column (so scans over clean records are pure `u64` passes — no
-//! bignum residue recomputation) and a precomputed CRT basis of idempotents
-//! `eᵢ ≡ 1 (mod mᵢ)`, `eᵢ ≡ 0 (mod mⱼ≠ᵢ)`. An order shift then updates the
-//! SC value by delta arithmetic — `SC += Σ Δrᵢ·eᵢ (mod C)` — instead of
-//! re-solving the whole system, and appending a member folds one congruence
-//! in via [`crt::extend`] against the cached product.
+//! order column, so scans over clean records are pure `u64` passes with no
+//! bignum residue recomputation. An insert then touches a record in one of
+//! three ways: a shift that moves every member is `SC + 1` (each residue
+//! moves up by one); a shift that moves only some members re-solves the
+//! record from its cached orders through [`crt::solve`]; and appending a
+//! member folds one congruence in through [`crt::extend`] against the cached
+//! product. Records fill in prime-assignment order, so every shifted record
+//! except the one straddling the insertion point shifts whole.
 
 use crate::crt::{self, CrtError};
 use std::collections::HashMap;
@@ -26,7 +28,7 @@ use xp_testkit::fault::Injected;
 use xp_testkit::faultpoint;
 
 /// One SC record: a chunk of nodes folded into a single congruence value.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScRecord {
     /// Self-labels (CRT moduli) of the chunk's members, in insertion order.
     members: Vec<u64>,
@@ -39,65 +41,6 @@ pub struct ScRecord {
     sc: UBig,
     /// Largest self-label in the chunk — the paper's per-record index key.
     max_self: u64,
-    /// CRT basis: `basis[i] = Mᵢ·(Mᵢ⁻¹ mod mᵢ) mod C` with `Mᵢ = C/mᵢ` —
-    /// the idempotent that is 1 modulo `members[i]` and 0 modulo every other
-    /// member. Built once per member and journaled with the record.
-    basis: Vec<UBig>,
-}
-
-/// Builds the CRT basis for a member set with the given product: for each
-/// `mᵢ`, the cofactor `Mᵢ = C/mᵢ` times its inverse modulo `mᵢ`. A
-/// non-invertible cofactor means `mᵢ` shares a factor with another member;
-/// the error names the real conflicting pair.
-fn build_basis(members: &[u64], product: &UBig) -> Result<Vec<UBig>, CrtError> {
-    members
-        .iter()
-        .map(|&m| {
-            if m == 0 {
-                return Err(CrtError::ZeroModulus);
-            }
-            if m == 1 {
-                // Everything is ≡ 0 (mod 1): the zero element satisfies both
-                // basis congruences vacuously (1 is in-contract for CRT,
-                // though useless as a self-label).
-                return Ok(UBig::zero());
-            }
-            // One Möller–Granlund context per member covers both the
-            // cofactor division and its residue — the basis build is all
-            // divisions by the same small m.
-            let red = Reducer64::new(m);
-            let (cofactor, _) = red.divrem(product);
-            let inv = modular::mod_inverse_u64(red.rem(&cofactor), m)
-                .ok_or_else(|| basis_conflict(members, m))?;
-            Ok(cofactor.mul_u64(inv) % product)
-        })
-        .collect()
-}
-
-/// Names the pair that keeps `m`'s cofactor from being invertible: the first
-/// other member sharing a factor with `m` (a duplicate of `m` counts), or —
-/// if no pair explains it — an inconsistent system.
-fn basis_conflict(members: &[u64], m: u64) -> CrtError {
-    let mut skipped_self = false;
-    for &a in members {
-        if a == m && !skipped_self {
-            skipped_self = true;
-            continue;
-        }
-        if !modular::coprime(&UBig::from(a), &UBig::from(m)) {
-            return CrtError::NotCoprime { a, b: m };
-        }
-    }
-    CrtError::Inconsistent { modulus: m }
-}
-
-/// The canonical CRT solution as a basis combination: `Σ eᵢ·rᵢ mod C`.
-fn sc_from_basis(basis: &[UBig], orders: &[u64], product: &UBig) -> UBig {
-    let mut sc = UBig::zero();
-    for (e, &r) in basis.iter().zip(orders) {
-        sc += e.mul_u64(r);
-    }
-    sc % product
 }
 
 impl ScRecord {
@@ -136,73 +79,43 @@ impl ScRecord {
         &self.product
     }
 
-    /// The precomputed CRT basis (see [`ScRecord`] field docs).
-    pub fn basis(&self) -> &[UBig] {
-        &self.basis
+    /// Solves a record from its members and their orders: the product
+    /// through the balanced product tree (within the bit budget), the SC
+    /// value through [`crt::solve`]. Builds and member-set changes (relabel,
+    /// removal) come through here.
+    fn solve(members: Vec<u64>, orders: Vec<u64>, budget: u64) -> Result<Self, ScError> {
+        let product = prodtree::product_within(&members, budget)?;
+        let sc = crt::solve(&members, &orders)?;
+        let max_self = members.iter().copied().max().unwrap_or(0);
+        Ok(ScRecord { members, orders, product, sc, max_self })
     }
 
-    /// Rebuilds every derived column — product (via the balanced product
-    /// tree), SC, basis, max key — from `members` and the given order
-    /// column: the slow path for member-set changes (relabel, removal).
-    /// Pure order shifts use [`ScRecord::shift_from`] instead.
-    fn rebuild(&mut self, orders: Vec<u64>, budget: u64) -> Result<(), ScError> {
-        if orders.len() != self.members.len() {
-            return Err(CrtError::LengthMismatch.into());
+    /// Shifts every cached order `>= threshold` up by one and updates SC to
+    /// match. When every member shifts, the new SC is `SC + 1`: it is one
+    /// more than each old residue, and the insert pre-scan keeps every
+    /// shifted order below its self-label, so `SC + 1 < C`. When only some
+    /// members shift, the record is re-solved from its cached orders.
+    fn shift_from(&mut self, threshold: u64) -> Result<(), CrtError> {
+        let mut shifted = 0;
+        for o in &mut self.orders {
+            if *o >= threshold {
+                *o += 1;
+                shifted += 1;
+            }
         }
-        self.product = prodtree::product_within(&self.members, budget)?;
-        self.basis = build_basis(&self.members, &self.product)?;
-        self.sc = sc_from_basis(&self.basis, &orders, &self.product);
-        self.orders = orders;
-        self.max_self = self.members.iter().copied().max().unwrap_or(0);
+        match shifted {
+            0 => {}
+            n if n == self.orders.len() => self.sc += UBig::one(),
+            _ => self.sc = crt::solve(&self.members, &self.orders)?,
+        }
         Ok(())
     }
 
-    /// Shifts every cached order `>= threshold` up by one, updating SC by
-    /// delta arithmetic over the precomputed basis: `SC += Σ eᵢ (mod C)` for
-    /// the shifted members. No division, no re-solve.
-    fn shift_from(&mut self, threshold: u64) {
-        let mut delta = UBig::zero();
-        for (o, e) in self.orders.iter_mut().zip(&self.basis) {
-            if *o >= threshold {
-                *o += 1;
-                delta += e;
-            }
-        }
-        if !delta.is_zero() {
-            self.sc = (&self.sc + &delta) % &self.product;
-        }
-    }
-
     /// Appends a member by folding one congruence into the cached solution
-    /// ([`crt::extend`] against the cached product) and re-targeting the
-    /// basis to the widened modulus: each existing element picks up the
-    /// factor `m·(m⁻¹ mod mᵢ)`, which preserves `≡1 (mod mᵢ)` and zeroes it
-    /// modulo the newcomer; the newcomer's own element is
-    /// `C·(C⁻¹ mod m)`, already canonical below `C·m`.
+    /// ([`crt::extend`] against the cached product).
     fn append_member(&mut self, m: u64, order: u64, budget: u64) -> Result<(), ScError> {
         let new_product = mul_within(&self.product, &UBig::from(m), budget)?;
-        for (e, &mi) in self.basis.iter_mut().zip(&self.members) {
-            // mi == 1 keeps its zero element; any factor works, so skip the
-            // (undefined) inverse.
-            let inv = if mi == 1 {
-                1
-            } else {
-                modular::mod_inverse_u64(m % mi, mi)
-                    .ok_or(CrtError::NotCoprime { a: mi, b: m })?
-            };
-            let mut widened = e.mul_u64(m);
-            widened.mul_u64_assign(inv);
-            *e = widened % &new_product;
-        }
-        if m == 1 {
-            // ≡ 0 (mod 1) holds for any SC: zero element, solution unchanged.
-            self.basis.push(UBig::zero());
-        } else {
-            let inv = modular::mod_inverse_u64(Reducer64::new(m).rem(&self.product), m)
-                .ok_or_else(|| basis_conflict(&self.members, m))?;
-            self.basis.push(self.product.mul_u64(inv));
-            self.sc = crt::extend(&self.sc, &self.product, m, order)?;
-        }
+        self.sc = crt::extend(&self.sc, &self.product, m, order)?;
         self.product = new_product;
         self.members.push(m);
         self.orders.push(order);
@@ -386,30 +299,22 @@ impl ScTable {
             product_bit_budget: DEFAULT_PRODUCT_BIT_BUDGET,
             journal: Journal::default(),
         };
-        // Each chunk's record — the product tree, CRT basis, and SC fold —
-        // depends only on that chunk, so records solve concurrently on the
-        // xp_par pool. Merging in chunk order afterwards reproduces the
-        // sequential error precedence exactly: chunk i's solve error
-        // surfaces before chunk i's duplicate-label check, which surfaces
-        // before anything about chunk i+1. Fault-injection state (hit
-        // counters, PRNG) is per-thread, so when any site is armed the
-        // chunks solve sequentially on this thread instead — an Nth trigger
-        // must count `bignum.mul` hits in document order.
+        // Each chunk's record — the product tree and SC fold — depends only
+        // on that chunk, so records solve concurrently on the xp_par pool.
+        // Merging in chunk order afterwards reproduces the sequential error
+        // precedence exactly: chunk i's solve error surfaces before chunk
+        // i's duplicate-label check, which surfaces before anything about
+        // chunk i+1. Fault-injection state (hit counters, PRNG) is
+        // per-thread, so when any site is armed the chunks solve
+        // sequentially on this thread instead — an Nth trigger must count
+        // `bignum.mul` hits in document order.
         let budget = table.product_bit_budget;
-        let solve = |chunk: &[(u64, u64)]| -> Result<ScRecord, ScError> {
-            let members: Vec<u64> = chunk.iter().map(|&(m, _)| m).collect();
-            let orders: Vec<u64> = chunk.iter().map(|&(_, o)| o).collect();
-            let product = prodtree::product_within(&members, budget)?;
-            let basis = build_basis(&members, &product)?;
-            let sc = sc_from_basis(&basis, &orders, &product);
-            Ok(ScRecord {
-                max_self: members.iter().copied().max().unwrap_or(0),
-                members,
-                orders,
-                product,
-                sc,
-                basis,
-            })
+        let solve = |chunk: &[(u64, u64)]| {
+            ScRecord::solve(
+                chunk.iter().map(|&(m, _)| m).collect(),
+                chunk.iter().map(|&(_, o)| o).collect(),
+                budget,
+            )
         };
         let chunks: Vec<&[(u64, u64)]> = items.chunks(chunk_capacity).collect();
         let solved: Vec<Result<ScRecord, ScError>> = if xp_testkit::fault::active() {
@@ -553,14 +458,13 @@ impl ScTable {
     }
 
     /// Verifies every record's cached columns against their definitions —
-    /// `orders[i] == SC mod mᵢ`, `product == Π mᵢ`, `basis[i] ≡ 1 (mod mᵢ)`
-    /// and `≡ 0` modulo every other member, `SC < product` — plus the
+    /// `orders[i] == SC mod mᵢ`, `product == Π mᵢ`, `SC < product` — plus the
     /// locator and the `max_order` bound. The incremental maintenance paths
     /// must preserve these exactly; the differential tests call this after
     /// every mutation and recovery. Costs O(n) bignum divisions.
     pub fn check_cached_columns(&self) -> Result<(), String> {
         for (idx, r) in self.records.iter().enumerate() {
-            if r.orders.len() != r.members.len() || r.basis.len() != r.members.len() {
+            if r.orders.len() != r.members.len() {
                 return Err(format!("record {idx}: ragged cached columns"));
             }
             if prodtree::product(&r.members) != r.product {
@@ -572,28 +476,16 @@ impl ScTable {
             if r.max_self != r.members.iter().copied().max().unwrap_or(0) {
                 return Err(format!("record {idx}: stale max_self key"));
             }
-            // One reducer per member, reused across the SC check and the
-            // i×j basis sweep below — the check is O(k²) residues by the
-            // same k divisors.
-            let reducers: Vec<Reducer64> = r.members.iter().map(|&m| Reducer64::new(m)).collect();
-            for (i, (&m, &o)) in r.members.iter().zip(&r.orders).enumerate() {
-                if reducers[i].rem(&r.sc) != o {
-                    return Err(format!("record {idx}: cached order of member {m} is {o}, SC says {}", reducers[i].rem(&r.sc)));
+            for (&m, &o) in r.members.iter().zip(&r.orders) {
+                let residue = Reducer64::new(m).rem(&r.sc);
+                if residue != o {
+                    return Err(format!("record {idx}: cached order of member {m} is {o}, SC says {residue}"));
                 }
                 if o > self.max_order {
                     return Err(format!("member {m}: order {o} above the max_order bound {}", self.max_order));
                 }
                 if self.locator.get(&m) != Some(&idx) {
                     return Err(format!("locator does not map member {m} to record {idx}"));
-                }
-                for (j, &mj) in r.members.iter().enumerate() {
-                    let want = u64::from(i == j);
-                    if reducers[j].rem(&r.basis[i]) != want % mj {
-                        return Err(format!("record {idx}: basis[{i}] mod {mj} != {want}"));
-                    }
-                }
-                if r.basis[i] >= r.product {
-                    return Err(format!("record {idx}: basis[{i}] outside the modulus"));
                 }
             }
         }
@@ -665,7 +557,6 @@ impl ScTable {
                     product: UBig::one(),
                     sc: UBig::zero(),
                     max_self: 0,
-                    basis: Vec::new(),
                 });
                 self.records.len() - 1
             }
@@ -684,7 +575,7 @@ impl ScTable {
             faultpoint!("sc.insert.record")?;
             let record = &mut self.records[idx];
             if shifts_here {
-                record.shift_from(order);
+                record.shift_from(order)?;
             }
             if receiving {
                 record.append_member(self_label, order, budget)?;
@@ -724,17 +615,11 @@ impl ScTable {
 
         self.begin_journal();
         self.journal_record(idx);
-        let budget = self.product_bit_budget;
-        let record = &mut self.records[idx];
+        let record = &self.records[idx];
+        let members = record.members.iter().map(|&m| if m == old { new } else { m }).collect();
         let orders = record.orders.clone();
-        for m in &mut record.members {
-            if *m == old {
-                *m = new;
-            }
-        }
         faultpoint!("sc.relabel")?;
-        let record = &mut self.records[idx];
-        record.rebuild(orders, budget)?;
+        self.records[idx] = ScRecord::solve(members, orders, self.product_bit_budget)?;
         self.journal_locator(old);
         self.journal_locator(new);
         self.locator.remove(&old);
@@ -811,7 +696,9 @@ impl ScTable {
                 return Err(CodecError::Corrupt("SC value outside its modulus"));
             }
             let orders: Vec<u64> = members.iter().map(|&m| Reducer64::new(m).rem(&sc)).collect();
-            let basis = build_basis(&members, &product)
+            // Re-solving from the orders gives `sc` back, or names a pair of
+            // members that share a factor.
+            crt::solve(&members, &orders)
                 .map_err(|_| CodecError::Corrupt("members are not pairwise coprime"))?;
             records.push(ScRecord {
                 max_self: members.iter().copied().max().unwrap_or(0),
@@ -819,7 +706,6 @@ impl ScTable {
                 orders,
                 product,
                 sc,
-                basis,
             });
         }
         if !input.is_empty() {
@@ -849,20 +735,16 @@ impl ScTable {
         self.journal_record(idx);
         self.journal_locator(self_label);
         self.locator.remove(&self_label);
-        let budget = self.product_bit_budget;
-        let record = &mut self.records[idx];
-        let mut orders = Vec::with_capacity(record.members.len().saturating_sub(1));
-        let mut members = Vec::with_capacity(record.members.len().saturating_sub(1));
-        for (&m, &o) in record.members.iter().zip(&record.orders) {
-            if m != self_label {
-                members.push(m);
-                orders.push(o);
-            }
-        }
-        record.members = members;
+        let record = &self.records[idx];
+        let (members, orders) = record
+            .members
+            .iter()
+            .copied()
+            .zip(record.orders.iter().copied())
+            .filter(|&(m, _)| m != self_label)
+            .unzip();
         faultpoint!("sc.remove")?;
-        let record = &mut self.records[idx];
-        record.rebuild(orders, budget)?;
+        self.records[idx] = ScRecord::solve(members, orders, self.product_bit_budget)?;
         self.commit_journal();
         Ok(true)
     }
@@ -1208,6 +1090,31 @@ mod tests {
     }
 
     #[test]
+    fn decode_rejects_corrupt_records() {
+        use xp_labelkit::codec::{write_bytes, write_varint};
+        use xp_labelkit::CodecError::Corrupt;
+        // A chunk-capacity-5 table of one record holding `members` and `sc`.
+        let encode = |members: &[u64], sc: u64| {
+            let mut out = Vec::new();
+            write_varint(&mut out, 5);
+            write_varint(&mut out, 1);
+            write_varint(&mut out, members.len() as u64);
+            for &m in members {
+                write_varint(&mut out, m);
+            }
+            write_bytes(&mut out, &UBig::from(sc).to_le_bytes());
+            out
+        };
+        assert!(ScTable::decode(&encode(&[5, 7], 12)).is_ok(), "the well-formed control");
+        assert_eq!(
+            ScTable::decode(&encode(&[6, 9], 5)).unwrap_err(),
+            Corrupt("members are not pairwise coprime")
+        );
+        assert_eq!(ScTable::decode(&encode(&[5, 7], 35)).unwrap_err(), Corrupt("SC value outside its modulus"));
+        assert_eq!(ScTable::decode(&encode(&[5, 1], 3)).unwrap_err(), Corrupt("self-label below 2"));
+    }
+
+    #[test]
     fn capacity_one_degenerates_to_per_node_records() {
         let t = ScTable::build(1, &figure9_items()).unwrap();
         assert_eq!(t.record_count(), 6);
@@ -1217,42 +1124,10 @@ mod tests {
     }
 
     #[test]
-    fn basis_solution_matches_crt_solver() {
-        // The basis combination Σ eᵢrᵢ mod C must reproduce the canonical
-        // CRT solution for every prefix of a realistic chunk.
-        let moduli = xp_primes::first_primes(12);
-        let residues: Vec<u64> = moduli.iter().enumerate().map(|(i, _)| i as u64 + 1).collect();
-        for k in 0..=moduli.len() {
-            let product = prodtree::product(&moduli[..k]);
-            let basis = build_basis(&moduli[..k], &product).unwrap();
-            let via_basis = sc_from_basis(&basis, &residues[..k], &product);
-            let via_solve = crt::solve(&moduli[..k], &residues[..k]).unwrap();
-            assert_eq!(via_basis, via_solve, "k={k}");
-        }
-    }
-
-    #[test]
-    fn delta_shift_matches_full_resolve() {
-        // shift_from must land on exactly the SC value a fresh solve of the
-        // shifted system produces, for every threshold.
-        let items = roomy_items();
-        for threshold in 0..=7u64 {
-            let mut shifted = ScTable::build(6, &items).unwrap();
-            shifted.records[0].shift_from(threshold);
-            let resolved: Vec<(u64, u64)> = items
-                .iter()
-                .map(|&(m, o)| (m, if o >= threshold { o + 1 } else { o }))
-                .collect();
-            let want = ScTable::build(6, &resolved).unwrap();
-            assert_eq!(shifted.records[0].sc, want.records[0].sc, "threshold {threshold}");
-            assert_eq!(shifted.records[0].orders, want.records[0].orders);
-        }
-    }
-
-    #[test]
     fn append_member_matches_build() {
-        // Folding one congruence in (basis re-target + crt::extend) must be
-        // indistinguishable from building the widened chunk from scratch.
+        // Folding one congruence in (crt::extend against the cached
+        // product) must be indistinguishable from building the widened
+        // chunk from scratch.
         let mut t = ScTable::build(10, &figure9_items()).unwrap();
         t.insert(17, 7).unwrap();
         t.insert(19, 8).unwrap();
@@ -1260,10 +1135,7 @@ mod tests {
         items.push((17, 7));
         items.push((19, 8));
         let built = ScTable::build(10, &items).unwrap();
-        assert_eq!(t.records[0].sc, built.records[0].sc);
-        assert_eq!(t.records[0].orders, built.records[0].orders);
-        assert_eq!(t.records[0].product, built.records[0].product);
-        assert_eq!(t.records[0].basis, built.records[0].basis);
+        assert_eq!(t.records[0], built.records[0]);
     }
 
     #[test]
@@ -1294,5 +1166,51 @@ mod tests {
         let report = t.insert(409, 41).unwrap();
         assert_eq!(report.records_updated, 1);
         t.check_cached_columns().unwrap();
+    }
+
+    use xp_testkit::propcheck::{u64s, usizes, vec_of};
+    use xp_testkit::{prop_assert_eq, propcheck};
+
+    propcheck! {
+        #![config(cases = 64)]
+
+        /// `shift_from` must leave a record equal to the one `ScTable::build`
+        /// solves for the shifted orders, with consistent cached columns,
+        /// whether no member, every member or only some members shift.
+        /// Every case runs its random threshold plus one threshold per kind:
+        /// the lowest order (all shift), the highest (some shift, since the
+        /// orders are distinct) and one past it (none shift).
+        #[test]
+        fn delta_shift_matches_full_resolve(
+            gaps in vec_of(u64s(1..8), 2..10),
+            rotate in usizes(0..10),
+            threshold in u64s(0..64),
+        ) {
+            // Distinct orders in an unsorted insertion order: prefix sums of
+            // the gaps, rotated. They stay below 64 and the members are the
+            // primes from 67 on, so a shift never overflows.
+            let mut orders: Vec<u64> = gaps
+                .iter()
+                .scan(0, |sum, &g| {
+                    *sum += g;
+                    Some(*sum)
+                })
+                .collect();
+            orders.rotate_left(rotate % gaps.len());
+            let low = orders.iter().copied().min().unwrap();
+            let high = orders.iter().copied().max().unwrap();
+            let primes = xp_primes::first_primes(18 + orders.len());
+            let items: Vec<(u64, u64)> = primes[18..].iter().copied().zip(orders).collect();
+            for t in [threshold, low, high, high + 1] {
+                let mut shifted = ScTable::build(items.len(), &items).unwrap();
+                shifted.records[0].shift_from(t).unwrap();
+                let resolved: Vec<(u64, u64)> =
+                    items.iter().map(|&(m, o)| (m, if o >= t { o + 1 } else { o })).collect();
+                let want = ScTable::build(items.len(), &resolved).unwrap();
+                prop_assert_eq!(&shifted.records[0], &want.records[0], "threshold {}", t);
+                shifted.max_order = want.max_order;
+                prop_assert_eq!(shifted.check_cached_columns(), Ok(()), "threshold {}", t);
+            }
+        }
     }
 }

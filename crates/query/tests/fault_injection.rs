@@ -223,10 +223,11 @@ fn query_join_fault_surfaces_as_a_typed_query_error() {
 
 /// First point of divergence between two SC tables, or `None` when they are
 /// indistinguishable record-for-record: same members, cached order columns,
-/// SC values, modulus products, CRT bases, and locator assignments. This is
+/// SC values, modulus products, max keys, and locator assignments. This is
 /// deliberately stronger than answer equality — the incremental maintenance
-/// paths (delta shifts, basis re-targeting) must land on byte-identical
-/// state, not merely equivalent answers.
+/// paths (`SC + 1` whole-record shifts, partial-shift re-solves,
+/// `crt::extend` appends) must land on byte-identical state, not merely
+/// equivalent answers.
 fn table_mismatch(a: &ScTable, b: &ScTable) -> Option<String> {
     if a.record_count() != b.record_count() {
         return Some(format!("{} records vs {}", a.record_count(), b.record_count()));
@@ -248,9 +249,6 @@ fn table_mismatch(a: &ScTable, b: &ScTable) -> Option<String> {
         if ra.product() != rb.product() {
             return Some(format!("record {i}: product {} vs {}", ra.product(), rb.product()));
         }
-        if ra.basis() != rb.basis() {
-            return Some(format!("record {i}: CRT bases differ"));
-        }
         if ra.max_self_label() != rb.max_self_label() {
             return Some(format!("record {i}: max keys differ"));
         }
@@ -270,7 +268,7 @@ propcheck! {
 
     /// A table grown one `insert` at a time must be record-for-record equal
     /// to `ScTable::build` over the final item set: the incremental path
-    /// (cached orders, delta SC updates, basis re-targeting, `crt::extend`)
+    /// (cached orders, `SC + 1` shifts, partial-shift re-solves, `crt::extend`)
     /// may not drift from batch construction in any column.
     #[test]
     fn grown_table_equals_batch_built_table(

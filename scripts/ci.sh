@@ -145,10 +145,12 @@ echo "OK: incremental LabelTable patching beats rebuild and stays O(report)."
 
 echo "==> SC-maintenance bench smoke (incremental insert vs rebuild)"
 # Small-size wall-clock gate for the incremental SC update path: fails if a
-# tail append's median cost exceeds rebuilding the table from scratch, or if
+# tail append's median cost exceeds rebuilding the table from scratch, if
 # per-insert cost grows superlinearly in table size (the old pre-scan
-# re-derived every member's order, making appends quadratic). Does not touch
-# the checked-in results/bench_sc_table.json.
+# re-derived every member's order, making appends quadratic), or if an
+# insert that shifts three quarters of a chunk-5 table's orders
+# (front_insert/5) costs more than building that table (build/5). Does not
+# touch the checked-in results/bench_sc_table.json.
 XP_BENCH_SAMPLES=8 XP_BENCH_MIN_WINDOW_MS=5 \
     cargo run -q --release --offline -p xp-bench --bin sc_maintenance -- --smoke
 echo "OK: incremental SC maintenance beats rebuild-from-scratch."
