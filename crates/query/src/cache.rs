@@ -8,8 +8,10 @@
 //! supplies that cache for the server's epoch-stamped snapshots:
 //!
 //! * [`TagFootprint`] — the set of element tags a parsed [`Path`] can read:
-//!   every `step.tag` plus every `[tag]` has-child predicate. A `*`
-//!   wildcard step makes the footprint universal (never survives).
+//!   every `step.tag` plus every `[tag]` has-child predicate, except that
+//!   an upward step (`parent`, `ancestor`, `ancestor-or-self`) adds only
+//!   its `[tag]` predicate. A `*` on a non-upward axis, or a `[*]`
+//!   predicate, makes the footprint universal (never survives).
 //! * [`TouchedTags`] — the set of tags a mutation batch touched, built from
 //!   [`RelabelReport`]s (tentpole invariant: the report's
 //!   inserted/relabeled/removed lists must cover every changed row — see
@@ -27,48 +29,61 @@
 //! A hit requires `entry.valid_from <= reader_epoch <= cache epoch`. Within
 //! that range the entry is exact because a path's result is a function of
 //! (a) the tag-filtered row sets of its footprint tags, (b) those rows'
-//! parent/label columns, (c) their text values, and (d) their relative
-//! document order — and every mutation that can change any of (a)–(d) for a
-//! tag appears in the touched set: inserts and relabels by the report's
+//! parent/label columns and ancestor chains, (c) the text values of those
+//! rows and their ancestors, and (d) the relative document order of all of
+//! them — and every mutation that can change any of (a)–(d) for a tag
+//! appears in the touched set: inserts and relabels by the report's
 //! lists, deletes by the removed list (subtrees are removed whole, so no
 //! surviving row's parent changes), moves by their delete+insert halves
 //! (fresh node ids on re-insert), and text is immutable for a live node.
 //! Pairwise order of untouched nodes is invariant under all five mutations.
-//! Any uncertainty (a failed multi-step mutation, a wildcard path) is
-//! handled conservatively: [`TouchedTags::mark_unknown`] flushes everything,
-//! wildcard paths are never cached as surviving.
+//!
+//! The ancestor-chain clause is why an upward step adds no tag of its own:
+//! its rows are ancestors of the previous step's rows, so the chains of
+//! rows already in the footprint determine them. It needs one report
+//! property beyond row coverage: a surviving node whose ancestor set
+//! changed is listed as inserted or relabeled. A wrap relabels the wrapped
+//! subtree, a move re-inserts it with fresh ids, and a sharded stub relabel
+//! dirties every shard below the stub; the `report_coverage` differential
+//! checks the property for every scheme.
+//!
+//! Any uncertainty (a failed multi-step mutation, a `*` on a non-upward
+//! axis) is handled conservatively: [`TouchedTags::mark_unknown`] flushes
+//! everything, and wildcard footprints never survive an advance.
 
-use crate::engine::Path;
+use crate::engine::{Axis, Path};
 use std::collections::{HashMap, HashSet};
 use xp_labelkit::dynamic::RelabelReport;
 use xp_xmltree::{NodeId, XmlTree};
 
 /// The element tags a parsed path can read: its step tags and has-child
-/// predicate tags. `wildcard` paths (`*` steps) read every tag.
+/// predicate tags, minus the step tags of upward steps. `wildcard` paths
+/// (a `*` on a non-upward axis, or a `[*]` predicate) read every tag.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TagFootprint {
-    /// `true` iff some step matches any element (`*`).
+    /// `true` iff some non-upward step or some `[tag]` predicate matches
+    /// any element (`*`).
     pub wildcard: bool,
     /// The named tags the path filters on.
     pub tags: HashSet<String>,
 }
 
 impl TagFootprint {
-    /// The footprint of `path`: every step tag (wildcards flip the
-    /// `wildcard` bit instead) and every `[tag]` existence predicate.
+    /// The footprint of `path`: every step tag and every `[tag]` existence
+    /// predicate (a `*` flips the `wildcard` bit instead). A `parent`,
+    /// `ancestor` or `ancestor-or-self` step adds only its predicate: its
+    /// rows are ancestors of rows the footprint already covers, and a
+    /// node's ancestor set changes only when a report names that node.
     pub fn of_path(path: &Path) -> TagFootprint {
         let mut fp = TagFootprint::default();
         for step in &path.steps {
-            if step.tag == "*" {
-                fp.wildcard = true;
-            } else {
-                fp.tags.insert(step.tag.clone());
-            }
-            if let Some(child) = &step.has_child {
-                if child == "*" {
+            let upward = matches!(step.axis, Axis::Parent | Axis::Ancestor | Axis::AncestorOrSelf);
+            let step_tag = (!upward).then_some(&step.tag);
+            for tag in step_tag.into_iter().chain(&step.has_child) {
+                if tag == "*" {
                     fp.wildcard = true;
                 } else {
-                    fp.tags.insert(child.clone());
+                    fp.tags.insert(tag.clone());
                 }
             }
         }
@@ -314,6 +329,55 @@ mod tests {
             assert!(fp.tags.contains(tag), "missing {tag}");
         }
         assert_eq!(fp.tags.len(), 4);
+    }
+
+    #[test]
+    fn upward_steps_add_only_their_existence_predicate() {
+        let tags = |text: &str| {
+            let fp = TagFootprint::of_path(&path(text));
+            assert!(!fp.wildcard, "{text} must not be universal");
+            let mut tags: Vec<String> = fp.tags.into_iter().collect();
+            tags.sort();
+            tags
+        };
+        for axis in ["parent", "ancestor", "ancestor-or-self"] {
+            for step in ["act", "*", "*[1]", "act[2]", "*[=\"x\"]"] {
+                assert_eq!(tags(&format!("//line/{axis}::{step}")), ["line"], "{axis}::{step}");
+            }
+            assert_eq!(tags(&format!("//line/{axis}::*[scene]")), ["line", "scene"]);
+            let below = tags(&format!("//line/{axis}::act[scene]/title"));
+            assert_eq!(below, ["line", "scene", "title"]);
+            // The parser rejects `[*]`, but a built step with one still reads
+            // every tag.
+            let mut p = path(&format!("//line/{axis}::act"));
+            p.steps[1].has_child = Some("*".into());
+            assert!(TagFootprint::of_path(&p).wildcard);
+        }
+        // A path that starts upward reads nothing: the document node has no
+        // ancestors.
+        assert_eq!(tags("/ancestor-or-self::*"), Vec::<String>::new());
+        // An entry over `line` survives a mutation that touched only the
+        // tags its upward steps might select.
+        let fp = TagFootprint::of_path(&path("//line/ancestor::act/parent::*"));
+        assert!(fp.survives(&touched(&["act", "scene", "play"])));
+        assert!(!fp.survives(&touched(&["line"])));
+    }
+
+    #[test]
+    fn a_star_on_any_other_axis_stays_universal() {
+        for axis in [
+            "child",
+            "descendant",
+            "following",
+            "preceding",
+            "following-sibling",
+            "preceding-sibling",
+        ] {
+            let fp = TagFootprint::of_path(&path(&format!("//line/{axis}::*")));
+            assert!(fp.wildcard, "{axis}::* must be universal");
+            assert!(!fp.survives(&touched(&["unrelated"])));
+        }
+        assert!(TagFootprint::of_path(&path("//*/parent::act")).wildcard);
     }
 
     #[test]

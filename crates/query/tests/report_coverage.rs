@@ -12,8 +12,14 @@
 //!
 //! * a node present after but not before must be in `inserted`,
 //! * a node present before but not after must be in `removed`,
-//! * a surviving node whose label **or parent** changed must be in
-//!   `inserted ∪ relabeled` (tags cannot change — there is no rename).
+//! * a surviving node whose label, parent **or ancestor list** changed
+//!   must be in `inserted ∪ relabeled` (tags cannot change — there is no
+//!   rename).
+//!
+//! The ancestor clause is what lets the cache give `parent`, `ancestor`
+//! and `ancestor-or-self` steps no tag of their own (DESIGN.md §14.2):
+//! their rows are read through the ancestor chains of rows the footprint
+//! names, so a chain that changes must put its node in the report.
 //!
 //! Over-reporting (listing an untouched node) is deliberately allowed: it
 //! costs cache precision, never correctness.
@@ -111,17 +117,18 @@ fn apply_random_op<S: DynamicScheme>(
 }
 
 /// One live row: everything the relational query layer derives answers
-/// from, per node.
-type Row<L> = (String, Option<NodeId>, L);
+/// from, per node, plus its ancestors from the parent up.
+type Row<L> = (String, Option<NodeId>, L, Vec<NodeId>);
 
 fn rows<S: DynamicScheme>(store: &LabeledStore<S>) -> HashMap<NodeId, Row<S::Label>> {
     store
         .tree()
         .elements()
         .filter_map(|n| {
-            let tag = store.tree().tag(n)?.to_owned();
+            let tree = store.tree();
+            let tag = tree.tag(n)?.to_owned();
             let label = store.doc().get(n)?.clone();
-            Some((n, (tag, store.tree().parent(n), label)))
+            Some((n, (tag, tree.parent(n), label, tree.ancestors(n).collect())))
         })
         .collect()
 }

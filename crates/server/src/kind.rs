@@ -508,6 +508,62 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Upward steps cache under their context's tags only, so wrapping an
+    /// ancestor of `t1` nodes in a fresh `t9`, which no warmed path names,
+    /// must still drop every warmed entry over `t1`: the wrap changes
+    /// those nodes' ancestor sets, and the report (flat) or the stub
+    /// cascade's dirty shards (sharded) name them. The first wrap sits
+    /// above a stub at every cut depth.
+    #[test]
+    fn wrapping_an_ancestor_refreshes_upward_step_answers() {
+        const XML: &str = "<t0><t0><t2><t0><t1/><t3/></t0><t1/></t2><t1/></t0>\
+                           <t3><t1/></t3><t0><t2><t1/></t2></t0></t0>";
+        const PATHS: [&str; 6] = [
+            "//t1/parent::*",
+            "//t1/ancestor::*",
+            "//t1/ancestor-or-self::*",
+            "//t1/ancestor::t9",
+            "//t1/ancestor-or-self::t0[1]",
+            "//t0//t1",
+        ];
+        fn check<K: DocKind>(lp: EpochLoop<K>) {
+            for _ in 0..2 {
+                for p in PATHS {
+                    query(&lp, p);
+                }
+            }
+            assert_eq!(lp.counters().stats().cache_hits, PATHS.len() as u64, "warm pass hits");
+            // In document order: the root, then <t0>, <t2>, <t0>, <t3>,
+            // <t0>, <t2>. Wrap the first <t0> (depth 1), the second (depth
+            // 3) and the last <t2> (depth 2).
+            let ancestors = snapshot(&lp).query(&Path::parse("//t1/ancestor::*").unwrap()).unwrap();
+            assert_eq!(ancestors.len(), 7);
+            let mut muts = Vec::new();
+            for target in [ancestors[1], ancestors[3], ancestors[6]] {
+                let wrap = Mutation::InsertParent { target, tag: "t9".into() };
+                let (_, _, results) = apply(&lp, std::slice::from_ref(&wrap));
+                assert!(results[0].is_ok());
+                muts.push(wrap);
+                assert_serves_like_oracle(&lp, xp_xmltree::parse(XML).unwrap(), 3, &muts, &PATHS);
+            }
+            drop(lp.shutdown());
+        }
+
+        let flat_dir = tmpdir("wrap-flat");
+        let mut flat = Store::create(&flat_dir).unwrap();
+        flat.add_document(URI, XML, 3).unwrap();
+        check(EpochLoop::start_with_cache(flat, BatchPolicy::default(), 64));
+        let _ = std::fs::remove_dir_all(&flat_dir);
+        for depth in 1..=3 {
+            let dir = tmpdir(&format!("wrap-sharded-{depth}"));
+            let tree = xp_xmltree::parse(XML).unwrap();
+            let store =
+                ShardedDocStore::create(&dir, URI, tree, 3, ShardPolicy::at_depth(depth)).unwrap();
+            check(EpochLoop::start_with_cache(store, BatchPolicy::default(), 64));
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
     /// A batch that grows a shard past the size bound splits it inside the
     /// commit; the published snapshot covers the new shard and answers
     /// like the unsharded oracle.

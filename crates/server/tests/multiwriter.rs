@@ -28,6 +28,7 @@ use xp_labelkit::{LabeledStore, Mutation};
 use xp_prime::DynamicPrime;
 use xp_query::engine::{eval_path, Path, TreeOrderOracle};
 use xp_query::relstore::LabelTable;
+use xp_query::TagFootprint;
 use xp_server::epoch::{ApplyJob, BatchPolicy, Counters, EpochLoop};
 use xp_server::protocol::{Request, Response};
 use xp_store::{verify, Store};
@@ -194,9 +195,10 @@ fn sampled_interleavings_converge_with_and_without_the_cache() {
 }
 
 /// Per-label invalidation, demonstrated: after warming every writer's
-/// queries, a mutation confined to writer 0's region must leave the other
-/// writers' non-wildcard entries hot — their tag footprints are disjoint
-/// from everything the relabel touched.
+/// queries, a mutation confined to writer 0's region must leave every
+/// other writer's entry with a non-wildcard footprint hot — their tag
+/// footprints are disjoint from everything the relabel touched. Upward
+/// `*` steps (`parent::*`, `ancestor-or-self::*`) count among them.
 #[test]
 fn cache_hits_survive_mutations_to_disjoint_regions() {
     let params = TraceParams { writers: 3, steps_per_writer: 4, region_breadth: 8, seed: 77 };
@@ -212,11 +214,14 @@ fn cache_hits_survive_mutations_to_disjoint_regions() {
         }
     }
     let warmed = server.counters.stats();
-    let wildcard_per_writer =
-        query_paths(0).iter().filter(|p| p.contains('*')).count() as u64;
+    let wildcard_per_writer = query_paths(0)
+        .iter()
+        .filter(|p| TagFootprint::of_path(&Path::parse(p).unwrap()).wildcard)
+        .count() as u64;
     let cacheable_per_writer = query_paths(0).len() as u64 - wildcard_per_writer;
+    assert_eq!(cacheable_per_writer, 11, "every path of the mix survives disjoint mutations");
     // No epoch advanced between the rounds, so round two hits on every
-    // path — wildcard entries only die at the next invalidation.
+    // path — wildcard entries would only die at the next invalidation.
     assert_eq!(
         warmed.cache_hits,
         params.writers as u64 * query_paths(0).len() as u64,

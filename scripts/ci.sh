@@ -107,6 +107,17 @@ echo "==> dynamic-differential gate (every scheme vs relabel-from-scratch oracle
 cargo test -q --offline -p xp-query --test dynamic_differential > /dev/null
 echo "OK: dynamic stores agree with the relabel oracle on every axis."
 
+echo "==> report-coverage gate (cache soundness)"
+# The query cache drops an entry only when a batch touched a tag in its
+# footprint, and a parent/ancestor/ancestor-or-self step adds no tag of
+# its own, so the footprint rule depends on ancestor-set coverage: every
+# scheme's relabel report, the sharded composite included, must name each
+# node it inserted or removed and each surviving node whose label, parent
+# or ancestor list changed. See crates/query/tests/report_coverage.rs and
+# DESIGN.md §14.2.
+cargo test -q --offline -p xp-query --test report_coverage > /dev/null
+echo "OK: relabel reports cover every changed row and ancestor chain."
+
 echo "==> rank-column gate (served document order vs SC mod self-label)"
 # A served snapshot reads ranks from a column it folds report by report.
 # The propcheck drives the prime scheme through every mutation kind and
@@ -236,9 +247,10 @@ echo "==> query-cache bench smoke (hit rate + zero stale answers + per-label inv
 # The epoch-stamped result cache under a 95/5 mix with mutations confined
 # to one region: fails if the hit rate is <= 50%, if any sampled cached
 # answer differs from a same-epoch cold evaluation, if a disjoint-region
-# entry goes cold after a region-0 mutation (invalidation must be
-# per-label, not flush-on-epoch), or if either pass diverges from the
-# direct-apply oracle. Does not touch the checked-in
+# entry goes cold after a mutation to the churned region (invalidation
+# must be per-label, not flush-on-epoch; other regions' upward-axis
+# entries such as `parent::*` must stay hot too), or if either pass
+# diverges from the direct-apply oracle. Does not touch the checked-in
 # results/bench_query_cache.json.
 cargo run -q --release --offline -p xp-bench --bin bench_query_cache -- --smoke
 echo "OK: cache answers stay byte-identical and invalidation is per-label."
