@@ -8,6 +8,11 @@
 //! [`RelabelReport`] is the ordered layer's own accounting: sibling inserts
 //! cost one label plus SC record updates, overflow victims and wrapped
 //! subtrees show up in `relabeled`, and deletions shift nothing.
+//!
+//! A failed mutation needs repair only on the tree side: an SC-table
+//! mutation that fails leaves the table as it was (see [`crate::sc`]).
+//! `repair_after_error` detaches whatever the mutation grafted into the
+//! tree and re-mirrors the overflow-victim relabels it committed first.
 
 use crate::error::Error;
 use crate::label::PrimeLabel;
@@ -265,19 +270,16 @@ impl DynamicScheme for DynamicPrime {
         a: NodeId,
         b: NodeId,
     ) -> Ordering {
-        // A node that lost its order (mid-recovery) sorts last; the store
-        // never exposes such nodes through its mirror table.
+        // A node with no order (its insert failed before reaching the SC
+        // table) sorts last; the store never exposes such nodes through
+        // its mirror table.
         let oa = state.try_order_of(a).unwrap_or(u64::MAX);
         let ob = state.try_order_of(b).unwrap_or(u64::MAX);
         oa.cmp(&ob)
     }
-
-    fn needs_recovery(&self, state: &Self::State) -> bool {
-        state.needs_recovery()
-    }
 }
 
-/// Self-label of `node` (for probing the SC table during recovery).
+/// Self-label of `node` (for probing the SC table during repair).
 fn order_self(state: &OrderedPrimeDoc, node: NodeId) -> u64 {
     state.labels().get(node).map(|l| l.self_label_u64()).unwrap_or(0)
 }

@@ -6,8 +6,17 @@
 //! [`ScTable`] capturing global document order, and implements the
 //! order-sensitive update protocol of §4.2 with the relabel accounting that
 //! Figure 18 reports.
+//!
+//! Every [`ScTable`] mutation either completes or leaves the table as it
+//! was (see [`crate::sc`]), so a failed update needs no rollback here. What
+//! a failure can leave behind is on the tree side: a node the update
+//! already labeled but never entered into the table, and any overflow
+//! victim relabeled before the failing step (those relabels are valid on
+//! their own). The dynamic-store layer detaches the former
+//! ([`crate::DynamicPrime`]).
 
 use crate::error::Error;
+use crate::path::DecodeError;
 use crate::sc::{ScError, ScTable};
 use crate::topdown::{PrimeDoc, PrimeOptions, TopDownPrime};
 use std::collections::HashMap;
@@ -121,8 +130,10 @@ impl OrderedPrimeDoc {
             covered += 1;
         }
         if sc.len() != covered {
-            // The table covers self-labels no reachable node carries.
-            return Err(Error::Sc(ScError::NeedsRecovery));
+            // The table covers a self-label no reachable node carries.
+            if let Some((orphan, _)) = sc.entries().find(|(m, _)| !node_of_self.contains_key(m)) {
+                return Err(Error::Decode(DecodeError::UnknownSelfLabel(orphan)));
+            }
         }
         let doc = PrimeDoc::from_persisted(labels, primes_handed_out);
         Ok(OrderedPrimeDoc { doc, sc, node_of_self })
@@ -133,18 +144,6 @@ impl OrderedPrimeDoc {
     /// [`OrderedPrimeDoc::from_parts`] resumes the same sequence.
     pub fn primes_handed_out(&self) -> u64 {
         self.doc.primes_handed_out()
-    }
-
-    /// `true` iff the SC table's last mutation failed partway and its
-    /// journal is still open (see [`ScTable::needs_recovery`]).
-    pub fn needs_recovery(&self) -> bool {
-        self.sc.needs_recovery()
-    }
-
-    /// Rolls back a half-applied SC mutation, if any. Returns `true` when
-    /// something was rolled back.
-    pub fn recover(&mut self) -> bool {
-        self.sc.recover()
     }
 
     /// The labels.
@@ -171,18 +170,14 @@ impl OrderedPrimeDoc {
     }
 
     /// Global order number of a node (root = 0), or a typed error when the
-    /// node carries no label, its self-label left the SC table, or the
-    /// table has an open journal from a failed mutation
-    /// ([`ScError::NeedsRecovery`] — run [`OrderedPrimeDoc::recover`]).
+    /// node carries no label or its self-label is not in the SC table.
     pub fn try_order_of(&self, node: NodeId) -> Result<u64, Error> {
         let label = self.doc.labels.get(node).ok_or(Error::UnknownNode(node))?;
         let self_label = label.self_label_u64();
         if self_label == 1 {
             return Ok(0); // the root
         }
-        self.sc
-            .try_order_of(self_label)?
-            .ok_or(Error::Sc(ScError::UnknownSelfLabel(self_label)))
+        self.sc.order_of(self_label).ok_or(Error::Sc(ScError::UnknownSelfLabel(self_label)))
     }
 
     /// The node carrying a given self-label.
@@ -287,9 +282,8 @@ impl OrderedPrimeDoc {
                 Ok(true) => touched += 1,
                 Ok(false) => {}
                 Err(e) => {
-                    // Roll the half-applied record change back so the
+                    // The failed removal left the table as it was, so the
                     // remaining covered nodes stay queryable.
-                    self.sc.recover();
                     self.node_of_self.remove(&s);
                     self.doc.labels.remove(n);
                     return Err(e.into());
@@ -301,21 +295,20 @@ impl OrderedPrimeDoc {
         Ok(touched)
     }
 
-    /// Crate-internal recovery hook for the dynamic-store layer: drops every
+    /// Crate-internal repair hook for the dynamic-store layer: drops every
     /// trace of `node` (label, self-label mapping, SC entry). Best-effort on
     /// the SC side — the entry may legitimately be absent for a node whose
-    /// insertion aborted before reaching the table.
+    /// insertion aborted before reaching the table, and a removal that
+    /// fails leaves an inert entry (primes are never reused).
     pub(crate) fn forget_node(&mut self, node: NodeId) {
         if let Some(label) = self.doc.labels.remove(node) {
             let s = label.self_label_u64();
             self.node_of_self.remove(&s);
-            if self.sc.remove(s).is_err() {
-                self.sc.recover();
-            }
+            let _ = self.sc.remove(s);
         }
     }
 
-    /// Crate-internal recovery hook: recomputes the label products of
+    /// Crate-internal repair hook: recomputes the label products of
     /// `target`'s subtree from its *current* parent, keeping every
     /// self-label (so the SC table needs no changes). Used to unwind a
     /// half-applied `insert_parent` after the wrapper is detached again.
@@ -339,26 +332,11 @@ impl OrderedPrimeDoc {
         Ok(())
     }
 
+    /// Enters the freshly labeled `node` into the SC table at `order`,
+    /// relabeling overflow victims until the insert fits. On error every
+    /// pre-existing node keeps its order; `node` keeps its label but has no
+    /// order, and retrying or detaching it is the caller's move.
     fn finish_ordered_insert(
-        &mut self,
-        tree: &XmlTree,
-        node: NodeId,
-        order: u64,
-        relabeled: Vec<NodeId>,
-    ) -> Result<OrderedInsertReport, Error> {
-        let result = self.finish_ordered_insert_inner(tree, node, order, relabeled);
-        if result.is_err() {
-            // A mid-mutation failure (injected fault, budget overrun) can
-            // leave the SC table's journal open: roll it back so every
-            // pre-existing node stays queryable. The new tree node keeps its
-            // label but has no order yet; retrying the insert through the SC
-            // table is the caller's move.
-            self.sc.recover();
-        }
-        result
-    }
-
-    fn finish_ordered_insert_inner(
         &mut self,
         tree: &XmlTree,
         node: NodeId,

@@ -18,6 +18,14 @@
 //! member folds one congruence in through [`crt::extend`] against the cached
 //! product. Records fill in prime-assignment order, so every shifted record
 //! except the one straddling the insertion point shifts whole.
+//!
+//! Every mutation **stages, then commits** (DESIGN.md §6.3). It first runs
+//! each fallible step — the fault points, the partial re-solves, the
+//! budgeted product and the [`crt::extend`] fold — into locals, and only
+//! then writes, with nothing left that can fail: whole-record shifts are
+//! applied in place, staged values are swapped in, and the locator and
+//! `max_order` are updated last. A call that returns an error has left the
+//! table exactly as it found it, so there is nothing to undo.
 
 use crate::crt::{self, CrtError};
 use std::collections::HashMap;
@@ -90,25 +98,41 @@ impl ScRecord {
         Ok(ScRecord { members, orders, product, sc, max_self })
     }
 
-    /// Shifts every cached order `>= threshold` up by one and updates SC to
-    /// match. When every member shifts, the new SC is `SC + 1`: it is one
-    /// more than each old residue, and the insert pre-scan keeps every
-    /// shifted order below its self-label, so `SC + 1 < C`. When only some
-    /// members shift, the record is re-solved from its cached orders.
-    fn shift_from(&mut self, threshold: u64) -> Result<(), CrtError> {
-        let mut shifted = 0;
-        for o in &mut self.orders {
-            if *o >= threshold {
-                *o += 1;
-                shifted += 1;
+    /// Plans shifting every cached order `>= threshold` up by one, without
+    /// writing. Only a partial shift does bignum work (and so can fail): it
+    /// re-solves the record from the shifted orders.
+    fn plan_shift(&self, threshold: u64) -> Result<Shift, CrtError> {
+        let shifted = self.orders.iter().filter(|&&o| o >= threshold).count();
+        Ok(match shifted {
+            0 => Shift::None,
+            n if n == self.orders.len() => Shift::Whole,
+            _ => {
+                let orders: Vec<u64> =
+                    self.orders.iter().map(|&o| if o >= threshold { o + 1 } else { o }).collect();
+                let sc = crt::solve(&self.members, &orders)?;
+                Shift::Partial { orders, sc }
+            }
+        })
+    }
+
+    /// Applies a planned shift; cannot fail. When every member shifts, the
+    /// new SC is `SC + 1`: it is one more than each old residue, and the
+    /// insert pre-scan keeps every shifted order below its self-label, so
+    /// `SC + 1 < C`.
+    fn apply_shift(&mut self, shift: Shift) {
+        match shift {
+            Shift::None => {}
+            Shift::Whole => {
+                for o in &mut self.orders {
+                    *o += 1;
+                }
+                self.sc += UBig::one();
+            }
+            Shift::Partial { orders, sc } => {
+                self.orders = orders;
+                self.sc = sc;
             }
         }
-        match shifted {
-            0 => {}
-            n if n == self.orders.len() => self.sc += UBig::one(),
-            _ => self.sc = crt::solve(&self.members, &self.orders)?,
-        }
-        Ok(())
     }
 
     /// Appends a member by folding one congruence into the cached solution
@@ -127,6 +151,17 @@ impl ScRecord {
         let i = self.members.iter().position(|&m| m == self_label)?;
         Some(self.orders[i])
     }
+}
+
+/// What an order shift does to one record, planned before anything is
+/// written.
+enum Shift {
+    /// No member's order reaches the threshold.
+    None,
+    /// Every member shifts: `SC + 1`, applied in place at commit.
+    Whole,
+    /// Some members shift: the shifted order column and its re-solved SC.
+    Partial { orders: Vec<u64>, sc: UBig },
 }
 
 /// Report of one order-sensitive insertion into the table.
@@ -163,14 +198,9 @@ pub enum ScError {
     /// A record's modulus product exceeded the table's bit-length budget
     /// (see [`ScTable::set_product_bit_budget`]).
     Budget(BudgetError),
-    /// An armed [`xp_testkit::fault`] point fired. If it fired mid-mutation,
-    /// [`ScTable::needs_recovery`] is `true` and [`ScTable::recover`] rolls
-    /// the table back.
+    /// An armed [`xp_testkit::fault`] point fired. Mutations stage every
+    /// fallible step before their first write, so the table is unchanged.
     FaultInjected(&'static str),
-    /// A previous mutation failed partway and its journal is still open:
-    /// reads through checked paths ([`ScTable::try_order_of`]) refuse to
-    /// answer until [`ScTable::recover`] rolls the table back.
-    NeedsRecovery,
 }
 
 impl From<CrtError> for ScError {
@@ -206,9 +236,6 @@ impl std::fmt::Display for ScError {
             ScError::InvalidChunkCapacity => write!(f, "chunks must hold at least one node"),
             ScError::Budget(e) => write!(f, "{e}"),
             ScError::FaultInjected(site) => write!(f, "injected fault at {site}"),
-            ScError::NeedsRecovery => {
-                write!(f, "table has an open journal; call recover() before reading")
-            }
         }
     }
 }
@@ -226,7 +253,7 @@ impl std::error::Error for ScError {}
 /// assert_eq!(table.records()[0].sc().to_string(), "29243");
 /// assert_eq!(table.order_of(5), Some(3)); // 29243 mod 5
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScTable {
     chunk_capacity: usize,
     records: Vec<ScRecord>,
@@ -239,8 +266,6 @@ pub struct ScTable {
     max_order: u64,
     /// Ceiling on any record's modulus product, in bits.
     product_bit_budget: u64,
-    /// In-memory write-ahead journal for the in-flight mutation.
-    journal: Journal,
 }
 
 /// Default ceiling on a record's modulus product: 1 Mibit. A chunk of k
@@ -248,30 +273,6 @@ pub struct ScTable {
 /// 64-bit members per record — far past any sane chunk capacity — while
 /// stopping runaway growth long before it exhausts memory.
 pub const DEFAULT_PRODUCT_BIT_BUDGET: u64 = 1 << 20;
-
-/// Pre-images of everything an in-flight mutation touches, captured before
-/// the first write. A mutation that fails partway (an injected fault, an
-/// unsolvable system) leaves the journal open; [`ScTable::recover`] replays
-/// it backwards to restore the pre-mutation table.
-#[derive(Debug, Clone, Default)]
-struct Journal {
-    /// `true` while a mutation is in flight (set by `begin`, cleared by
-    /// `commit` — or left standing by a failure).
-    active: bool,
-    /// Number of records before the mutation; appended records are dropped
-    /// on recovery by truncating to this length.
-    record_count: usize,
-    /// `(index, pre-image)` of each pre-existing record touched.
-    records: Vec<(usize, ScRecord)>,
-    /// Indices already captured in `records` — membership is checked once
-    /// per touched record, and a linear scan of `records` would make a
-    /// document-order shift (which touches every following record)
-    /// quadratic in the table size.
-    journaled: std::collections::HashSet<usize>,
-    /// `(self-label, pre-image)` of each locator entry touched; `None`
-    /// means the key was absent.
-    locator: Vec<(u64, Option<usize>)>,
-}
 
 impl ScTable {
     /// Builds a table from `(self_label, order)` pairs, chunking every
@@ -297,7 +298,6 @@ impl ScTable {
             locator: HashMap::with_capacity(items.len()),
             max_order: items.iter().map(|&(_, o)| o).max().unwrap_or(0),
             product_bit_budget: DEFAULT_PRODUCT_BIT_BUDGET,
-            journal: Journal::default(),
         };
         // Each chunk's record — the product tree and SC fold — depends only
         // on that chunk, so records solve concurrently on the xp_par pool.
@@ -343,67 +343,6 @@ impl ScTable {
         self.product_bit_budget = bits;
     }
 
-    /// `true` iff a mutation failed partway and its journal is still open;
-    /// unchecked reads ([`ScTable::order_of`]) are undefined until
-    /// [`ScTable::recover`] runs (the next mutation also recovers
-    /// automatically). Checked read paths ([`ScTable::try_order_of`]) refuse
-    /// with [`ScError::NeedsRecovery`] instead of answering from the
-    /// half-mutated table.
-    pub fn needs_recovery(&self) -> bool {
-        self.journal.active
-    }
-
-    /// Rolls back the in-flight mutation recorded in the journal, restoring
-    /// the table to its pre-mutation state. Returns `true` if there was
-    /// anything to roll back.
-    pub fn recover(&mut self) -> bool {
-        if !self.journal.active {
-            return false;
-        }
-        let journal = std::mem::take(&mut self.journal);
-        self.records.truncate(journal.record_count);
-        for (idx, pre) in journal.records {
-            // `journal_record` only captures pre-existing records, so the
-            // index survives the truncation above.
-            self.records[idx] = pre;
-        }
-        for (key, pre) in journal.locator {
-            match pre {
-                Some(idx) => self.locator.insert(key, idx),
-                None => self.locator.remove(&key),
-            };
-        }
-        true
-    }
-
-    fn begin_journal(&mut self) {
-        self.journal.active = true;
-        self.journal.record_count = self.records.len();
-        self.journal.records.clear();
-        self.journal.journaled.clear();
-        self.journal.locator.clear();
-    }
-
-    fn commit_journal(&mut self) {
-        self.journal = Journal::default();
-    }
-
-    /// Captures the pre-image of record `idx` (first touch only; appended
-    /// records are handled by truncation).
-    fn journal_record(&mut self, idx: usize) {
-        if idx < self.journal.record_count && self.journal.journaled.insert(idx) {
-            self.journal.records.push((idx, self.records[idx].clone()));
-        }
-    }
-
-    /// Captures the pre-image of the locator entry for `key` (first touch
-    /// only).
-    fn journal_locator(&mut self, key: u64) {
-        if !self.journal.locator.iter().any(|&(k, _)| k == key) {
-            self.journal.locator.push((key, self.locator.get(&key).copied()));
-        }
-    }
-
     /// Number of covered nodes.
     pub fn len(&self) -> usize {
         self.locator.len()
@@ -426,23 +365,9 @@ impl ScTable {
 
     /// The order number of the node with this self-label, or `None` if the
     /// label is not covered. A pure `u64` read off the cached order column.
-    ///
-    /// Answers are undefined while [`ScTable::needs_recovery`] is `true`;
-    /// use [`ScTable::try_order_of`] on paths that may read a table whose
-    /// last mutation failed.
     pub fn order_of(&self, self_label: u64) -> Option<u64> {
         let &idx = self.locator.get(&self_label)?;
         self.records[idx].order_of(self_label)
-    }
-
-    /// Checked variant of [`ScTable::order_of`]: refuses with
-    /// [`ScError::NeedsRecovery`] while the journal of a failed mutation is
-    /// still open, instead of reading the half-mutated table.
-    pub fn try_order_of(&self, self_label: u64) -> Result<Option<u64>, ScError> {
-        if self.needs_recovery() {
-            return Err(ScError::NeedsRecovery);
-        }
-        Ok(self.order_of(self_label))
     }
 
     /// The index of the record covering this self-label, if any.
@@ -461,7 +386,7 @@ impl ScTable {
     /// `orders[i] == SC mod mᵢ`, `product == Π mᵢ`, `SC < product` — plus the
     /// locator and the `max_order` bound. The incremental maintenance paths
     /// must preserve these exactly; the differential tests call this after
-    /// every mutation and recovery. Costs O(n) bignum divisions.
+    /// every mutation, failed ones included. Costs O(n) bignum divisions.
     pub fn check_cached_columns(&self) -> Result<(), String> {
         for (idx, r) in self.records.iter().enumerate() {
             if r.orders.len() != r.members.len() {
@@ -501,14 +426,12 @@ impl ScTable {
     /// up by one, and exactly the records covering shifted nodes (plus the
     /// record receiving the new member) are re-solved.
     ///
-    /// Fails with [`ScError::OrderOverflow`] — before mutating anything — if
-    /// a shifted node's new order would reach its self-label; relabel that
-    /// node with a larger prime and retry. A failure *during* the mutation
-    /// (an injected fault, a budget overrun) leaves the journal open:
-    /// [`ScTable::needs_recovery`] turns `true` and [`ScTable::recover`]
-    /// restores the pre-insert table.
+    /// Fails with [`ScError::OrderOverflow`] if a shifted node's new order
+    /// would reach its self-label; relabel that node with a larger prime
+    /// and retry. Every failure — that one, an injected fault, a budget
+    /// overrun — leaves the table unchanged: the insert computes each
+    /// touched record's new value before it writes the first one.
     pub fn insert(&mut self, self_label: u64, order: u64) -> Result<ScInsertReport, ScError> {
-        self.recover();
         faultpoint!("sc.insert")?;
         if self.locator.contains_key(&self_label) {
             return Err(ScError::DuplicateSelfLabel(self_label));
@@ -531,65 +454,65 @@ impl ScTable {
             }
         }
 
-        // Pre-validate against the receiving record so a coprimality error
-        // cannot leave the table half-mutated.
-        if let Some(last) = self.records.last() {
-            if last.len() < self.chunk_capacity {
-                for &m in &last.members {
-                    if !xp_bignum::modular::coprime(&UBig::from(self_label), &UBig::from(m)) {
-                        return Err(CrtError::NotCoprime { a: self_label, b: m }.into());
-                    }
-                }
-            }
-        }
-
-        self.begin_journal();
-
         // Choose the receiving record: the paper appends to the record with
         // the largest max prime (the newest), starting a fresh record when
         // it is full.
         let target = match self.records.last() {
-            Some(last) if last.len() < self.chunk_capacity => self.records.len() - 1,
-            _ => {
-                self.records.push(ScRecord {
-                    members: Vec::new(),
-                    orders: Vec::new(),
-                    product: UBig::one(),
-                    sc: UBig::zero(),
-                    max_self: 0,
-                });
+            Some(last) if last.len() < self.chunk_capacity => {
+                for &m in &last.members {
+                    if !modular::coprime(&UBig::from(self_label), &UBig::from(m)) {
+                        return Err(CrtError::NotCoprime { a: self_label, b: m }.into());
+                    }
+                }
                 self.records.len() - 1
             }
+            _ => self.records.len(),
         };
 
-        let mut updated = 0usize;
-        let budget = self.product_bit_budget;
-        for idx in 0..self.records.len() {
-            let receiving = idx == target;
-            let shifts_here =
-                shifts_orders && self.records[idx].orders.iter().any(|&o| o >= order);
-            if !receiving && !shifts_here {
-                continue;
+        // Stage: every fallible step, in record order, into locals. A whole
+        // shift is only noted; the receiving record is worked on a copy.
+        let mut shifts = Vec::new();
+        if shifts_orders {
+            for (idx, record) in self.records[..target].iter().enumerate() {
+                if record.orders.iter().all(|&o| o < order) {
+                    continue;
+                }
+                faultpoint!("sc.insert.record")?;
+                shifts.push((idx, record.plan_shift(order)?));
             }
-            self.journal_record(idx);
-            faultpoint!("sc.insert.record")?;
-            let record = &mut self.records[idx];
-            if shifts_here {
-                record.shift_from(order)?;
-            }
-            if receiving {
-                record.append_member(self_label, order, budget)?;
-            }
-            updated += 1;
         }
-        self.journal_locator(self_label);
+        faultpoint!("sc.insert.record")?;
+        let mut receiving = match self.records.get(target) {
+            Some(record) => record.clone(),
+            None => ScRecord {
+                members: Vec::new(),
+                orders: Vec::new(),
+                product: UBig::one(),
+                sc: UBig::zero(),
+                max_self: 0,
+            },
+        };
+        if shifts_orders {
+            let shift = receiving.plan_shift(order)?;
+            receiving.apply_shift(shift);
+        }
+        receiving.append_member(self_label, order, self.product_bit_budget)?;
+
+        // Commit: nothing below can fail.
+        let updated = shifts.len() + 1;
+        for (idx, shift) in shifts {
+            self.records[idx].apply_shift(shift);
+        }
+        if target == self.records.len() {
+            self.records.push(receiving);
+        } else {
+            self.records[target] = receiving;
+        }
         self.locator.insert(self_label, target);
         // A shift pushes the previous maximum up by one; a tail append sets
-        // it. Updated only here, after the last fallible step, so rollback
-        // never needs to restore it.
+        // it.
         self.max_order =
             if shifts_orders { self.max_order + 1 } else { self.max_order.max(order) };
-        self.commit_journal();
         Ok(ScInsertReport { records_updated: updated })
     }
 
@@ -598,7 +521,6 @@ impl ScTable {
     /// re-solved. The new label must be coprime with the record's other
     /// members and larger than the member's order.
     pub fn replace_self_label(&mut self, old: u64, new: u64) -> Result<(), ScError> {
-        self.recover();
         if self.locator.contains_key(&new) {
             return Err(ScError::DuplicateSelfLabel(new));
         }
@@ -613,18 +535,13 @@ impl ScTable {
             }
         }
 
-        self.begin_journal();
-        self.journal_record(idx);
         let record = &self.records[idx];
         let members = record.members.iter().map(|&m| if m == old { new } else { m }).collect();
         let orders = record.orders.clone();
         faultpoint!("sc.relabel")?;
         self.records[idx] = ScRecord::solve(members, orders, self.product_bit_budget)?;
-        self.journal_locator(old);
-        self.journal_locator(new);
         self.locator.remove(&old);
         self.locator.insert(new, idx);
-        self.commit_journal();
         Ok(())
     }
 
@@ -719,22 +636,16 @@ impl ScTable {
             locator,
             max_order,
             product_bit_budget: DEFAULT_PRODUCT_BIT_BUDGET,
-            journal: Journal::default(),
         })
     }
 
     /// Removes a node. Deletion shifts no order numbers (§4.2), so only the
     /// record that held the member is re-solved. Returns `false` if the
-    /// label was not covered.
+    /// label was not covered. A failed removal leaves the table unchanged.
     pub fn remove(&mut self, self_label: u64) -> Result<bool, ScError> {
-        self.recover();
         let Some(&idx) = self.locator.get(&self_label) else {
             return Ok(false);
         };
-        self.begin_journal();
-        self.journal_record(idx);
-        self.journal_locator(self_label);
-        self.locator.remove(&self_label);
         let record = &self.records[idx];
         let (members, orders) = record
             .members
@@ -745,7 +656,7 @@ impl ScTable {
             .unzip();
         faultpoint!("sc.remove")?;
         self.records[idx] = ScRecord::solve(members, orders, self.product_bit_budget)?;
-        self.commit_journal();
+        self.locator.remove(&self_label);
         Ok(true)
     }
 }
@@ -929,9 +840,10 @@ mod tests {
     #[test]
     fn duplicate_self_label_is_a_typed_error() {
         let mut t = ScTable::build(5, &figure9_items()).unwrap();
+        let pristine = t.clone();
         assert_eq!(t.insert(13, 1).unwrap_err(), ScError::DuplicateSelfLabel(13));
-        // Nothing changed and no recovery is pending.
-        assert!(!t.needs_recovery());
+        // Nothing changed.
+        assert_eq!(t, pristine);
         for (m, o) in figure9_items() {
             assert_eq!(t.order_of(m), Some(o));
         }
@@ -964,11 +876,12 @@ mod tests {
     fn product_budget_refuses_runaway_growth() {
         let mut t = ScTable::build(10, &figure9_items()).unwrap();
         t.set_product_bit_budget(16); // current product 30030 ≈ 15 bits
+        let pristine = t.clone();
         let err = t.insert(17, 7).unwrap_err();
         assert!(matches!(err, ScError::Budget(_)), "{err:?}");
-        // The budget refusal struck mid-mutation: recover and verify.
-        t.recover();
-        assert!(!t.needs_recovery());
+        // The refusal struck while staging the receiving record: nothing
+        // was written.
+        assert_eq!(t, pristine);
         for (m, o) in figure9_items() {
             assert_eq!(t.order_of(m), Some(o));
         }
@@ -976,62 +889,62 @@ mod tests {
     }
 
     #[test]
-    fn mid_relabel_fault_rolls_back_via_recover() {
+    fn mid_insert_fault_leaves_the_table_unchanged() {
         use xp_testkit::fault;
         let mut t = ScTable::build(2, &roomy_items()).unwrap(); // 3 records
         let pristine = t.clone();
-        // Fire on the second record re-solve of a front insertion, which
-        // dirties every record — a genuinely half-applied mutation.
+        // Fire on the second record of a front insertion, which touches
+        // every record: the first record's shift is already staged.
         fault::arm("sc.insert.record:2");
         let err = t.insert(29, 1).unwrap_err();
         fault::reset();
         assert_eq!(err, ScError::FaultInjected("sc.insert.record"));
-        assert!(t.needs_recovery());
-        assert!(t.recover());
-        assert!(!t.needs_recovery());
+        assert_eq!(t, pristine);
         for (m, o) in pristine.entries() {
-            assert_eq!(t.order_of(m), Some(o), "rolled-back order of {m}");
+            assert_eq!(t.order_of(m), Some(o), "order of {m}");
         }
         assert_eq!(t.order_of(29), None);
-        // And the recovered table accepts the same insert cleanly.
+        // And the table accepts the same insert cleanly.
         t.insert(29, 1).unwrap();
         assert_eq!(t.order_of(29), Some(1));
         assert_eq!(t.order_of(7), Some(2));
     }
 
     #[test]
-    fn next_mutation_auto_recovers_a_faulted_table() {
+    fn next_mutation_succeeds_after_a_faulted_insert() {
         use xp_testkit::fault;
         let mut t = ScTable::build(2, &roomy_items()).unwrap();
+        let pristine = t.clone();
         fault::arm("sc.insert.record:2");
         assert!(t.insert(29, 1).is_err());
         fault::reset();
-        assert!(t.needs_recovery());
-        // No explicit recover(): the next insert rolls back first.
+        assert_eq!(t, pristine);
+        // No repair step: the next insert runs on the untouched table.
         t.insert(29, 1).unwrap();
-        assert!(!t.needs_recovery());
+        t.check_cached_columns().unwrap();
         assert_eq!(t.order_of(29), Some(1));
         assert_eq!(t.order_of(23), Some(7));
     }
 
     #[test]
-    fn faulted_remove_and_relabel_recover() {
+    fn faulted_remove_and_relabel_leave_the_table_unchanged() {
         use xp_testkit::fault;
         let mut t = ScTable::build(3, &roomy_items()).unwrap();
+        let pristine = t.clone();
         fault::arm("sc.remove:1");
         assert_eq!(t.remove(11).unwrap_err(), ScError::FaultInjected("sc.remove"));
         fault::reset();
-        assert!(t.recover());
-        assert_eq!(t.order_of(11), Some(2), "remove rolled back");
+        assert_eq!(t, pristine);
+        assert_eq!(t.order_of(11), Some(2), "remove left no trace");
 
         fault::arm("sc.relabel:1");
         let err = t.replace_self_label(11, 43).unwrap_err();
         fault::reset();
         assert_eq!(err, ScError::FaultInjected("sc.relabel"));
-        assert!(t.recover());
-        assert_eq!(t.order_of(11), Some(2), "relabel rolled back");
+        assert_eq!(t, pristine);
+        assert_eq!(t.order_of(11), Some(2), "relabel left no trace");
         assert_eq!(t.order_of(43), None);
-        // Both mutations succeed after recovery.
+        // Both mutations succeed once disarmed.
         t.replace_self_label(11, 43).unwrap();
         assert!(t.remove(43).unwrap());
     }
@@ -1174,8 +1087,8 @@ mod tests {
     propcheck! {
         #![config(cases = 64)]
 
-        /// `shift_from` must leave a record equal to the one `ScTable::build`
-        /// solves for the shifted orders, with consistent cached columns,
+        /// A planned and applied shift must leave a record equal to the one
+        /// `ScTable::build` solves for the shifted orders, with consistent cached columns,
         /// whether no member, every member or only some members shift.
         /// Every case runs its random threshold plus one threshold per kind:
         /// the lowest order (all shift), the highest (some shift, since the
@@ -1203,7 +1116,8 @@ mod tests {
             let items: Vec<(u64, u64)> = primes[18..].iter().copied().zip(orders).collect();
             for t in [threshold, low, high, high + 1] {
                 let mut shifted = ScTable::build(items.len(), &items).unwrap();
-                shifted.records[0].shift_from(t).unwrap();
+                let shift = shifted.records[0].plan_shift(t).unwrap();
+                shifted.records[0].apply_shift(shift);
                 let resolved: Vec<(u64, u64)> =
                     items.iter().map(|&(m, o)| (m, if o >= t { o + 1 } else { o })).collect();
                 let want = ScTable::build(items.len(), &resolved).unwrap();

@@ -144,11 +144,6 @@ pub enum DynamicError {
     },
     /// A subtree fragment failed to parse.
     Fragment(String),
-    /// A previous mutation failed partway and left scheme state with an
-    /// open recovery journal: checked read paths
-    /// ([`LabeledStore::try_ordered_nodes`]) refuse to answer until
-    /// recovery runs, instead of returning undefined orders.
-    NeedsRecovery,
     /// The scheme's own mutation machinery failed.
     Scheme(Box<dyn std::error::Error + Send + Sync + 'static>),
 }
@@ -164,9 +159,6 @@ impl std::fmt::Display for DynamicError {
                 write!(f, "cannot move {subject} to {dest}: destination lies inside the subtree")
             }
             DynamicError::Fragment(msg) => write!(f, "bad subtree fragment: {msg}"),
-            DynamicError::NeedsRecovery => {
-                write!(f, "store state has an open recovery journal; recover before reading")
-            }
             DynamicError::Scheme(e) => write!(f, "scheme mutation failed: {e}"),
         }
     }
@@ -446,15 +438,6 @@ pub trait DynamicScheme: Scheme {
         a: NodeId,
         b: NodeId,
     ) -> Ordering;
-
-    /// `true` iff `state` carries an open recovery journal from a mutation
-    /// that failed partway — reads are undefined until recovery runs.
-    /// Schemes whose state lives entirely in the labels have nothing to
-    /// recover; the prime scheme consults its SC table's journal.
-    fn needs_recovery(&self, state: &Self::State) -> bool {
-        let _ = state;
-        false
-    }
 }
 
 /// Shared validation for [`DynamicScheme::move_subtree`]: the subject must
@@ -760,30 +743,10 @@ impl<S: DynamicScheme> LabeledStore<S> {
 
     /// Every labeled node, sorted into document order by the scheme's own
     /// order machinery — the basis for an order oracle over the store.
-    ///
-    /// Answers are undefined while [`LabeledStore::needs_recovery`] is
-    /// `true`; use [`LabeledStore::try_ordered_nodes`] on paths that may
-    /// read a store whose last mutation failed.
     pub fn ordered_nodes(&self) -> Vec<NodeId> {
         let mut nodes: Vec<NodeId> = self.doc.nodes().to_vec();
         nodes.sort_by(|&a, &b| self.scheme.doc_cmp(&self.doc, &self.state, a, b));
         nodes
-    }
-
-    /// `true` iff the scheme state carries an open recovery journal from a
-    /// mutation that failed partway (see [`DynamicScheme::needs_recovery`]).
-    pub fn needs_recovery(&self) -> bool {
-        self.scheme.needs_recovery(&self.state)
-    }
-
-    /// Checked variant of [`LabeledStore::ordered_nodes`]: refuses with
-    /// [`DynamicError::NeedsRecovery`] instead of sorting by orders read
-    /// from half-mutated scheme state.
-    pub fn try_ordered_nodes(&self) -> Result<Vec<NodeId>, DynamicError> {
-        if self.needs_recovery() {
-            return Err(DynamicError::NeedsRecovery);
-        }
-        Ok(self.ordered_nodes())
     }
 
     /// Throws the labels and state away and relabels from scratch,

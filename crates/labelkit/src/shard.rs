@@ -1196,14 +1196,6 @@ where
             _ => Ordering::Equal,
         }
     }
-
-    fn needs_recovery(&self, state: &Self::State) -> bool {
-        state
-            .shards
-            .iter()
-            .flatten()
-            .any(|cell| self.inner.needs_recovery(&cell.state))
-    }
 }
 
 // ---------------------------------------------------------------------------

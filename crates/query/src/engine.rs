@@ -119,32 +119,22 @@ impl std::fmt::Display for PathError {
 
 impl std::error::Error for PathError {}
 
-/// Evaluation-time resource budgets.
-///
-/// The engine charges every intermediate result row and every path step
-/// against these budgets and returns a typed
-/// [`QueryError::LimitExceeded`] when a query would blow through them, so
+/// Evaluation-time budget on the size of any intermediate or final result
+/// set. The engine charges every result row against it, and every path
+/// step against [`MAX_STEPS`], and returns a typed
+/// [`QueryError::LimitExceeded`] when a query would blow through either, so
 /// a hostile or runaway path cannot exhaust memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueryLimits {
-    /// Maximum size of any intermediate or final result set (default 2^24).
-    pub max_rows: usize,
-    /// Maximum number of path steps (default 256).
-    pub max_steps: usize,
-}
+pub const MAX_ROWS: usize = 1 << 24;
 
-impl Default for QueryLimits {
-    fn default() -> Self {
-        QueryLimits { max_rows: 1 << 24, max_steps: 256 }
-    }
-}
+/// Evaluation-time budget on the number of path steps (see [`MAX_ROWS`]).
+pub const MAX_STEPS: usize = 256;
 
-/// Which [`QueryLimits`] budget a query exceeded (payload = the budget).
+/// Which budget a query exceeded (payload = the budget).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryLimit {
-    /// An intermediate result grew past `max_rows`.
+    /// An intermediate result grew past [`MAX_ROWS`].
     Rows(usize),
-    /// The path has more than `max_steps` steps.
+    /// The path has more than [`MAX_STEPS`] steps.
     Steps(usize),
 }
 
@@ -157,7 +147,7 @@ pub enum QueryError {
     /// The path had no steps (a hand-built [`Path`] can be empty even
     /// though [`Path::parse`] rejects it).
     EmptyPath,
-    /// A [`QueryLimits`] budget was exceeded.
+    /// The [`MAX_ROWS`] or [`MAX_STEPS`] budget was exceeded.
     LimitExceeded(QueryLimit),
     /// An armed [`xp_testkit::fault`] point fired in the engine.
     FaultInjected(&'static str),
@@ -169,10 +159,10 @@ impl std::fmt::Display for QueryError {
             QueryError::Path(e) => write!(f, "path: {e}"),
             QueryError::EmptyPath => write!(f, "path has no steps"),
             QueryError::LimitExceeded(QueryLimit::Rows(max)) => {
-                write!(f, "intermediate result exceeds max_rows={max}")
+                write!(f, "intermediate result exceeds the {max}-row budget")
             }
             QueryError::LimitExceeded(QueryLimit::Steps(max)) => {
-                write!(f, "path exceeds max_steps={max}")
+                write!(f, "path exceeds the {max}-step budget")
             }
             QueryError::FaultInjected(site) => write!(f, "injected fault at {site}"),
         }
@@ -426,35 +416,20 @@ pub fn eval_path<L: LabelOps>(
 /// runs the per-context reference instead — the paper's own strategy of
 /// scanning the tag once per context node, then "collect, sort by order
 /// number, index" — which the differential tests and the join ablation
-/// bench compare the batched steps against.
+/// bench compare the batched steps against. Either way the query runs
+/// under the [`MAX_ROWS`] and [`MAX_STEPS`] budgets.
 pub fn eval_path_with<L: LabelOps>(
     table: &LabelTable<L>,
     oracle: &dyn OrderOracle,
     path: &Path,
     batch: bool,
 ) -> Result<Vec<NodeId>, QueryError> {
-    eval_path_limited(table, oracle, path, batch, &QueryLimits::default())
-}
-
-/// One row of an intermediate result: `(document-order rank, row index)`.
-/// Steps hand each other these sorted by rank, so no row is ranked twice
-/// within a step.
-type RankedRow = (u64, usize);
-
-/// [`eval_path_with`] with explicit [`QueryLimits`] budgets.
-pub fn eval_path_limited<L: LabelOps>(
-    table: &LabelTable<L>,
-    oracle: &dyn OrderOracle,
-    path: &Path,
-    batch: bool,
-    limits: &QueryLimits,
-) -> Result<Vec<NodeId>, QueryError> {
-    if path.steps.len() > limits.max_steps {
-        return Err(QueryError::LimitExceeded(QueryLimit::Steps(limits.max_steps)));
+    if path.steps.len() > MAX_STEPS {
+        return Err(QueryError::LimitExceeded(QueryLimit::Steps(MAX_STEPS)));
     }
     let within_budget = |rows: Vec<RankedRow>| {
-        if rows.len() > limits.max_rows {
-            Err(QueryError::LimitExceeded(QueryLimit::Rows(limits.max_rows)))
+        if rows.len() > MAX_ROWS {
+            Err(QueryError::LimitExceeded(QueryLimit::Rows(MAX_ROWS)))
         } else {
             Ok(rows)
         }
@@ -492,6 +467,11 @@ pub fn eval_path_limited<L: LabelOps>(
     }
     Ok(ctx.into_iter().map(|(_, i)| table.rows()[i].node).collect())
 }
+
+/// One row of an intermediate result: `(document-order rank, row index)`.
+/// Steps hand each other these sorted by rank, so no row is ranked twice
+/// within a step.
+type RankedRow = (u64, usize);
 
 /// The rows `step` can select before its axis is applied: tag, `[="…"]`
 /// and `[tag]` filters passed, each row ranked once, in document order.

@@ -44,7 +44,7 @@ pub mod sharded;
 pub mod sql;
 
 pub use cache::{CacheStats, QueryCache, TagFootprint, TouchedTags};
-pub use engine::{Path, QueryError, QueryLimits};
+pub use engine::{Path, QueryError};
 pub use evaluators::{Evaluator, IntervalEvaluator, Prefix2Evaluator, PrimeEvaluator};
 pub use relstore::LabelTable;
 pub use sharded::ShardedTables;

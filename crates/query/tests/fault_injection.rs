@@ -1,8 +1,8 @@
 //! Per-site fault-injection regressions: every `faultpoint!` compiled into
 //! the pipeline is armed with an nth-hit trigger, the failure must surface
 //! as the crate's typed error (never a panic), and the store must stay
-//! queryable afterwards — rolled back or recovered, with answers matching a
-//! never-faulted oracle.
+//! queryable afterwards — its SC table exactly as before the failed call,
+//! with answers matching a never-faulted oracle.
 //!
 //! The final `env_matrix` test is the CI hook: `scripts/ci.sh` runs it once
 //! per site with `XP_FAULT=<site>:1`, driving the whole pipeline under
@@ -18,7 +18,7 @@ use xp_query::evaluators::{Evaluator, PrimeEvaluator};
 use xp_query::relstore::LabelTable;
 use xp_testkit::fault;
 use xp_testkit::propcheck::{u64s, usizes, vec_of};
-use xp_testkit::{prop_assert, propcheck};
+use xp_testkit::{prop_assert, prop_assert_eq, propcheck};
 use xp_xmltree::{parse, NodeId, ParseErrorKind, XmlTree};
 
 /// A flat 20-item list: with `chunk_capacity = 5` the SC table has four
@@ -90,12 +90,13 @@ fn sc_insert_fault_leaves_every_existing_order_intact() {
     let before: Vec<u64> = originals.iter().map(|&n| doc.order_of(n)).collect();
 
     let anchor = tree.last_child(tree.root()).unwrap();
+    let pristine = doc.sc_table().clone();
     fault::arm("sc.insert:1");
     let err = doc.insert_sibling_before(&mut tree, anchor, "item").unwrap_err();
     fault::reset();
 
     assert_eq!(err, Error::Sc(ScError::FaultInjected("sc.insert")), "got {err}");
-    assert!(!doc.sc_table().needs_recovery(), "fault fired before any record changed");
+    assert_eq!(doc.sc_table(), &pristine, "fault fired before any record changed");
     for (&n, &o) in originals.iter().zip(&before) {
         assert_eq!(doc.order_of(n), o, "order of {n} drifted");
     }
@@ -119,14 +120,27 @@ fn sc_insert_record_fault_mid_update_rolls_back_and_matches_oracle() {
     assert_eq!(originals, otree.elements().collect::<Vec<_>>());
 
     // Insert near the front so the update must re-solve several records,
-    // and fault the SECOND record re-solve: the first record's change is
-    // journaled and must be rolled back.
+    // and fault the SECOND record: the first record's change is already
+    // staged and must never be written.
     let anchor = tree.element_children(tree.root()).nth(1).unwrap();
     fault::arm("sc.insert.record:2");
     let err = doc.insert_sibling_before(&mut tree, anchor, "item").unwrap_err();
     fault::reset();
     assert_eq!(err, Error::Sc(ScError::FaultInjected("sc.insert.record")), "got {err}");
-    assert!(!doc.sc_table().needs_recovery(), "mutation entry already rolled back");
+
+    // The table is the pre-insert one, except for the overflow victim
+    // (self-label 3 would reach order 3), whose relabel commits on its own
+    // before the insert that failed.
+    let mut expected = oracle.sc_table().clone();
+    for &n in &originals {
+        let (old, new) =
+            (oracle.labels().label(n).self_label_u64(), doc.labels().label(n).self_label_u64());
+        if old != new {
+            expected.replace_self_label(old, new).unwrap();
+        }
+    }
+    assert_ne!(&expected, oracle.sc_table(), "the insert relabels its overflow victim");
+    assert_eq!(doc.sc_table(), &expected, "no record of the failed insert was written");
 
     // Differential check #1: every pre-existing node answers exactly as the
     // untouched oracle does.
@@ -168,11 +182,12 @@ fn sc_remove_fault_keeps_the_remaining_nodes_queryable() {
         .map(|&n| (n, doc.order_of(n)))
         .collect();
 
+    let pristine = doc.sc_table().clone();
     fault::arm("sc.remove:1");
     let err = doc.delete(&mut tree, victim).unwrap_err();
     fault::reset();
     assert_eq!(err, Error::Sc(ScError::FaultInjected("sc.remove")), "got {err}");
-    assert!(!doc.sc_table().needs_recovery(), "delete's error path recovers the table");
+    assert_eq!(doc.sc_table(), &pristine, "the failed removal left the table as it was");
     for &(n, o) in &survivors {
         assert_eq!(doc.try_order_of(n).unwrap(), o, "order of {n} drifted");
     }
@@ -186,12 +201,13 @@ fn sc_relabel_fault_rolls_the_table_back() {
         .map(|(i, &p)| (p, i as u64 + 1))
         .collect();
     let mut table = ScTable::build(3, &items).unwrap();
+    let pristine = table.clone();
 
     fault::arm("sc.relabel:1");
     let err = table.replace_self_label(5, 17).unwrap_err();
     fault::reset();
     assert_eq!(err, ScError::FaultInjected("sc.relabel"), "got {err}");
-    table.recover();
+    assert_eq!(table, pristine, "the failed relabel left the table as it was");
     for &(m, o) in &items {
         assert_eq!(table.order_of(m), Some(o), "member {m} lost its order");
     }
@@ -313,16 +329,21 @@ propcheck! {
         prop_assert!(columns.is_ok(), "{}", columns.err().unwrap_or_default());
     }
 
-    /// A fault injected mid-insert must roll the table back to a state
-    /// indistinguishable from the pre-insert snapshot — including the
-    /// cached order columns and CRT bases the journal carries — and leave
-    /// the table able to replay the identical insert.
+    /// A fault injected into any SC mutation must leave the table exactly
+    /// as it was before the call — members, cached order columns, SC
+    /// values, products, max keys and locator — and the same mutation must
+    /// succeed once the fault is disarmed. Mutations stage every fallible
+    /// step before their first write, so this holds with no repair step.
+    /// Each case arms one of: `insert` under `sc.insert.record:k` or
+    /// `bignum.mul:k`, `remove` under `sc.remove:1` or `bignum.mul:k`,
+    /// `replace_self_label` under `sc.relabel:1` or `bignum.mul:k`.
     #[test]
     fn recovery_restores_cached_columns_and_bases(
         cap in usizes(1..6),
         base in usizes(4..20),
         seed in u64s(0..1_000_000),
         trigger in usizes(1..4),
+        op in usizes(0..6),
     ) {
         let pool = xp_primes::first_primes(40);
         let labels = &pool[12..];
@@ -331,31 +352,45 @@ propcheck! {
         let mut table = ScTable::build(cap, &base_items).unwrap();
         let snapshot = table.clone();
 
-        let label = labels[base];
-        let pos = (seed as usize) % (base + 1);
-        let order = pos as u64 + 1;
-        fault::arm(&format!("sc.insert.record:{trigger}"));
-        let outcome = table.insert(label, order);
+        // `fresh` is uncovered; `member` is covered. Every label exceeds
+        // any order here, so no insert overflows.
+        let fresh = labels[base];
+        let member = labels[seed as usize % base];
+        let order = (seed as usize % (base + 1)) as u64 + 1;
+        let (site, armed) = match op {
+            0 => ("sc.insert.record", format!("sc.insert.record:{trigger}")),
+            2 => ("sc.remove", "sc.remove:1".to_string()),
+            4 => ("sc.relabel", "sc.relabel:1".to_string()),
+            _ => ("bignum.mul", format!("bignum.mul:{trigger}")),
+        };
+        let mutate = |t: &mut ScTable| match op / 2 {
+            0 => t.insert(fresh, order).map(|_| ()),
+            1 => t.remove(member).map(|_| ()),
+            _ => t.replace_self_label(member, fresh),
+        };
+        fault::arm(&armed);
+        let outcome = mutate(&mut table);
         fault::reset();
         match outcome {
-            Err(ScError::FaultInjected("sc.insert.record")) => {
-                prop_assert!(table.needs_recovery(), "failed insert leaves the journal open");
-                prop_assert!(table.recover());
+            Err(ScError::FaultInjected(fired)) => {
+                prop_assert_eq!(fired, site);
                 let mismatch = table_mismatch(&table, &snapshot);
                 prop_assert!(
                     mismatch.is_none(),
-                    "rollback drifted from the snapshot: {}",
+                    "failed call under {} drifted from the pre-call table: {}",
+                    armed,
                     mismatch.unwrap_or_default()
                 );
+                prop_assert!(table == snapshot, "failed call under {} moved max_order or the budget", armed);
+                let columns = table.check_cached_columns();
+                prop_assert!(columns.is_ok(), "{}", columns.err().unwrap_or_default());
+                let retry = mutate(&mut table);
+                prop_assert!(retry.is_ok(), "disarmed retry under {} failed: {:?}", armed, retry);
             }
-            // The insert touched fewer records than the trigger count, so
+            // The call hit the site fewer times than the trigger count, so
             // the fault never fired and the mutation simply succeeded.
-            Ok(_) => {}
-            Err(other) => prop_assert!(false, "unexpected error {other}"),
-        }
-        // Either way the table must be consistent and accept the insert.
-        if table.order_of(label).is_none() {
-            table.insert(label, order).unwrap();
+            Ok(()) => {}
+            Err(other) => prop_assert!(false, "unexpected error {} under {}", other, armed),
         }
         let columns = table.check_cached_columns();
         prop_assert!(columns.is_ok(), "{}", columns.err().unwrap_or_default());

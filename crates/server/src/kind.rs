@@ -237,13 +237,13 @@ mod tests {
     use std::sync::mpsc;
     use xp_labelkit::{InsertPos, LabeledStore, ShardPolicy};
     use xp_prime::DynamicPrime;
-    use xp_query::engine::{eval_path, OrderOracle, Path};
+    use xp_query::engine::{eval_path, OrderOracle, Path, MAX_STEPS};
     use xp_query::relstore::LabelTable;
     use xp_query::CacheStats;
     use xp_xmltree::NodeId;
 
     use crate::epoch::{ApplyJob, ApplyOutcome, BatchPolicy, EpochLoop};
-    use crate::protocol::{Request, Response};
+    use crate::protocol::{ErrCode, Request, Response};
     use crate::server::handle_request;
 
     const URI: &str = "doc";
@@ -612,5 +612,34 @@ mod tests {
         check(EpochLoop::start(sharded_store(&sharded_dir), BatchPolicy::default()));
         let _ = std::fs::remove_dir_all(&flat_dir);
         let _ = std::fs::remove_dir_all(&sharded_dir);
+    }
+
+    /// Every served query runs under the engine's one step budget: on the
+    /// same snapshot, a path of exactly `MAX_STEPS` steps answers and one
+    /// step more is refused with a typed `QueryLimit`.
+    #[test]
+    fn the_step_budget_holds_through_the_request_handler() {
+        let dir = tmpdir("budget");
+        let mut flat = Store::create(&dir).unwrap();
+        flat.add_document(URI, SAMPLE, 8).unwrap();
+        let lp = EpochLoop::start(flat, BatchPolicy::default());
+        let path = |steps: usize| format!("/lib{}", "/ancestor-or-self::lib".repeat(steps - 1));
+        let ask = |steps: usize| {
+            let req = Request::Query { uri: URI.into(), path: path(steps) };
+            handle_request(req, &lp.docs(), lp.caches().as_ref(), &lp.sender(), &lp.counters())
+        };
+        let root = query(&lp, "/lib");
+        assert_eq!(root.len(), 1);
+        match ask(MAX_STEPS) {
+            Response::Hits { nodes, epoch, .. } => assert_eq!((nodes, epoch), (root, 0)),
+            other => panic!("{MAX_STEPS} steps got {other:?}"),
+        }
+        match ask(MAX_STEPS + 1) {
+            Response::Err { code: ErrCode::QueryLimit, .. } => {}
+            other => panic!("{} steps got {other:?}", MAX_STEPS + 1),
+        }
+        assert_eq!(snapshot(&lp).epoch(), 0, "both paths ran on the same snapshot");
+        drop(lp.shutdown());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -50,8 +50,6 @@ pub enum ErrCode {
     QueryLimit,
     /// A request or mutation payload failed to decode.
     BadRequest,
-    /// The document needs recovery before it can serve reads.
-    NeedsRecovery,
 }
 
 impl ErrCode {
@@ -62,7 +60,6 @@ impl ErrCode {
             ErrCode::BadPath => 2,
             ErrCode::QueryLimit => 3,
             ErrCode::BadRequest => 4,
-            ErrCode::NeedsRecovery => 5,
         }
     }
 
@@ -73,7 +70,6 @@ impl ErrCode {
             2 => ErrCode::BadPath,
             3 => ErrCode::QueryLimit,
             4 => ErrCode::BadRequest,
-            5 => ErrCode::NeedsRecovery,
             _ => return None,
         })
     }

@@ -764,6 +764,38 @@ mod tests {
     }
 
     #[test]
+    fn a_segment_whose_sc_table_covers_an_unlabeled_prime_is_refused() {
+        let dir = tmpdir("sc-orphan");
+        {
+            let mut store = Store::create(&dir).unwrap();
+            store.add_document("d.xml", "<r><a/><b/></r>", 8).unwrap();
+        }
+        // Rewrite the checkpoint with one SC member no node carries. The
+        // segment goes through the normal writer, so its frame checksum
+        // holds and only the label/SC cross-check can catch it.
+        let mut seg = segment::load_segment(&dir, 1, 1).unwrap();
+        let orphan = 101;
+        seg.sc.insert(orphan, 9).unwrap();
+        let payload = segment::encode_segment(
+            &seg.uri,
+            seg.doc_id,
+            seg.epoch,
+            seg.seq,
+            seg.chunk_capacity,
+            seg.primes_handed_out,
+            &seg.tree,
+            &seg.labels,
+            &seg.sc,
+        );
+        segment::write_segment(&dir, 1, 1, &payload).unwrap();
+        let want = xp_prime::Error::Decode(xp_prime::path::DecodeError::UnknownSelfLabel(orphan));
+        for err in [fsck(&dir).unwrap_err(), Store::open(&dir).unwrap_err()] {
+            assert!(matches!(&err, StoreError::Scheme(e) if *e == want), "{err}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn gc_removes_stale_segments_and_tmp() {
         let dir = tmpdir("gc");
         {

@@ -8,21 +8,17 @@ use xp_xmltree::NodeId;
 
 /// Checks one document's internal consistency:
 ///
-/// 1. no open recovery journal,
-/// 2. the tree arena re-validates as a snapshot,
-/// 3. the store mirror holds exactly the attached elements and agrees
+/// 1. the tree arena re-validates as a snapshot,
+/// 2. the store mirror holds exactly the attached elements and agrees
 ///    label-for-label with the scheme state,
-/// 4. the SC table's cached columns re-solve to their CRT solutions,
-/// 5. scheme document order equals tree preorder,
-/// 6. the relational label table covers exactly the labeled nodes with the
+/// 3. the SC table's cached columns re-solve to their CRT solutions,
+/// 4. scheme document order equals tree preorder,
+/// 5. the relational label table covers exactly the labeled nodes with the
 ///    current labels.
 pub fn check_doc(
     store: &LabeledStore<DynamicPrime>,
     table: &LabelTable<PrimeLabel>,
 ) -> Result<(), String> {
-    if store.needs_recovery() {
-        return Err("state carries an open recovery journal".into());
-    }
     let tree = store.tree();
     xp_xmltree::XmlTree::from_snapshot(&tree.snapshot())
         .map_err(|e| format!("tree arena fails validation: {e}"))?;
@@ -53,10 +49,7 @@ pub fn check_doc(
         .sc_table()
         .check_cached_columns()
         .map_err(|e| format!("SC cached columns corrupt: {e}"))?;
-    let ordered = store
-        .try_ordered_nodes()
-        .map_err(|e| format!("order oracle refused: {e}"))?;
-    if ordered != elements {
+    if store.ordered_nodes() != elements {
         return Err("scheme document order diverges from tree preorder".into());
     }
     if table.len() != elements.len() {

@@ -96,7 +96,7 @@ PERSISTENCE:
 
 EXIT CODES:
     0 ok · 1 usage · 2 input · 3 limit · 4 label · 5 query ·
-    6 corrupt store · 7 store needs recovery (re-open to replay the WAL)
+    6 corrupt store
 
 SCHEMES (for `label`):
     prime       top-down prime scheme, no optimizations (default)
@@ -130,13 +130,9 @@ enum CliError {
     /// Exit 5: query evaluation failed.
     Query(String),
     /// Exit 6: an on-disk store is corrupt (bad magic, failed checksum,
-    /// sequence gap, or a recovered document failing consistency checks).
+    /// sequence gap, labels and SC table that disagree, or a recovered
+    /// document failing consistency checks).
     Corrupt(String),
-    /// Exit 7: a document is in a recoverable interrupted state — a
-    /// mutation's SC journal survived a crash and must be replayed before
-    /// order queries can answer. Unlike exit 6, nothing is lost: re-open
-    /// the store (or run recovery) and retry.
-    NeedsRecovery(String),
 }
 
 impl CliError {
@@ -148,7 +144,6 @@ impl CliError {
             CliError::Label(_) => 4,
             CliError::Query(_) => 5,
             CliError::Corrupt(_) => 6,
-            CliError::NeedsRecovery(_) => 7,
         })
     }
 
@@ -159,8 +154,7 @@ impl CliError {
             | CliError::Limit(m)
             | CliError::Label(m)
             | CliError::Query(m)
-            | CliError::Corrupt(m)
-            | CliError::NeedsRecovery(m) => m,
+            | CliError::Corrupt(m) => m,
         }
     }
 }
@@ -178,16 +172,12 @@ fn classify_parse(file: &str, e: ParseError) -> CliError {
     }
 }
 
-/// Labeling failures: budget violations get the limit exit code, an
-/// interrupted-but-replayable SC journal gets the recoverable exit code.
+/// Labeling failures: budget violations get the limit exit code.
 fn classify_label(e: xmlprime::prime::Error) -> CliError {
     use xmlprime::prime::sc::ScError;
     match &e {
         xmlprime::prime::Error::Budget(_)
         | xmlprime::prime::Error::Sc(ScError::Budget(_)) => CliError::Limit(e.to_string()),
-        xmlprime::prime::Error::Sc(ScError::NeedsRecovery) => {
-            CliError::NeedsRecovery(e.to_string())
-        }
         _ => CliError::Label(e.to_string()),
     }
 }
@@ -481,7 +471,6 @@ fn classify_dynamic(e: DynamicError) -> CliError {
         | DynamicError::RootTarget(_)
         | DynamicError::MoveIntoSelf { .. } => CliError::Usage(e.to_string()),
         DynamicError::Fragment(m) => CliError::Input(format!("fragment: {m}")),
-        DynamicError::NeedsRecovery => CliError::NeedsRecovery(e.to_string()),
         DynamicError::Scheme(inner) => match inner.downcast::<xmlprime::prime::Error>() {
             Ok(prime_err) => classify_label(*prime_err),
             Err(other) => CliError::Label(other.to_string()),
@@ -689,21 +678,22 @@ fn cmd_move(args: &[String]) -> Result<(), CliError> {
     dispatch_mutation(&opts, tree, &Mutation::MoveSubtree { target, pos: insert_pos })
 }
 
-/// Store failures: anything the recovery layer flags as on-disk damage
-/// gets the dedicated corruption exit code; URI clashes are usage errors
-/// (the URI came from the command line); plain I/O failures are input
-/// errors; scheme-side failures reuse the labeling classification.
+/// Store failures: anything the recovery layer flags as on-disk damage —
+/// persisted labels and SC table that disagree included — gets the
+/// dedicated corruption exit code; URI clashes are usage errors (the URI
+/// came from the command line); plain I/O failures are input errors; a
+/// failed live mutation reuses the dynamic classification.
 fn classify_store(e: xmlprime::store::StoreError) -> CliError {
     use xmlprime::store::StoreError;
     match e {
         StoreError::Corrupt { .. }
         | StoreError::Codec(_)
         | StoreError::Snapshot(_)
+        | StoreError::Scheme(_)
         | StoreError::NotAStore(_) => CliError::Corrupt(e.to_string()),
         StoreError::DuplicateUri(_) | StoreError::UnknownUri(_) => CliError::Usage(e.to_string()),
         StoreError::FrameTooLarge { .. } => CliError::Limit(e.to_string()),
         StoreError::Io { .. } | StoreError::FaultInjected(_) => CliError::Input(e.to_string()),
-        StoreError::Scheme(inner) => classify_label(inner),
         StoreError::Dynamic(inner) => classify_dynamic(inner),
     }
 }
@@ -881,8 +871,8 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
 }
 
 /// Client-side failures: typed server errors keep their CLI exit class
-/// (a bad path is still a query error, a budget refusal still a limit,
-/// a needs-recovery still exit 7); transport problems are input errors.
+/// (a bad path is still a query error, a budget refusal still a limit);
+/// transport problems are input errors.
 fn classify_client(e: xmlprime::server::ClientError) -> CliError {
     use xmlprime::server::protocol::ErrCode;
     use xmlprime::server::ClientError as Ce;
@@ -893,7 +883,6 @@ fn classify_client(e: xmlprime::server::ClientError) -> CliError {
                 ErrCode::BadPath => CliError::Query(msg),
                 ErrCode::QueryLimit => CliError::Limit(msg),
                 ErrCode::UnknownDoc | ErrCode::BadRequest => CliError::Usage(msg),
-                ErrCode::NeedsRecovery => CliError::NeedsRecovery(msg),
                 ErrCode::Internal => CliError::Input(msg),
             }
         }
@@ -1004,4 +993,26 @@ fn cmd_remote(args: &[String]) -> Result<(), CliError> {
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use xmlprime::prime::path::DecodeError;
+    use xmlprime::store::StoreError;
+
+    /// A checkpoint whose labels and SC table disagree is on-disk damage:
+    /// exit 6, whichever side carries the stray self-label.
+    #[test]
+    fn inconsistent_persisted_label_state_exits_as_corruption() {
+        use xmlprime::prime::sc::ScError;
+        for inner in [
+            xmlprime::prime::Error::Decode(DecodeError::UnknownSelfLabel(101)),
+            xmlprime::prime::Error::Sc(ScError::UnknownSelfLabel(101)),
+        ] {
+            let err = classify_store(StoreError::Scheme(inner));
+            assert!(matches!(err, CliError::Corrupt(_)), "{}", err.message());
+            assert_eq!(err.exit_code(), ExitCode::from(6));
+        }
+    }
 }

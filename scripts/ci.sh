@@ -71,6 +71,22 @@ for site in sc.insert sc.insert.record sc.relabel sc.remove \
     echo "OK: pipeline survives injected fault at $site"
 done
 
+echo "==> SC-atomicity gate (a failed SC mutation leaves the table untouched)"
+# This gate is what replaced the SC table's undo journal. Every ScTable
+# mutation stages its fallible steps (fault points, partial re-solves, the
+# budgeted product, crt::extend) before its first write, so nothing needs
+# rolling back. The property arms insert under sc.insert.record:k and
+# bignum.mul:k, remove under sc.remove:1 and bignum.mul:k, and
+# replace_self_label under sc.relabel:1 and bignum.mul:k; after any failed
+# call the table must equal its pre-call clone in every column and pass
+# check_cached_columns, and the disarmed retry must succeed. The xp-prime
+# sc unit tests run at the same case count. Tier-1 runs the property at 64
+# cases. See crates/query/tests/fault_injection.rs and DESIGN.md §6.3.
+PROPCHECK_CASES=512 cargo test -q --offline -p xp-query --test fault_injection \
+    recovery_restores_cached_columns_and_bases > /dev/null
+PROPCHECK_CASES=512 cargo test -q --offline -p xp-prime --lib sc::tests > /dev/null
+echo "OK: every failed SC mutation leaves the table as it was."
+
 echo "==> shard-differential gate (shard facade vs unsharded oracle + fault matrix)"
 # Propcheck differential: random documents and mutation scripts through the
 # ShardedScheme facade must answer all nine axes exactly like the unsharded
