@@ -37,6 +37,12 @@ impl PrimeLabel {
     }
 
     /// Builds a label from raw parts (used by tests and deserialization).
+    ///
+    /// Callers must keep `self_label | value`, as [`PrimeLabel::root`],
+    /// [`PrimeLabel::child_of`] and [`LabelCodec::decode`] do:
+    /// [`LabelOps::is_ancestor_of`] rejects a pair whose residue modulo the
+    /// ancestor's self-label is nonzero, which is sound only under that
+    /// invariant.
     pub fn from_parts(value: UBig, self_label: UBig, odd_internal_mode: bool) -> Self {
         PrimeLabel { value, self_label, odd_internal_mode }
     }
@@ -80,12 +86,26 @@ impl LabelOps for PrimeLabel {
     /// `label(y) mod label(x) = 0` — with the extra `odd(label(x))` guard in
     /// Opt2 mode, which excludes the power-of-two leaf labels that would
     /// otherwise spuriously divide their siblings' labels.
+    ///
+    /// Two word-sized necessary conditions reject most unrelated pairs
+    /// before the division: a proper multiple of a nonzero value is at least
+    /// twice as large, so it has more bits; and the self-label divides
+    /// `value`, so it divides every multiple of it. A pair that passes both
+    /// still gets the full divisibility test.
     fn is_ancestor_of(&self, other: &Self) -> bool {
         if self.value == other.value {
             return false;
         }
         if self.odd_internal_mode && !self.value.is_odd() {
             return false;
+        }
+        if !other.value.is_zero() && self.value.bit_len() >= other.value.bit_len() {
+            return false;
+        }
+        if let Some(s) = self.self_label.to_u64().filter(|&s| s >= 2) {
+            if other.value.rem_u64(s) != 0 {
+                return false;
+            }
         }
         other.value.is_multiple_of(&self.value)
     }
@@ -268,6 +288,108 @@ mod tests {
                     "tester disagrees for {a:?} vs {b:?}"
                 );
             }
+        }
+    }
+
+    /// The ancestor test without the word-sized rejections: the equality and
+    /// Opt2 guards, then plain division.
+    fn unfiltered(a: &PrimeLabel, b: &PrimeLabel) -> bool {
+        a.value() != b.value()
+            && (!a.odd_internal_mode() || a.value().is_odd())
+            && b.value().is_multiple_of(a.value())
+    }
+
+    /// Checks `is_ancestor_of` and `ancestor_tester` against
+    /// [`unfiltered`] on every ordered pair; returns the number of ancestor
+    /// pairs found.
+    fn assert_filtered_agrees(labels: &[&PrimeLabel]) -> usize {
+        let mut ancestors = 0;
+        for a in labels {
+            let tester = a.ancestor_tester();
+            for b in labels {
+                let truth = unfiltered(a, b);
+                assert_eq!(a.is_ancestor_of(b), truth, "is_ancestor_of({a:?}, {b:?})");
+                assert_eq!(tester(b), truth, "ancestor_tester({a:?})({b:?})");
+                ancestors += usize::from(truth);
+            }
+        }
+        ancestors
+    }
+
+    /// Proper ancestor pairs of `tree`: the sum of the element depths.
+    fn ancestor_pairs(tree: &xp_xmltree::XmlTree) -> usize {
+        tree.elements()
+            .map(|n| std::iter::successors(tree.parent(n), |&p| tree.parent(p)).count())
+            .sum()
+    }
+
+    #[test]
+    fn word_rejections_agree_with_plain_division_on_whole_documents() {
+        use crate::dynamic::DynamicPrime;
+        use crate::topdown::TopDownPrime;
+        use xp_datagen::builders::{random_tree, RandomTreeParams};
+        use xp_labelkit::DynamicScheme;
+
+        let params = RandomTreeParams { nodes: 120, max_depth: 8, max_fanout: 5, tag_variety: 4 };
+        for (seed, scheme) in [(3, TopDownPrime::unoptimized()), (4, TopDownPrime::optimized())] {
+            let tree = random_tree(seed, &params);
+            let doc = scheme.label_document(&tree);
+            let labels: Vec<&PrimeLabel> = doc.labels.iter().map(|(_, l)| l).collect();
+            assert_eq!(assert_filtered_agrees(&labels), ancestor_pairs(&tree), "seed {seed}");
+        }
+
+        // Front insertions into a chunk-5 SC table: every one shifts the
+        // earliest orders, and the ones that overflow a small self-label
+        // replace it with a fresh prime (the report's `relabeled` list).
+        let scheme = DynamicPrime::new(5);
+        let mut tree = xp_xmltree::parse("<l><a><x/></a><b/><c/></l>").unwrap();
+        let (mut doc, mut state) = scheme.init(&tree).unwrap();
+        let mut replaced = 0;
+        for _ in 0..8 {
+            let first = tree.first_child(tree.root()).unwrap();
+            let report = scheme.insert_before(&mut tree, &mut doc, &mut state, first, "n").unwrap();
+            replaced += report.relabeled.len();
+        }
+        assert!(replaced > 0, "no self-label was replaced");
+        let labels: Vec<&PrimeLabel> = doc.iter().map(|(_, l)| l).collect();
+        assert_eq!(assert_filtered_agrees(&labels), ancestor_pairs(&tree));
+    }
+
+    #[test]
+    fn each_word_rejection_is_reached_and_sound() {
+        let six = lbl(6, 3, false);
+        let big = UBig::from(3u64).pow(50); // a self-label wider than u64
+        let wide = PrimeLabel::from_parts(&big * &big, big.clone(), false);
+        let wide_child = |factor: UBig| PrimeLabel::from_parts(&big * &big * &factor, factor, false);
+        let cases = [
+            // Equal bit length: 15 is a multiple of ten's self-label 5, so
+            // only the bit test rejects it.
+            (lbl(10, 5, false), lbl(15, 3, false), false),
+            // More bits, but 14 is not a multiple of the self-label 3.
+            (six.clone(), lbl(14, 7, false), false),
+            // Both word tests pass; the division rejects 21.
+            (six.clone(), lbl(21, 7, false), false),
+            (six.clone(), lbl(42, 7, false), true),
+            // The root's self-label 1 skips the residue test.
+            (PrimeLabel::root(false), lbl(2, 2, false), true),
+            (PrimeLabel::root(false), PrimeLabel::root(false), false),
+            (lbl(2, 2, false), PrimeLabel::root(false), false),
+            // Zero values: zero is a multiple of everything, and nothing
+            // nonzero is a multiple of zero.
+            (six.clone(), lbl(0, 3, false), true),
+            (lbl(0, 3, false), six.clone(), false),
+            (lbl(0, 0, false), lbl(0, 3, false), false),
+            (lbl(0, 0, false), six.clone(), false),
+            // Opt2's odd guard runs first: 12 is a multiple of 6.
+            (lbl(6, 2, true), lbl(12, 4, true), false),
+            // A self-label wider than u64 skips the residue test.
+            (wide.clone(), wide_child(UBig::from(7u64)), true),
+            (wide.clone(), PrimeLabel::from_parts(&big << 90, UBig::from(2u64), false), false),
+        ];
+        for (a, b, expected) in &cases {
+            assert_eq!(unfiltered(a, b), *expected, "{a:?} vs {b:?}");
+            assert_eq!(a.is_ancestor_of(b), *expected, "{a:?} vs {b:?}");
+            assert_eq!(a.ancestor_tester()(b), *expected, "tester {a:?} vs {b:?}");
         }
     }
 

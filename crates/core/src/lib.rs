@@ -48,6 +48,8 @@
 // typed errors (see `error`); the panicking accessors that remain are
 // documented indexing-style invariants, individually allow-listed.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
+// Unit tests may unwrap: a panic there is a test failure, not a crash.
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod bottomup;
 pub mod crt;

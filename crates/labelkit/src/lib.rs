@@ -24,6 +24,8 @@
 // Runtime failures surface as typed errors; remaining panics are
 // documented contracts built on `panic!`, not `unwrap`.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
+// Unit tests may unwrap: a panic there is a test failure, not a crash.
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod bitstring;
 pub mod codec;

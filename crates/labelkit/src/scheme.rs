@@ -9,11 +9,12 @@ use xp_xmltree::XmlTree;
 /// two nodes can be uniquely and quickly determined simply by examining their
 /// labels").
 ///
-/// Labels are plain values (`Send + Sync`): table builds and structural
-/// joins fan label comparisons out across the `xp-par` worker pool, so a
-/// label type must be safe to share and move across threads. Every label in
-/// this workspace is an owned integer/string structure, and instrumentation
-/// wrappers use atomics, so the bounds cost nothing.
+/// Labels are plain values (`Send + Sync`): table builds construct rows on
+/// the `xp-par` worker pool and served snapshots share labels across
+/// connection threads, so a label type must be safe to share and move
+/// across threads. Every label in this workspace is an owned integer/string
+/// structure, and instrumentation wrappers use atomics, so the bounds cost
+/// nothing.
 pub trait LabelOps: Clone + Eq + std::fmt::Debug + Send + Sync {
     /// `true` iff the node labeled `self` is a **proper ancestor** of the
     /// node labeled `other`.
@@ -62,15 +63,19 @@ pub trait LabelOps: Clone + Eq + std::fmt::Debug + Send + Sync {
 
     /// Returns a reusable predicate answering "is `self` a proper ancestor
     /// of the argument?" — for call sites that test **one fixed ancestor
-    /// candidate against many nodes** (the descendant axis of the query
-    /// engine, the stack tops of the structural join).
+    /// candidate against many nodes**: the stack tops of the structural
+    /// join, and the per-context reference's descendant and following
+    /// scans. Call sites that test a label only a few times (the engine's
+    /// following/preceding boundaries and positional steps) call
+    /// [`LabelOps::is_ancestor_of`] directly.
     ///
     /// The default just delegates to [`LabelOps::is_ancestor_of`], so every
     /// scheme gets it for free. Schemes whose ancestor test repeats
     /// per-`self` setup work may override it to front-load that work: the
     /// prime scheme's test divides by `self`'s label, so its override
     /// captures a Barrett reduction context (precomputed reciprocal) and
-    /// answers each call with multiplications only.
+    /// answers each call with multiplications only, where its plain test
+    /// first tries two word-sized rejections.
     ///
     /// # Contract
     /// For all `x`: `tester(&x) == self.is_ancestor_of(&x)`, bit for bit —

@@ -30,6 +30,8 @@
 
 #![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used, clippy::expect_used)]
+// Unit tests may unwrap: a panic there is a test failure, not a crash.
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -158,7 +160,8 @@ where
 /// and returns the per-chunk results in input order. The chunk boundaries
 /// depend only on `items.len()` and `chunk_len` — never on the thread
 /// count — so downstream consumers that care about *where* the splits fall
-/// (e.g. instrumented joins) see identical partitions at any `XP_THREADS`.
+/// (e.g. the product tree's leaf products) see identical partitions at any
+/// `XP_THREADS`.
 pub fn par_chunks<T, R, F>(items: &[T], chunk_len: usize, f: F) -> Vec<R>
 where
     T: Sync,

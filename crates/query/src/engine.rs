@@ -25,11 +25,15 @@
 //! Evaluation runs each step once for the whole context set: the step's
 //! candidates are filtered by tag, `[="…"]` and `[tag]`, ranked once and
 //! sorted, and steps hand each other `(rank, row index)` pairs in document
-//! order. A position-free step keeps the candidates the stack-tree join
-//! ([`crate::join`]) matches to any context; a positional step takes each
-//! context's n-th match by index into the sorted candidates, so the paper's
-//! "collect, sort, index" costs one sort per step rather than one per
-//! context. The literal per-context strategy survives as the reference
+//! order. A position-free step keeps the candidates some context matches:
+//! the stack-tree join ([`crate::join`]) decides the descendant, ancestor
+//! and ancestor-or-self axes, and the following and preceding axes reduce
+//! to one boundary, because `preceding(S) = preceding(last(S))` and
+//! `following(S)` is everything past the earliest subtree end. A positional
+//! step takes each context's n-th match by index into the sorted
+//! candidates, so the paper's "collect, sort, index" costs one sort per
+//! step rather than one per context. Every step runs on the caller's
+//! thread. The literal per-context strategy survives as the reference
 //! `eval_path_with(.., false)` the differential suites compare against.
 //!
 //! Ranks come from an [`OrderOracle`]. [`TreeOrderOracle`] is a dense rank
@@ -402,8 +406,9 @@ impl OrderOracle for TreeOrderOracle {
 ///
 /// Each step runs once for the whole context set: its candidates are
 /// filtered and ranked once, position-free steps match them through the
-/// stack-based structural join ([`crate::join`]), and positional steps pick
-/// every context's n-th match by index into the sorted candidate run.
+/// stack-based structural join ([`crate::join`]) or one following/preceding
+/// boundary, and positional steps pick every context's n-th match by index
+/// into the sorted candidate run.
 pub fn eval_path<L: LabelOps>(
     table: &LabelTable<L>,
     oracle: &dyn OrderOracle,
@@ -538,8 +543,9 @@ fn labeled<'t, L: LabelOps>(table: &'t LabelTable<L>, rows: &[RankedRow]) -> Vec
     rows.iter().map(|&(r, i)| (r, &table.rows()[i].label)).collect()
 }
 
-/// Marks the candidates at least one context matches on `axis`, using the
-/// stack-tree join for the containment axes.
+/// Marks the candidates at least one context matches on `axis`: the
+/// stack-tree join for the containment axes, one boundary for the
+/// following and preceding axes.
 fn any_match<L: LabelOps>(
     table: &LabelTable<L>,
     ctx: &[RankedRow],
@@ -548,8 +554,9 @@ fn any_match<L: LabelOps>(
 ) -> Vec<bool> {
     let rows = table.rows();
     let parent_of = |&(_, i): &RankedRow| rows[i].parent;
+    let label = |&(_, i): &RankedRow| &rows[i].label;
     let join = |a: &[RankedRow], t: &[RankedRow]| {
-        join::ancestor_descendant_counts_par(&labeled(table, a), &labeled(table, t))
+        join::ancestor_descendant_counts(&labeled(table, a), &labeled(table, t))
     };
     match axis {
         Axis::Child => {
@@ -560,26 +567,27 @@ fn any_match<L: LabelOps>(
             join(ctx, cands).ancestors_of_target.into_iter().map(|a| a > 0).collect()
         }
         Axis::Following => {
-            // Matches iff some context precedes it that is not an ancestor:
-            // (#contexts before) > (#contexts that are ancestors).
-            let counts = join(ctx, cands);
-            cands
-                .iter()
-                .zip(counts.ancestors_of_target)
-                .map(|(&(rank, _), anc)| ctx.partition_point(|&(r, _)| r < rank) > anc)
-                .collect()
+            // following(S) is every candidate past the earliest subtree end
+            // among the contexts. In rank order, each context's end is the
+            // first candidate past its descendant run; a context that starts
+            // at or past the best end so far cannot end earlier.
+            let mut end = cands.len();
+            for c in ctx {
+                if cands.get(end).is_some_and(|&(r, _)| c.0 >= r) {
+                    break;
+                }
+                let start = cands.partition_point(|&(r, _)| r <= c.0);
+                end = start + descendant_run(table, label(c), &cands[start..end]);
+            }
+            (0..cands.len()).map(|p| p >= end).collect()
         }
         Axis::Preceding => {
-            // Matches iff some context follows it that is not a descendant:
-            // (#contexts after) > (#contexts in the candidate's subtree).
-            let counts = join(cands, ctx);
-            cands
-                .iter()
-                .zip(counts.targets_under_ancestor)
-                .map(|(&(rank, _), desc)| {
-                    ctx.len() - ctx.partition_point(|&(r, _)| r <= rank) > desc
-                })
-                .collect()
+            // preceding(S) = preceding(last(S)): a candidate ends before some
+            // context starts iff it ends before the last one starts.
+            let Some(last) = ctx.last() else {
+                return vec![false; cands.len()];
+            };
+            cands.iter().map(|c| c.0 < last.0 && !label(c).is_ancestor_of(label(last))).collect()
         }
         Axis::FollowingSibling | Axis::PrecedingSibling => {
             // Per parent, the earliest (latest) context: a candidate under

@@ -29,12 +29,12 @@ pub struct PredicateStats {
 
 /// Shared counters behind one measurement run.
 ///
-/// These used to be `thread_local!` `Cell`s, which silently dropped every
-/// increment performed on an `xp-par` pool thread (the partitioned join
-/// compares labels on workers) and leaked counts between tests sharing a
+/// The engine compares labels on the caller's thread, but labels are
+/// `Send + Sync` and may be compared on any thread; thread-local counters
+/// would drop those increments and leak counts between tests sharing a
 /// thread. One atomic pair per measurement, shared by `Arc` across every
-/// label clone, makes the stats exact at any thread count and isolates
-/// concurrent measurements from each other.
+/// label clone, keeps the stats exact on any thread and isolates concurrent
+/// measurements from each other.
 #[derive(Debug, Default)]
 struct Counters {
     tests: AtomicU64,
@@ -43,9 +43,9 @@ struct Counters {
 
 impl Counters {
     fn record(&self, bits: u64) {
-        // Relaxed suffices: the totals are read only after the pool joins,
-        // which is already a synchronization point, and the counters carry
-        // no ordering relationship with any other data.
+        // Relaxed suffices: the totals are read only after every comparing
+        // thread has joined, which is already a synchronization point, and
+        // the counters carry no ordering relationship with any other data.
         self.tests.fetch_add(1, Ordering::Relaxed);
         self.bits.fetch_add(bits, Ordering::Relaxed);
     }
@@ -217,23 +217,36 @@ mod tests {
         );
     }
 
-    /// The counting adapter must see every predicate evaluated on `xp-par`
-    /// pool threads. The corpus is big enough that `//SCENE//LINE` goes
-    /// through the partitioned join, so at 4 threads the comparisons run on
-    /// workers — with the old `thread_local!` `Cell` counters their
-    /// increments vanished and the stats under-counted. Chunk boundaries
-    /// depend only on the target count, so the exact same comparisons
-    /// happen at every thread count and the stats must match to the bit.
+    /// The counting adapter must see every ancestor test, whichever thread
+    /// makes it. Every ordered label pair is compared on the `xp-par` pool
+    /// at 1, 2 and 4 threads, and the counters must grow by exactly the
+    /// number of comparisons. A measured query's stats must not depend on
+    /// the thread count either.
     #[test]
     fn counters_are_exact_on_pool_threads() {
-        let tree = xp_datagen::shakespeare::generate_play(
-            "x",
-            3,
-            &xp_datagen::shakespeare::PlayParams::hamlet_like(),
-        );
+        let tree = play();
         let ev = IntervalEvaluator::build(&tree);
-        assert!(ev.table().scan_tag("LINE").len() > 1024, "need a partitioned join");
-        let path = Path::parse("//SCENE//LINE").unwrap();
+        let counters = Arc::new(Counters::default());
+        let labels: Vec<CountingLabel<_>> = ev
+            .table()
+            .rows()
+            .iter()
+            .map(|r| CountingLabel { inner: r.label, counters: Arc::clone(&counters) })
+            .collect();
+        let n = labels.len() as u64;
+        let mut found = None;
+        for threads in [1, 2, 4] {
+            let before = counters.tests.load(Ordering::Relaxed);
+            let pairs: usize = xp_par::with_threads(threads, || {
+                xp_par::par_map(&labels, |a| labels.iter().filter(|b| a.is_ancestor_of(b)).count())
+            })
+            .into_iter()
+            .sum();
+            assert_eq!(counters.tests.load(Ordering::Relaxed) - before, n * n, "{threads} threads");
+            assert_eq!(*found.get_or_insert(pairs), pairs, "answers at {threads} threads");
+        }
+
+        let path = Path::parse("//scene//line").unwrap();
         let ranks: HashMap<NodeId, u64> =
             ev.table().rows().iter().map(|r| (r.node, r.label.order)).collect();
         let measure = |threads: usize| {
@@ -246,9 +259,7 @@ mod tests {
         assert!(s1.ancestor_tests > 0);
         assert!(s1.label_bits_touched > 0);
         for threads in [2, 4] {
-            let (r, s) = measure(threads);
-            assert_eq!(r, r1, "results at {threads} threads");
-            assert_eq!(s, s1, "stats at {threads} threads");
+            assert_eq!(measure(threads), (r1.clone(), s1), "{threads} threads");
         }
     }
 

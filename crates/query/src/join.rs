@@ -15,11 +15,13 @@
 //! every target the chain of `A`-elements that are its proper ancestors.
 //! [`ancestor_descendant_counts`] folds those chains into counts — for
 //! every target, how many `A`-elements are its proper ancestors, and for
-//! every `A`-element, how many targets lie in its subtree — and every
-//! position-free axis of the engine reduces to it. Positional `ancestor`,
-//! `ancestor-or-self` and `preceding` steps read the chains themselves: a
-//! context's n-th match is an index into its chain, or into the candidates
-//! before it with the chain skipped.
+//! every `A`-element, how many targets lie in its subtree — and the
+//! engine's position-free descendant, ancestor and ancestor-or-self steps
+//! reduce to it, on the caller's thread. Position-free following and
+//! preceding steps need no join: each reduces to one boundary. Positional
+//! `ancestor`, `ancestor-or-self` and `preceding` steps read the chains
+//! themselves: a context's n-th match is an index into its chain, or into
+//! the candidates before it with the chain skipped.
 
 use xp_labelkit::{AncestorTester, LabelOps};
 
@@ -124,56 +126,6 @@ pub fn ancestor_descendant_counts<L: LabelOps>(
     JoinCounts { ancestors_of_target, targets_under_ancestor }
 }
 
-/// Fixed partition width (in targets) for [`ancestor_descendant_counts_par`].
-///
-/// This is a *determinism* constant, not a tuning knob: chunk boundaries —
-/// and therefore the exact sequence of label comparisons, which the
-/// instrumentation layer counts — depend only on the target count, never on
-/// the thread count. `par_chunks` runs the same chunks sequentially when the
-/// pool has one thread, so `XP_THREADS=1` and `XP_THREADS=8` perform
-/// byte-for-byte the same comparisons.
-const PAR_TARGET_CHUNK: usize = 1024;
-
-/// Partitioned [`ancestor_descendant_counts`]: the targets are split into
-/// fixed-width chunks and each chunk is joined against the *full* ancestor
-/// list on the `xp-par` pool.
-///
-/// The stack-tree join is exact on any subset of targets (it only requires
-/// sorted inputs), so each chunk's `ancestors_of_target` slice is final and
-/// the merged result is the chunks concatenated in order; an ancestor's
-/// subtree may span several chunks, so `targets_under_ancestor` is the
-/// element-wise sum. Each chunk re-scans the ancestors it needs (`O(|A|)`
-/// extra per chunk), which is why small target sets stay on the sequential
-/// path.
-///
-/// Falls back to the sequential join when fault injection is armed: the
-/// fault sites count operations per thread, so a partitioned pass would
-/// fire a programmed fault at a different operation than the sequential
-/// pass and the differential tests could no longer compare thread counts.
-pub fn ancestor_descendant_counts_par<L: LabelOps>(
-    ancestors: &[Ranked<'_, L>],
-    targets: &[Ranked<'_, L>],
-) -> JoinCounts {
-    if targets.len() <= PAR_TARGET_CHUNK || xp_testkit::fault::active() {
-        return ancestor_descendant_counts(ancestors, targets);
-    }
-    let partial = xp_par::par_chunks(targets, PAR_TARGET_CHUNK, |chunk| {
-        ancestor_descendant_counts(ancestors, chunk)
-    });
-    let mut merged = JoinCounts {
-        ancestors_of_target: Vec::with_capacity(targets.len()),
-        targets_under_ancestor: vec![0usize; ancestors.len()],
-    };
-    for part in partial {
-        merged.ancestors_of_target.extend(part.ancestors_of_target);
-        for (total, n) in merged.targets_under_ancestor.iter_mut().zip(part.targets_under_ancestor)
-        {
-            *total += n;
-        }
-    }
-    merged
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,36 +224,6 @@ mod tests {
         // a has no ancestors in the set; b has one (a). a covers b only.
         assert_eq!(counts.ancestors_of_target, vec![0, 1]);
         assert_eq!(counts.targets_under_ancestor, vec![1, 0]);
-    }
-
-    /// The partitioned join must agree with the sequential join exactly, at
-    /// any thread count, on a target set large enough to span several
-    /// chunks (and on the small sets that stay on the sequential path).
-    #[test]
-    fn partitioned_join_matches_sequential_at_any_thread_count() {
-        let tree = xp_datagen::builders::random_tree(
-            7,
-            &xp_datagen::builders::RandomTreeParams {
-                nodes: 3000,
-                max_depth: 10,
-                max_fanout: 8,
-                tag_variety: 5,
-            },
-        );
-        let all: Vec<NodeId> = tree.elements().collect();
-        assert!(all.len() > 2 * PAR_TARGET_CHUNK, "need several chunks");
-        let doc = IntervalScheme::dense().label(&tree);
-        let evens: Vec<NodeId> = all.iter().copied().step_by(2).collect();
-        let a = ranked(&tree, &doc, &evens);
-        let t = ranked(&tree, &doc, &all);
-        let reference = ancestor_descendant_counts(&a, &t);
-        for threads in [1, 2, 8] {
-            let par = xp_par::with_threads(threads, || ancestor_descendant_counts_par(&a, &t));
-            assert_eq!(par, reference, "threads={threads}");
-            let small =
-                xp_par::with_threads(threads, || ancestor_descendant_counts_par(&a, &t[..50]));
-            assert_eq!(small, ancestor_descendant_counts(&a, &t[..50]), "threads={threads}");
-        }
     }
 
     #[test]

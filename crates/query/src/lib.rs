@@ -31,6 +31,8 @@
 // `eval_str`, `build`) are documented experiment-harness contracts built on
 // `panic!`, not `unwrap`.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
+// Unit tests may unwrap: a panic there is a test failure, not a crash.
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod cache;
 pub mod engine;

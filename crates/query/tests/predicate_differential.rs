@@ -1,14 +1,15 @@
-//! End-to-end predicate differential: the Barrett-reduced ancestor tester
+//! End-to-end predicate differential: the prime label's own ancestor tests
 //! against plain Knuth division, over the whole query pipeline.
 //!
-//! `PrimeLabel::ancestor_tester` answers the descendant axis and the
-//! structural join with a precomputed Barrett context instead of a fresh
-//! division per candidate. The contract is that this is invisible: the nine
-//! Figure 15 queries must return byte-identical node sets, and every node's
-//! order number (`SC mod self-label`) must agree between the word-reducer
-//! and plain-division paths — at one worker thread and at eight, and with
-//! the `bignum.mul` fault site armed (typed errors, never panics, never a
-//! wrong answer).
+//! `PrimeLabel::ancestor_tester` answers the structural join with a
+//! precomputed Barrett context instead of a fresh division per candidate,
+//! and `PrimeLabel::is_ancestor_of` rejects most pairs by bit length or by
+//! the self-label's residue before it divides. The contract is that both
+//! are invisible: the nine Figure 15 queries must return byte-identical
+//! node sets, and every node's order number (`SC mod self-label`) must
+//! agree between the word-reducer and plain-division paths — at one worker
+//! thread and at eight, and with the `bignum.mul` fault site armed (typed
+//! errors, never panics, never a wrong answer).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use xp_bignum::reduce::Reducer64;
@@ -22,18 +23,22 @@ use xp_query::relstore::LabelTable;
 use xp_testkit::fault;
 use xp_xmltree::{NodeId, XmlTree};
 
-/// A prime label that refuses the Barrett shortcut: every structural
-/// predicate goes through `PrimeLabel::is_ancestor_of`'s full division
-/// because the default `ancestor_tester` (plain delegation) is kept.
+/// A prime label that refuses every shortcut: each structural predicate is
+/// Property 2 (Property 3 under Opt2) done by full division, with neither
+/// the Barrett tester (the default `ancestor_tester`, plain delegation, is
+/// kept) nor `PrimeLabel::is_ancestor_of`'s word-sized rejections.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct PlainDivisionLabel(PrimeLabel);
 
 impl LabelOps for PlainDivisionLabel {
     fn is_ancestor_of(&self, other: &Self) -> bool {
-        self.0.is_ancestor_of(&other.0)
+        let (x, y) = (&self.0, &other.0);
+        x.value() != y.value()
+            && (!x.odd_internal_mode() || x.value().is_odd())
+            && y.value().is_multiple_of(x.value())
     }
     fn is_parent_of(&self, other: &Self) -> bool {
-        self.0.is_parent_of(&other.0)
+        self.is_ancestor_of(other) && self.0.value() * other.0.self_label() == *other.0.value()
     }
     fn size_bits(&self) -> u64 {
         self.0.size_bits()

@@ -18,6 +18,14 @@
 //! "Cost" is rank lookups (through a counting [`OrderOracle`] around
 //! [`eval_path`]) plus ancestor tests (through
 //! [`measure_predicates`]).
+//!
+//! A second test applies (a) and (c) to the ancestor tests alone of the
+//! structural steps over the large tags: descendant, following, preceding,
+//! ancestor and ancestor-or-self from every `SPEECH` or `LINE`. A join that
+//! re-pushes ancestors per chunk of targets, or a following/preceding step
+//! that pushes every candidate through a stack, grows faster than the
+//! corpus there. (Rule (b) does not fit: an ancestor step makes about ten
+//! tests per result row.)
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use xp_datagen::shakespeare::{PlayParams, ShakespeareCorpus};
@@ -54,20 +62,19 @@ impl Cost {
     }
 }
 
-/// Runs every Table-2 query once, counting its rank lookups and its
-/// ancestor tests.
-fn costs(ev: &PrimeEvaluator) -> Vec<Cost> {
-    TEST_QUERIES
+/// Runs every path once, counting its rank lookups and its ancestor tests.
+fn costs(ev: &PrimeEvaluator, paths: &[&str]) -> Vec<Cost> {
+    paths
         .iter()
         .map(|q| {
-            let path = Path::parse(q.path).unwrap();
+            let path = Path::parse(q).unwrap();
             let oracle = CountingOracle { ev, calls: AtomicU64::new(0) };
             let rows = eval_path(ev.table(), &oracle, &path).unwrap();
             // `measure_predicates` ranks every row up front; give it an
             // oracle of its own so those lookups are not counted.
             let plain = CountingOracle { ev, calls: AtomicU64::new(0) };
             let (same, stats) = measure_predicates(ev.table(), &plain, &path).unwrap();
-            assert_eq!(rows, same, "{}: instrumentation changed the answer", q.id);
+            assert_eq!(rows, same, "{q}: instrumentation changed the answer");
             Cost {
                 rows: rows.len(),
                 rank_lookups: oracle.calls.load(Ordering::Relaxed),
@@ -77,23 +84,24 @@ fn costs(ev: &PrimeEvaluator) -> Vec<Cost> {
         .collect()
 }
 
-/// The Figure-15 corpus at `replicas`, its costs at 1 thread, and (c):
-/// the same costs at 8 threads.
-fn measured(replicas: usize) -> Vec<Cost> {
+/// The Figure-15 corpus at `replicas`, the costs of `paths` on it at 1
+/// thread, and (c): the same costs at 8 threads.
+fn measured(replicas: usize, paths: &[&str]) -> Vec<Cost> {
     let tree = ShakespeareCorpus::generate_with(replicas, 2004, &PlayParams::hamlet_like()).tree;
     let ev = PrimeEvaluator::build(&tree, 5);
-    let serial = xp_par::with_threads(1, || costs(&ev));
-    let parallel = xp_par::with_threads(8, || costs(&ev));
-    for ((q, s), p) in TEST_QUERIES.iter().zip(&serial).zip(&parallel) {
-        assert_eq!(s, p, "{} at {replicas} replicas: counts depend on the thread count", q.id);
+    let serial = xp_par::with_threads(1, || costs(&ev, paths));
+    let parallel = xp_par::with_threads(8, || costs(&ev, paths));
+    for ((q, s), p) in paths.iter().zip(&serial).zip(&parallel) {
+        assert_eq!(s, p, "{q} at {replicas} replicas: counts depend on the thread count");
     }
     serial
 }
 
 #[test]
 fn query_cost_is_linear_in_the_corpus_and_bounded_per_row() {
-    let small = measured(2);
-    let large = measured(8);
+    let paths: Vec<&str> = TEST_QUERIES.iter().map(|q| q.path).collect();
+    let small = measured(2, &paths);
+    let large = measured(8, &paths);
     let mut failures = Vec::new();
     for ((q, s), l) in TEST_QUERIES.iter().zip(&small).zip(&large) {
         eprintln!(
@@ -126,4 +134,35 @@ fn query_cost_is_linear_in_the_corpus_and_bounded_per_row() {
         }
     }
     assert!(failures.is_empty(), "query cost gate:\n{}", failures.join("\n"));
+}
+
+#[test]
+fn structural_join_tests_are_linear_in_the_corpus() {
+    let paths = [
+        "//PLAY//SPEECH//LINE",
+        "//PLAY//SPEECH/following::LINE",
+        "//PLAY//SPEECH/preceding::LINE",
+        "//PLAY//LINE/ancestor::SPEECH",
+        "//PLAY//LINE/ancestor-or-self::*",
+    ];
+    let small = measured(2, &paths);
+    let large = measured(8, &paths);
+    let mut failures = Vec::new();
+    for ((q, s), l) in paths.iter().zip(&small).zip(&large) {
+        eprintln!(
+            "{q}: r=2 {} rows {} tests | r=8 {} rows {} tests | x{:.1}",
+            s.rows,
+            s.ancestor_tests,
+            l.rows,
+            l.ancestor_tests,
+            l.ancestor_tests as f64 / s.ancestor_tests.max(1) as f64,
+        );
+        if l.ancestor_tests > 5 * s.ancestor_tests {
+            failures.push(format!(
+                "{q}: ancestor tests grew {} -> {} from 2 to 8 replicas (> 5x)",
+                s.ancestor_tests, l.ancestor_tests
+            ));
+        }
+    }
+    assert!(failures.is_empty(), "structural join gate:\n{}", failures.join("\n"));
 }

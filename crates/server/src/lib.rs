@@ -31,6 +31,8 @@
 
 #![warn(missing_docs)]
 #![deny(clippy::unwrap_used, clippy::expect_used)]
+// Unit tests may unwrap: a panic there is a test failure, not a crash.
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 

@@ -41,6 +41,8 @@
 // Everything that touches the disk can fail; failures surface as typed
 // [`StoreError`]s, never panics.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
+// Unit tests may unwrap: a panic there is a test failure, not a crash.
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod error;
 pub mod frame;

@@ -32,6 +32,8 @@
 // `ParseError`s; the panicking mutators that remain are documented
 // API contracts, individually allow-listed.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
+// Unit tests may unwrap: a panic there is a test failure, not a crash.
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod parse;
 pub mod serialize;

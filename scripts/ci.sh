@@ -40,11 +40,14 @@ echo "OK: dependency graph contains only workspace crates."
 
 echo "==> clippy panic-policy gate (deny unwrap/expect in library crates)"
 # The library crates carry #![deny(clippy::unwrap_used, clippy::expect_used)],
-# so a plain clippy pass over the lib targets hard-errors on any unwrap or
-# expect that sneaks back in. Skipped (with a warning) only if the toolchain
-# has no clippy component.
+# so a clippy pass hard-errors on any unwrap or expect that sneaks back into
+# library code. Their unit tests may unwrap (a cfg_attr(test, allow(..))
+# sits beside each deny), so the pass covers every target: unit tests,
+# integration tests and examples compile under clippy too, and its
+# deny-by-default lints fail the gate there as well. Skipped (with a
+# warning) only if the toolchain has no clippy component.
 if cargo clippy --version >/dev/null 2>&1; then
-    cargo clippy -q --offline --lib \
+    cargo clippy -q --offline --all-targets \
         -p xp-prime -p xp-query -p xp-xmltree -p xp-bignum -p xp-labelkit -p xp-par \
         -p xp-store -p xp-server
     echo "OK: library crates are clippy-clean under the panic policy."
@@ -157,6 +160,11 @@ echo "==> query-cost gate (rank lookups + ancestor tests per Table-2 query)"
 # plus ancestor tests must grow at most 5x for 4x the data, stay at most 8
 # per result row (queries with >= 100 rows), and match at 1 and 8 worker
 # threads. A step that rescans its candidates once per context fails it.
+# structural_join_tests_are_linear_in_the_corpus holds the ancestor tests
+# of the descendant, following, preceding, ancestor and ancestor-or-self
+# steps over every SPEECH or LINE to the same 5x and thread rules, so a
+# join that re-pushes ancestors per chunk of targets, or a following or
+# preceding step that pushes every candidate through a stack, fails it.
 # See crates/query/tests/query_cost.rs and DESIGN.md §15.
 cargo test -q --offline -p xp-query --test query_cost > /dev/null
 echo "OK: query cost is linear in the corpus and bounded per row."
