@@ -219,12 +219,12 @@ impl DynamicScheme for IntervalScheme {
                 let (lower, upper) = interval_gap_before(tree, doc, parent, anchor);
                 let level = doc.label(anchor).level;
                 // k orders strictly inside (lower, upper).
-                (upper.saturating_sub(lower) >= k + 1).then_some((lower + 1, level, None))
+                (upper.saturating_sub(lower) > k).then_some((lower + 1, level, None))
             }
             InsertPos::LastChildOf(parent) => {
                 let (pred_end, succ) = interval_append_bounds(tree, doc, parent);
                 let level = doc.label(parent).level + 1;
-                succ.map_or(true, |s| pred_end + k < s)
+                succ.is_none_or(|s| pred_end + k < s)
                     .then_some((pred_end + 1, level, Some((parent, pred_end + k))))
             }
         };
@@ -357,7 +357,7 @@ fn assign_float(
     level: u32,
     out: &mut Vec<FloatLabel>,
 ) -> bool {
-    if !(start < end) {
+    if start.partial_cmp(&end) != Some(std::cmp::Ordering::Less) {
         return false;
     }
     out.push(FloatLabel { start, end, level });

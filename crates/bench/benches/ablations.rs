@@ -37,11 +37,14 @@ fn bench_join_strategies() {
     use xp_query::relstore::LabelTable;
 
     // A query with a large ancestor set × large candidate set: the shape
-    // where nested loops blow up (Table 2's Q5 without the predicate).
+    // where nested loops blow up. The batched side answers the last
+    // descendant step with one stack join over every SPEECH and LINE
+    // (`join::ancestor_descendant_counts`); the nested-loop side tests
+    // every LINE against every SPEECH.
     let tree = corpus(2);
     let ev = IntervalEvaluator::build(&tree);
     let _ = &ev as &dyn Evaluator;
-    let path = Path::parse("//PLAY//SPEECH/preceding::LINE").unwrap();
+    let path = Path::parse("//PLAY//SPEECH//LINE").unwrap();
 
     struct Oracle<'a>(&'a LabelTable<xp_baselines::IntervalLabel>);
     impl xp_query::engine::OrderOracle for Oracle<'_> {

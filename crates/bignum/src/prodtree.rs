@@ -129,7 +129,7 @@ mod tests {
     fn sequential(factors: &[u64]) -> UBig {
         let mut acc = UBig::one();
         for &f in factors {
-            acc = acc * UBig::from(f);
+            acc *= UBig::from(f);
         }
         acc
     }

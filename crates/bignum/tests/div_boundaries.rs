@@ -8,7 +8,7 @@
 use xp_bignum::reduce::{Reducer, Reducer64};
 use xp_bignum::UBig;
 use xp_testkit::propcheck::{u64s, vec_of};
-use xp_testkit::{prop_assert, prop_assert_eq, prop_assume, propcheck};
+use xp_testkit::{prop_assert_eq, prop_assume, propcheck};
 
 /// Full agreement check for one `(u, v)` pair: Knuth divrem invariants plus
 /// the Barrett context, and the word reducer when `v` is a single limb.

@@ -90,18 +90,22 @@ impl ScRecord {
     /// Solves a record from its members and their orders: the product
     /// through the balanced product tree (within the bit budget), the SC
     /// value through [`crt::solve`]. Builds and member-set changes (relabel,
-    /// removal) come through here.
+    /// removal) come through here. The CRT fold multiplies bignums too, so
+    /// the `bignum.mul` fault point fires before it, as before each of the
+    /// product's multiplications.
     fn solve(members: Vec<u64>, orders: Vec<u64>, budget: u64) -> Result<Self, ScError> {
         let product = prodtree::product_within(&members, budget)?;
+        faultpoint!("bignum.mul")?;
         let sc = crt::solve(&members, &orders)?;
         let max_self = members.iter().copied().max().unwrap_or(0);
         Ok(ScRecord { members, orders, product, sc, max_self })
     }
 
     /// Plans shifting every cached order `>= threshold` up by one, without
-    /// writing. Only a partial shift does bignum work (and so can fail): it
-    /// re-solves the record from the shifted orders.
-    fn plan_shift(&self, threshold: u64) -> Result<Shift, CrtError> {
+    /// writing. Only a partial shift does bignum work (and so can fail, at
+    /// the `bignum.mul` fault point among others): it re-solves the record
+    /// from the shifted orders.
+    fn plan_shift(&self, threshold: u64) -> Result<Shift, ScError> {
         let shifted = self.orders.iter().filter(|&&o| o >= threshold).count();
         Ok(match shifted {
             0 => Shift::None,
@@ -109,6 +113,7 @@ impl ScRecord {
             _ => {
                 let orders: Vec<u64> =
                     self.orders.iter().map(|&o| if o >= threshold { o + 1 } else { o }).collect();
+                faultpoint!("bignum.mul")?;
                 let sc = crt::solve(&self.members, &orders)?;
                 Shift::Partial { orders, sc }
             }
@@ -139,6 +144,7 @@ impl ScRecord {
     /// ([`crt::extend`] against the cached product).
     fn append_member(&mut self, m: u64, order: u64, budget: u64) -> Result<(), ScError> {
         let new_product = mul_within(&self.product, &UBig::from(m), budget)?;
+        faultpoint!("bignum.mul")?;
         self.sc = crt::extend(&self.sc, &self.product, m, order)?;
         self.product = new_product;
         self.members.push(m);
@@ -911,6 +917,42 @@ mod tests {
     }
 
     #[test]
+    fn bignum_mul_fires_inside_every_crt_fold() {
+        use xp_testkit::fault;
+        // Records [7, 11, 13] at orders 1..=3 and [17, 19] at 4..=5. At
+        // order 2 the first record re-solves a partial shift and the second
+        // (receiving) shifts whole; at order 5 the receiving record
+        // re-solves a partial shift. Either way an insert hits the site
+        // three times: one partial re-solve, the product multiply and the
+        // crt::extend fold. Each hit fails typed and leaves the table as it
+        // was.
+        for order in [2, 5] {
+            let mut t = ScTable::build(3, &roomy_items()[..5]).unwrap();
+            let pristine = t.clone();
+            for hit in 1..=3 {
+                fault::arm(&format!("bignum.mul:{hit}"));
+                let err = t.insert(29, order).unwrap_err();
+                fault::reset();
+                assert_eq!(err, ScError::FaultInjected("bignum.mul"), "order {order} hit {hit}");
+                assert_eq!(t, pristine, "order {order} hit {hit}");
+            }
+            fault::arm("bignum.mul:4");
+            t.insert(29, order).unwrap();
+            fault::reset();
+            t.check_cached_columns().unwrap();
+            assert_eq!(t.order_of(29), Some(order));
+        }
+        // A removal re-solves its record: one product multiply over the two
+        // remaining members, then the CRT fold.
+        let mut t = ScTable::build(3, &roomy_items()).unwrap();
+        let pristine = t.clone();
+        fault::arm("bignum.mul:2");
+        assert_eq!(t.remove(11).unwrap_err(), ScError::FaultInjected("bignum.mul"));
+        fault::reset();
+        assert_eq!(t, pristine);
+    }
+
+    #[test]
     fn next_mutation_succeeds_after_a_faulted_insert() {
         use xp_testkit::fault;
         let mut t = ScTable::build(2, &roomy_items()).unwrap();
@@ -1074,7 +1116,7 @@ mod tests {
         // Appending past every covered order must touch only the receiving
         // record, even when many records exist.
         let items: Vec<(u64, u64)> =
-            xp_primes::first_primes(40).into_iter().zip(1..).map(|(m, o)| (m, o)).collect();
+            xp_primes::first_primes(40).into_iter().zip(1..).collect();
         let mut t = ScTable::build(5, &items).unwrap();
         let report = t.insert(409, 41).unwrap();
         assert_eq!(report.records_updated, 1);

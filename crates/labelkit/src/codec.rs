@@ -36,21 +36,31 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// Appends `v` as a LEB128 varint.
+/// Appends `v` as a LEB128 varint. Inlined across crates: the server's
+/// reply encoder calls it once per result row.
+#[inline]
 pub fn write_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
         v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
     }
+    out.push(v as u8);
 }
 
-/// Reads a LEB128 varint, advancing the slice.
+/// Reads a LEB128 varint, advancing the slice. A one-byte varint (below
+/// 128) returns from the inlined fast path.
+#[inline]
 pub fn read_varint(input: &mut &[u8]) -> Result<u64, CodecError> {
+    if let Some((&byte, rest)) = input.split_first() {
+        if byte < 0x80 {
+            *input = rest;
+            return Ok(u64::from(byte));
+        }
+    }
+    read_varint_multi(input)
+}
+
+fn read_varint_multi(input: &mut &[u8]) -> Result<u64, CodecError> {
     let mut out = 0u64;
     let mut shift = 0u32;
     loop {
@@ -166,6 +176,34 @@ mod tests {
             let mut slice = buf.as_slice();
             assert_eq!(read_varint(&mut slice), Ok(v));
             assert!(slice.is_empty());
+        }
+    }
+
+    #[test]
+    fn varint_bytes_are_pinned() {
+        // Segments, WAL frames and socket messages store these bytes.
+        let cases: [(u64, &[u8]); 5] = [
+            (0, &[0x00]),
+            (127, &[0x7f]),
+            (128, &[0x80, 0x01]),
+            (300, &[0xac, 0x02]),
+            (u64::MAX, &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01]),
+        ];
+        for (v, bytes) in cases {
+            let mut buf = Vec::new();
+            write_varint(&mut buf, v);
+            assert_eq!(buf, bytes, "{v}");
+        }
+        // Every bit length takes ceil(bits / 7) bytes and reads back, from
+        // the one-byte fast path and the multi-byte loop alike.
+        for bits in 0..64 {
+            for v in [1u64 << bits, (1u64 << bits) - 1] {
+                let mut buf = Vec::new();
+                write_varint(&mut buf, v);
+                let want = (64 - v.leading_zeros()).div_ceil(7).max(1) as usize;
+                assert_eq!(buf.len(), want, "{v}");
+                assert_eq!(read_varint(&mut buf.as_slice()), Ok(v));
+            }
         }
     }
 

@@ -411,6 +411,10 @@ impl<S: DynamicScheme> fmt::Debug for ShardCell<S> {
 
 const NO_SHARD: u32 = u32::MAX;
 
+/// A sharded document's labels and shard registry, as
+/// [`ShardedScheme::assemble`] builds them.
+type Assembled<S> = (LabeledDoc<ShardedLabel<<S as Scheme>::Label>>, ShardedState<S>);
+
 /// Scheme state of a sharded document: the shard registry.
 pub struct ShardedState<S: DynamicScheme> {
     /// Slot per ever-allocated shard id; purged/merged shards leave `None`.
@@ -988,7 +992,7 @@ where
         // trigger counters, so parallel interleaving would make the
         // failing shard nondeterministic; sequential keeps it exact) —
         // then glue the parts together exactly as recovery does.
-        let inited: Vec<Result<(LabeledDoc<S::Label>, S::State), DynamicError>> =
+        let inited: Vec<_> =
             if xp_testkit::fault::active() || xp_par::threads() <= 1 {
                 pre.iter().map(|p| self.inner.init(&p.shadow)).collect()
             } else {
@@ -1325,7 +1329,7 @@ where
             .element_descendants(c)
             .filter(|d| !cell.is_stub(*d))
             .count();
-        if weight >= 2 && victim.map_or(true, |(w, _)| weight > w) {
+        if weight >= 2 && victim.is_none_or(|(w, _)| weight > w) {
             victim = Some((weight, c));
         }
     }
@@ -1819,11 +1823,11 @@ where
         &self,
         tree: &XmlTree,
         parts: Vec<ShardPart<S>>,
-    ) -> Result<(LabeledDoc<ShardedLabel<S::Label>>, ShardedState<S>), DynamicError> {
+    ) -> Result<Assembled<S>, DynamicError> {
         let slots = parts.iter().map(|p| p.id.index() + 1).max().unwrap_or(0);
         let mut state = ShardedState::empty();
         state.shards.resize_with(slots, || None);
-        state.chains = vec![Arc::new(Vec::new()); slots];
+        state.chains.resize_with(slots, || Arc::new(Vec::new()));
         for part in parts {
             let built =
                 RebuiltShadow { shadow: part.shadow, to_global: part.to_global, stubs: part.stubs };

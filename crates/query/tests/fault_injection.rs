@@ -336,13 +336,17 @@ propcheck! {
     /// step before their first write, so this holds with no repair step.
     /// Each case arms one of: `insert` under `sc.insert.record:k` or
     /// `bignum.mul:k`, `remove` under `sc.remove:1` or `bignum.mul:k`,
-    /// `replace_self_label` under `sc.relabel:1` or `bignum.mul:k`.
+    /// `replace_self_label` under `sc.relabel:1` or `bignum.mul:k`. The
+    /// `bignum.mul` site fires at every product multiply and before every
+    /// CRT fold, so `k` up to 7 reaches past a five-member record's four
+    /// multiplies into its re-solve, and into an insert's partial
+    /// re-solves and its `crt::extend`.
     #[test]
     fn recovery_restores_cached_columns_and_bases(
         cap in usizes(1..6),
         base in usizes(4..20),
         seed in u64s(0..1_000_000),
-        trigger in usizes(1..4),
+        trigger in usizes(1..8),
         op in usizes(0..6),
     ) {
         let pool = xp_primes::first_primes(40);

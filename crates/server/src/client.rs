@@ -126,7 +126,7 @@ impl Client {
     }
 
     fn round_trip(&mut self, req: &Request) -> Result<Response, ClientError> {
-        write_message(&mut self.stream, &req.encode())?;
+        write_message(&mut self.stream, |out| req.encode_into(out))?;
         let payload = read_message(&mut self.stream)?.ok_or(ClientError::Disconnected)?;
         let resp = Response::decode(&payload).map_err(|e| ClientError::Codec(e.to_string()))?;
         if let Response::Err { code, msg } = resp {

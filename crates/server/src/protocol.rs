@@ -7,9 +7,12 @@
 //! (`[len: u32 le][crc: u32 le][payload]`, CRC-32/IEEE over the payload;
 //! see [`xp_store::frame`]). Reusing the WAL's frame codec means a message
 //! that survives the socket is bit-identical in shape to one that survives
-//! the disk, and the same corruption checks guard both. Messages are
-//! additionally capped at [`MAX_MESSAGE`] bytes so a garbage length prefix
-//! cannot make the server allocate gigabytes.
+//! the disk, and the same corruption checks guard both. [`write_message`]
+//! encodes the payload straight into the frame buffer
+//! ([`xp_store::frame::encode_frame_with`]), so a reply is never copied
+//! into a second buffer. Messages are additionally capped at
+//! [`MAX_MESSAGE`] bytes so a garbage length prefix cannot make the server
+//! allocate gigabytes.
 //!
 //! # Requests and responses
 //!
@@ -19,6 +22,16 @@
 //! cross the wire as arena slot indices (`NodeId::index()`), which are
 //! stable for the lifetime of a document because slots are never reused —
 //! the same representation the WAL itself uses.
+//!
+//! A [`Response::Hits`] node list is a count followed by one zigzag varint
+//! per id: the wrapping difference from the previous id (the first from
+//! 0). Answers come in document order and the parser hands out arena slots
+//! in document order, so on a loaded document almost every delta is small
+//! and takes one byte; only ids that later inserts handed out cost a jump,
+//! which may be backward. Every `u64` sequence round-trips exactly. This
+//! format took a new response tag; tag 2 carried absolute ids and is
+//! retired, so a stale peer fails with "unknown response tag" instead of
+//! misreading ids.
 //!
 //! Client-side mutations are [`WireMutation`]s: structurally identical to
 //! [`xp_labelkit::Mutation`] but holding raw `u64` node indices, because
@@ -30,7 +43,7 @@
 use std::io::{Read, Write};
 
 use xp_labelkit::codec::{read_bytes, read_varint, write_bytes, write_varint, CodecError};
-use xp_store::frame::{crc32, encode_frame, FRAME_HEADER};
+use xp_store::frame::{crc32, encode_frame_with, FRAME_HEADER};
 
 /// Hard cap on one protocol message (16 MiB). Mutation batches and query
 /// results both fit comfortably; anything larger is a corrupt or hostile
@@ -304,11 +317,12 @@ pub enum Response {
 
 const RESP_PONG: u64 = 0;
 const RESP_DOCS: u64 = 1;
-const RESP_HITS: u64 = 2;
+// Tag 2 carried `Hits` with absolute ids; it is retired, not reused.
 const RESP_APPLIED: u64 = 3;
 const RESP_STATS: u64 = 4;
 const RESP_BYE: u64 = 5;
 const RESP_ERR: u64 = 6;
+const RESP_HITS: u64 = 7;
 
 fn read_string(input: &mut &[u8]) -> Result<String, CodecError> {
     std::str::from_utf8(read_bytes(input)?)
@@ -316,30 +330,71 @@ fn read_string(input: &mut &[u8]) -> Result<String, CodecError> {
         .map_err(|_| CodecError::Corrupt("protocol string is not UTF-8"))
 }
 
+/// The zigzag map of a wrapping id difference: small steps either way
+/// become small varints.
+fn zigzag(delta: u64) -> u64 {
+    (delta << 1) ^ ((delta as i64) >> 63) as u64
+}
+
+fn unzigzag(z: u64) -> u64 {
+    (z >> 1) ^ (z & 1).wrapping_neg()
+}
+
+/// Appends a node list as its count and the zigzag deltas between
+/// consecutive ids. The buffer is sized once, before encoding, for the
+/// common case of one byte per id (measuring each delta first cost more
+/// than the encoding itself); a list with wider deltas grows it.
+fn write_node_list(out: &mut Vec<u8>, nodes: &[u64]) {
+    out.reserve(nodes.len() + 10);
+    write_varint(out, nodes.len() as u64);
+    let mut prev = 0u64;
+    for &n in nodes {
+        write_varint(out, zigzag(n.wrapping_sub(prev)));
+        prev = n;
+    }
+}
+
+fn read_node_list(input: &mut &[u8]) -> Result<Vec<u64>, CodecError> {
+    let count = read_varint(input)?;
+    let mut nodes = Vec::with_capacity(count.min(1 << 20) as usize);
+    let mut prev = 0u64;
+    for _ in 0..count {
+        prev = prev.wrapping_add(unzigzag(read_varint(input)?));
+        nodes.push(prev);
+    }
+    Ok(nodes)
+}
+
 impl Request {
     /// Serializes the request payload (unframed).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the request payload to `out` (how [`write_message`] frames
+    /// it in place).
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
-            Request::Ping => write_varint(&mut out, REQ_PING),
-            Request::ListDocs => write_varint(&mut out, REQ_LIST),
+            Request::Ping => write_varint(out, REQ_PING),
+            Request::ListDocs => write_varint(out, REQ_LIST),
             Request::Query { uri, path } => {
-                write_varint(&mut out, REQ_QUERY);
-                write_bytes(&mut out, uri.as_bytes());
-                write_bytes(&mut out, path.as_bytes());
+                write_varint(out, REQ_QUERY);
+                write_bytes(out, uri.as_bytes());
+                write_bytes(out, path.as_bytes());
             }
             Request::Apply { uri, mutations } => {
-                write_varint(&mut out, REQ_APPLY);
-                write_bytes(&mut out, uri.as_bytes());
-                write_varint(&mut out, mutations.len() as u64);
+                write_varint(out, REQ_APPLY);
+                write_bytes(out, uri.as_bytes());
+                write_varint(out, mutations.len() as u64);
                 for m in mutations {
-                    write_bytes(&mut out, m);
+                    write_bytes(out, m);
                 }
             }
-            Request::Stats => write_varint(&mut out, REQ_STATS),
-            Request::Shutdown => write_varint(&mut out, REQ_SHUTDOWN),
+            Request::Stats => write_varint(out, REQ_STATS),
+            Request::Shutdown => write_varint(out, REQ_SHUTDOWN),
         }
-        out
     }
 
     /// Parses a request payload.
@@ -376,47 +431,51 @@ impl Response {
     /// Serializes the response payload (unframed).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the response payload to `out` (how [`write_message`] frames
+    /// it in place).
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
-            Response::Pong => write_varint(&mut out, RESP_PONG),
+            Response::Pong => write_varint(out, RESP_PONG),
             Response::Docs(docs) => {
-                write_varint(&mut out, RESP_DOCS);
-                write_varint(&mut out, docs.len() as u64);
+                write_varint(out, RESP_DOCS);
+                write_varint(out, docs.len() as u64);
                 for d in docs {
-                    write_bytes(&mut out, d.uri.as_bytes());
-                    write_varint(&mut out, d.epoch);
-                    write_varint(&mut out, d.seq);
-                    write_varint(&mut out, d.elements);
+                    write_bytes(out, d.uri.as_bytes());
+                    write_varint(out, d.epoch);
+                    write_varint(out, d.seq);
+                    write_varint(out, d.elements);
                 }
             }
             Response::Hits { epoch, seq, nodes } => {
-                write_varint(&mut out, RESP_HITS);
-                write_varint(&mut out, *epoch);
-                write_varint(&mut out, *seq);
-                write_varint(&mut out, nodes.len() as u64);
-                for &n in nodes {
-                    write_varint(&mut out, n);
-                }
+                write_varint(out, RESP_HITS);
+                write_varint(out, *epoch);
+                write_varint(out, *seq);
+                write_node_list(out, nodes);
             }
             Response::Applied { epoch, seq, results } => {
-                write_varint(&mut out, RESP_APPLIED);
-                write_varint(&mut out, *epoch);
-                write_varint(&mut out, *seq);
-                write_varint(&mut out, results.len() as u64);
+                write_varint(out, RESP_APPLIED);
+                write_varint(out, *epoch);
+                write_varint(out, *seq);
+                write_varint(out, results.len() as u64);
                 for r in results {
                     match r {
                         Ok(touched) => {
-                            write_varint(&mut out, 0);
-                            write_varint(&mut out, *touched);
+                            write_varint(out, 0);
+                            write_varint(out, *touched);
                         }
                         Err(msg) => {
-                            write_varint(&mut out, 1);
-                            write_bytes(&mut out, msg.as_bytes());
+                            write_varint(out, 1);
+                            write_bytes(out, msg.as_bytes());
                         }
                     }
                 }
             }
             Response::Stats(s) => {
-                write_varint(&mut out, RESP_STATS);
+                write_varint(out, RESP_STATS);
                 for v in [
                     s.epochs,
                     s.applied,
@@ -428,17 +487,16 @@ impl Response {
                     s.cache_misses,
                     s.cache_invalidated,
                 ] {
-                    write_varint(&mut out, v);
+                    write_varint(out, v);
                 }
             }
-            Response::Bye => write_varint(&mut out, RESP_BYE),
+            Response::Bye => write_varint(out, RESP_BYE),
             Response::Err { code, msg } => {
-                write_varint(&mut out, RESP_ERR);
-                write_varint(&mut out, code.to_u64());
-                write_bytes(&mut out, msg.as_bytes());
+                write_varint(out, RESP_ERR);
+                write_varint(out, code.to_u64());
+                write_bytes(out, msg.as_bytes());
             }
         }
-        out
     }
 
     /// Parses a response payload.
@@ -459,16 +517,11 @@ impl Response {
                 }
                 Response::Docs(docs)
             }
-            RESP_HITS => {
-                let epoch = read_varint(input)?;
-                let seq = read_varint(input)?;
-                let count = read_varint(input)?;
-                let mut nodes = Vec::with_capacity(count.min(1 << 20) as usize);
-                for _ in 0..count {
-                    nodes.push(read_varint(input)?);
-                }
-                Response::Hits { epoch, seq, nodes }
-            }
+            RESP_HITS => Response::Hits {
+                epoch: read_varint(input)?,
+                seq: read_varint(input)?,
+                nodes: read_node_list(input)?,
+            },
             RESP_APPLIED => {
                 let epoch = read_varint(input)?;
                 let seq = read_varint(input)?;
@@ -509,9 +562,13 @@ impl Response {
     }
 }
 
-/// Writes one framed message.
-pub fn write_message(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
-    w.write_all(&encode_frame(payload))?;
+/// Writes one framed message whose payload `encode` appends, straight
+/// into the frame buffer (e.g. `|out| response.encode_into(out)`).
+pub fn write_message(
+    w: &mut impl Write,
+    encode: impl FnOnce(&mut Vec<u8>),
+) -> std::io::Result<()> {
+    w.write_all(&encode_frame_with(encode))?;
     w.flush()
 }
 
@@ -576,6 +633,7 @@ fn bad_data(msg: &'static str) -> std::io::Error {
 mod tests {
     use super::*;
     use xp_labelkit::{InsertPos, Mutation};
+    use xp_testkit::rng::SeedableRng;
 
     #[test]
     fn request_round_trips() {
@@ -630,6 +688,81 @@ mod tests {
         }
     }
 
+    fn hits(nodes: Vec<u64>) -> Response {
+        Response::Hits { epoch: 12, seq: 345, nodes }
+    }
+
+    #[test]
+    fn hits_round_trip_any_id_sequence() {
+        let mut rng = xp_testkit::rng::StdRng::seed_from_u64(0x2117);
+        let random: Vec<u64> = (0..2_000).map(|_| rng.next_u64()).collect();
+        let lists = [
+            vec![],
+            vec![42],
+            vec![0, u64::MAX, 0],
+            vec![u64::MAX, 1 << 63, 1 << 40, 300, 7, 0],
+            (0..1_000).rev().collect(),
+            random,
+        ];
+        for nodes in lists {
+            let resp = hits(nodes);
+            assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
+        }
+    }
+
+    #[test]
+    fn hits_payload_bytes_are_pinned() {
+        // Tag 7, epoch 3, seq 17, five ids as zigzag deltas from 0:
+        // +5, +1, +1, -3, +296.
+        let resp = Response::Hits { epoch: 3, seq: 17, nodes: vec![5, 6, 7, 4, 300] };
+        assert_eq!(
+            resp.encode(),
+            [0x07, 0x03, 0x11, 0x05, 0x0a, 0x02, 0x02, 0x05, 0xd0, 0x04]
+        );
+        // A run of consecutive ids, as a freshly parsed document answers:
+        // after the first (2 bytes for zigzag 2000), one byte per id.
+        let run = hits((1_000..3_000).collect()).encode();
+        let header = hits(Vec::new()).encode().len() - 1; // less the count byte
+        assert_eq!(run.len(), header + 2 + 2 + 1_999);
+    }
+
+    #[test]
+    fn retired_and_truncated_hits_fail_typed() {
+        // Tag 2 carried absolute ids; a peer still sending it is refused,
+        // never misread as deltas.
+        let mut stale = Vec::new();
+        for v in [2u64, 3, 17, 2, 5, 6] {
+            write_varint(&mut stale, v);
+        }
+        assert_eq!(Response::decode(&stale), Err(CodecError::Corrupt("unknown response tag")));
+
+        let full = hits(vec![10, 11, 12, 1 << 30]).encode();
+        for cut in 1..full.len() {
+            assert_eq!(
+                Response::decode(&full[..cut]),
+                Err(CodecError::UnexpectedEnd),
+                "cut at {cut}"
+            );
+        }
+        // A count far past the bytes present is a truncation, not a huge
+        // allocation.
+        let mut lying = Vec::new();
+        for v in [RESP_HITS, 1, 1, u64::MAX, 0] {
+            write_varint(&mut lying, v);
+        }
+        assert_eq!(Response::decode(&lying), Err(CodecError::UnexpectedEnd));
+    }
+
+    #[test]
+    fn write_message_frames_the_encoded_payload() {
+        let resp = hits(vec![3, 1, 4, 1, 5, 9, 2, 6]);
+        let mut wire = Vec::new();
+        write_message(&mut wire, |out| resp.encode_into(out)).unwrap();
+        assert_eq!(wire, xp_store::frame::encode_frame(&resp.encode()));
+        let payload = read_message(&mut wire.as_slice()).unwrap().unwrap();
+        assert_eq!(Response::decode(&payload).unwrap(), resp);
+    }
+
     #[test]
     fn wire_mutation_bytes_match_the_labelkit_codec() {
         let tree = xp_xmltree::parse("<r><a><b/></a><c/></r>").unwrap();
@@ -678,8 +811,8 @@ mod tests {
     #[test]
     fn framed_stream_round_trips_and_rejects_corruption() {
         let mut buf = Vec::new();
-        write_message(&mut buf, &Request::Ping.encode()).unwrap();
-        write_message(&mut buf, &Request::Stats.encode()).unwrap();
+        write_message(&mut buf, |out| Request::Ping.encode_into(out)).unwrap();
+        write_message(&mut buf, |out| Request::Stats.encode_into(out)).unwrap();
         let mut r = buf.as_slice();
         assert_eq!(
             Request::decode(&read_message(&mut r).unwrap().unwrap()).unwrap(),

@@ -283,7 +283,7 @@ fn handle_connection<S: Snapshot>(
                 let is_shutdown = matches!(req, Request::Shutdown);
                 let resp = handle_request(req, &docs, caches.as_ref(), &jobs, &counters);
                 if is_shutdown {
-                    let _ = write_message(&mut conn, &resp.encode());
+                    let _ = write_message(&mut conn, |out| resp.encode_into(out));
                     stop.store(true, Ordering::SeqCst);
                     return;
                 }
@@ -291,7 +291,7 @@ fn handle_connection<S: Snapshot>(
             }
             Err(e) => Response::Err { code: ErrCode::BadRequest, msg: e.to_string() },
         };
-        if write_message(&mut conn, &response.encode()).is_err() {
+        if write_message(&mut conn, |out| response.encode_into(out)).is_err() {
             return;
         }
     }

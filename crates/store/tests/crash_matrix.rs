@@ -7,7 +7,7 @@
 //! death — lives in `kill_harness.rs`; `short` mode is covered on the read
 //! path here.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use xp_labelkit::{InsertPos, LabeledStore, Mutation};
 use xp_prime::DynamicPrime;
@@ -59,7 +59,7 @@ fn oracle_after(k: usize) -> LabeledStore<DynamicPrime> {
 
 /// Reopens `dir` and asserts the surviving document matches one of the
 /// `accept`able mutation-prefix oracles. Returns which one it was.
-fn assert_recovers_to_prefix(dir: &PathBuf, accept: &[usize]) -> usize {
+fn assert_recovers_to_prefix(dir: &Path, accept: &[usize]) -> usize {
     let reopened = Store::open(dir).unwrap();
     reopened.verify().unwrap();
     let doc = reopened.doc("doc.xml").unwrap();
@@ -80,7 +80,7 @@ fn assert_recovers_to_prefix(dir: &PathBuf, accept: &[usize]) -> usize {
 
 /// Drives the scripted scenario with `spec` armed, stopping at the first
 /// injected failure. Returns how many mutations had fully succeeded.
-fn drive_until_fault(dir: &PathBuf, spec: &str) -> (usize, bool) {
+fn drive_until_fault(dir: &Path, spec: &str) -> (usize, bool) {
     fault::reset();
     let mut live = Store::create(dir).unwrap();
     live.add_document("doc.xml", DOC_XML, 4).unwrap();

@@ -9,7 +9,7 @@
 //! directory the dead child left behind and asserts it recovers to one of
 //! the scenario's legitimate mutation-prefix states.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use xp_labelkit::{InsertPos, LabeledStore, Mutation};
@@ -83,7 +83,7 @@ fn run_child(dir: &PathBuf, spec: &str) -> bool {
 
 /// After a child death, the directory must open to a store whose document
 /// (if it became durable at all) matches one of the scripted prefixes.
-fn assert_killed_store_recovers(dir: &PathBuf, spec: &str, accept: &[usize]) -> usize {
+fn assert_killed_store_recovers(dir: &Path, spec: &str, accept: &[usize]) -> usize {
     let reopened = match Store::open(dir) {
         Ok(s) => s,
         Err(StoreError::NotAStore(_)) => {

@@ -229,7 +229,7 @@ fn run_case(kind: Kind, tree: &XmlTree, ops: &[usize]) -> Result<(), String> {
         // Odd cuts get a sprinkle of garbage: a crash can leave trailing
         // junk as well as a clean truncation. Up to 2 bytes can never form
         // a valid frame header, so it must scan as a torn tail.
-        prefix.extend(std::iter::repeat(0xC3).take(cut % 3));
+        prefix.extend(std::iter::repeat_n(0xC3, cut % 3));
         std::fs::write(scratch.join(WAL_FILE), &prefix).map_err(|e| e.to_string())?;
 
         // How many complete frames fit in this prefix = how many mutations

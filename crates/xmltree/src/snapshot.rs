@@ -163,11 +163,12 @@ fn validate(snap: &TreeSnapshot) -> Result<(), SnapshotError> {
 
     // Bounds + per-slot shape.
     for s in &snap.slots {
-        for link in [s.parent, s.first_child, s.last_child, s.prev_sibling, s.next_sibling] {
-            if let Some(l) = link {
-                if l as usize >= n {
-                    return Err(SnapshotError::LinkOutOfRange);
-                }
+        for l in [s.parent, s.first_child, s.last_child, s.prev_sibling, s.next_sibling]
+            .into_iter()
+            .flatten()
+        {
+            if l as usize >= n {
+                return Err(SnapshotError::LinkOutOfRange);
             }
         }
         if matches!(s.kind, NodeKind::Text(_)) && s.first_child.is_some() {

@@ -43,13 +43,15 @@ echo "==> clippy panic-policy gate (deny unwrap/expect in library crates)"
 # so a clippy pass hard-errors on any unwrap or expect that sneaks back into
 # library code. Their unit tests may unwrap (a cfg_attr(test, allow(..))
 # sits beside each deny), so the pass covers every target: unit tests,
-# integration tests and examples compile under clippy too, and its
-# deny-by-default lints fail the gate there as well. Skipped (with a
-# warning) only if the toolchain has no clippy component.
+# integration tests and examples compile under clippy too. -D warnings
+# turns every other clippy warning into an error as well, over these
+# crates and the workspace crates they compile (xp-baselines), so
+# warnings cannot pile up unnoticed. Skipped (with a warning) only if the
+# toolchain has no clippy component.
 if cargo clippy --version >/dev/null 2>&1; then
     cargo clippy -q --offline --all-targets \
         -p xp-prime -p xp-query -p xp-xmltree -p xp-bignum -p xp-labelkit -p xp-par \
-        -p xp-store -p xp-server
+        -p xp-store -p xp-server -- -D warnings
     echo "OK: library crates are clippy-clean under the panic policy."
 else
     echo "WARNING: clippy not installed; skipping panic-policy gate." >&2
@@ -235,6 +237,23 @@ echo "==> store bench smoke (durability tax + checkpoint/recovery round trip)"
 XP_BENCH_SAMPLES=8 XP_BENCH_MIN_WINDOW_MS=5 \
     cargo run -q --release --offline -p xp-bench --bin bench_store -- --smoke
 echo "OK: store recovery is exact and checkpoints fold the WAL."
+
+echo "==> wire gate (reply bytes per row + frame and protocol codecs)"
+# Count gate for the reply path, independent of wall clock: Table-2
+# answers on the Figure-15 corpus at 10 replicas and the 88 hot region
+# paths must encode in at most 1.1 payload bytes per result row (a Hits
+# node list is zigzag deltas between consecutive ids), and after a few
+# hundred seeded mutations every served answer must round-trip exactly,
+# framed and unframed. The frame unit tests hold the slicing-by-16 CRC-32
+# to the byte-at-a-time reference and pin the on-disk frame bytes, so
+# stores written before it open unchanged; the protocol unit tests pin a
+# Hits payload and the typed refusal of the retired tag 2. See
+# crates/server/tests/reply_bytes.rs and DESIGN.md §11.1 and §12.1.
+cargo test -q --offline -p xp-server --test reply_bytes > /dev/null
+cargo test -q --offline -p xp-store --lib frame > /dev/null
+cargo test -q --offline -p xp-server --lib protocol > /dev/null
+cargo test -q --offline -p xp-labelkit --lib codec > /dev/null
+echo "OK: replies cost about a byte per row and every codec agrees with its reference."
 
 echo "==> server interleaving differential (every serialized order vs oracle)"
 # Concurrent client scripts submitted to the epoch loop in every
