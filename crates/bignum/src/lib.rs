@@ -13,9 +13,7 @@
 //!   limbs) with schoolbook + Karatsuba + Toom-3 multiplication (tuned
 //!   crossovers in [`kernels`]), Knuth Algorithm D division, bit operations,
 //!   and decimal/hex I/O.
-//! * [`IBig`] — a signed wrapper (sign + magnitude) used by the extended
-//!   Euclidean algorithm and Toom-3 interpolation.
-//! * [`modular`] — gcd, extended gcd, modular inverse, and modular
+//! * [`modular`] — gcd, the word-sized modular inverse, and modular
 //!   exponentiation, the building blocks of the CRT solvers in `xp-prime`.
 //! * [`reduce`] — precomputed-divisor contexts: Barrett reduction for the
 //!   repeated ancestor test, a Möller–Granlund word reducer for SC moduli,
@@ -48,7 +46,6 @@ mod bytes;
 pub mod checked;
 mod div;
 mod fmt;
-mod ibig;
 pub mod kernels;
 pub mod modular;
 mod mul;
@@ -56,13 +53,12 @@ pub mod prodtree;
 pub mod reduce;
 mod ubig;
 
-pub use ibig::{IBig, Sign};
 pub use ubig::UBig;
 
-/// Errors produced when parsing a [`UBig`] or [`IBig`] from a string.
+/// Errors produced when parsing a [`UBig`] from a string.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ParseBigError {
-    /// The input string was empty (or contained only a sign).
+    /// The input string was empty.
     Empty,
     /// The input contained a character that is not a digit of the radix.
     InvalidDigit(char),

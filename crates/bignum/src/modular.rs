@@ -1,5 +1,5 @@
-//! Number-theoretic kernels: gcd, extended gcd, modular inverse, and modular
-//! exponentiation.
+//! Number-theoretic kernels: gcd, the word-sized modular inverse, and
+//! modular exponentiation.
 //!
 //! These are the primitives behind §4 of the paper: the Chinese Remainder
 //! Theorem solver that folds document order into a simultaneous-congruence
@@ -7,7 +7,7 @@
 //! new modulus (or, in the paper's Euler-totient formulation, modular powers
 //! of the cofactors `C / mᵢ`).
 
-use crate::{IBig, UBig};
+use crate::UBig;
 
 /// Greatest common divisor by the Euclidean algorithm.
 ///
@@ -41,55 +41,12 @@ pub fn coprime(a: &UBig, b: &UBig) -> bool {
     gcd(a, b).is_one()
 }
 
-/// Extended Euclidean algorithm.
-///
-/// Returns `(g, x, y)` with `a*x + b*y = g = gcd(a, b)`.
-pub fn extended_gcd(a: &UBig, b: &UBig) -> (UBig, IBig, IBig) {
-    // Invariants: old_r = a*old_s + b*old_t, r = a*s + b*t.
-    let mut old_r = IBig::from(a.clone());
-    let mut r = IBig::from(b.clone());
-    let mut old_s = IBig::one();
-    let mut s = IBig::zero();
-    let mut old_t = IBig::zero();
-    let mut t = IBig::one();
-
-    while !r.is_zero() {
-        let (q, rem) = old_r.magnitude().divrem(r.magnitude());
-        // Signs: both old_r and r stay non-negative throughout when inputs
-        // are non-negative, so plain magnitude division is exact here.
-        let q = IBig::from(q);
-        old_r = IBig::from(rem);
-        std::mem::swap(&mut old_r, &mut r);
-        // old_r (pre-swap r) stays; recompute coefficient rows.
-        let new_s = &old_s - &(&q * &s);
-        old_s = std::mem::replace(&mut s, new_s);
-        let new_t = &old_t - &(&q * &t);
-        old_t = std::mem::replace(&mut t, new_t);
-    }
-    (old_r.into_magnitude(), old_s, old_t)
-}
-
-/// Modular inverse: the unique `x` in `[0, m)` with `a*x ≡ 1 (mod m)`, or
-/// `None` when `gcd(a, m) != 1`.
-pub fn mod_inverse(a: &UBig, m: &UBig) -> Option<UBig> {
-    if m.is_zero() || m.is_one() {
-        return None;
-    }
-    let a_red = a % m;
-    let (g, x, _) = extended_gcd(&a_red, m);
-    if g.is_one() {
-        Some(x.rem_euclid(m))
-    } else {
-        None
-    }
-}
-
 /// Machine-word modular inverse: the unique `x` in `[0, m)` with
 /// `a*x ≡ 1 (mod m)`, or `None` when `gcd(a, m) != 1`.
 ///
 /// Each step of the SC table's CRT fold inverts the running product's
-/// residue modulo a word-sized self-label; doing the extended Euclid in
-/// `i128` avoids round-tripping through heap-allocated [`UBig`]s.
+/// residue modulo a word-sized self-label, with the extended Euclid in
+/// `i128`.
 pub fn mod_inverse_u64(a: u64, m: u64) -> Option<u64> {
     if m <= 1 {
         return None;
@@ -213,31 +170,24 @@ mod tests {
     }
 
     #[test]
-    fn extended_gcd_bezout_identity() {
-        for (a, b) in [(240u64, 46u64), (17, 13), (12, 18), (1, 1), (100, 0)] {
-            let (g, x, y) = extended_gcd(&u(a), &u(b));
-            let lhs = &(&IBig::from(u(a)) * &x) + &(&IBig::from(u(b)) * &y);
-            assert_eq!(lhs, IBig::from(g.clone()), "bezout for ({a},{b})");
-            assert_eq!(g, gcd(&u(a), &u(b)));
-        }
-    }
-
-    #[test]
     fn mod_inverse_round_trips() {
         for (a, m) in [(3u64, 7u64), (10, 17), (2, 1_000_003), (65537, 4294967311)] {
-            let inv = mod_inverse(&u(a), &u(m)).unwrap();
-            assert_eq!((&u(a) * &inv) % u(m), u(1), "inverse of {a} mod {m}");
+            let inv = mod_inverse_u64(a, m).unwrap();
+            assert_eq!((a as u128 * inv as u128 % m as u128) as u64, 1, "inverse of {a} mod {m}");
         }
-        assert_eq!(mod_inverse(&u(6), &u(9)), None); // gcd 3
-        assert_eq!(mod_inverse(&u(5), &u(1)), None); // trivial modulus
-        assert_eq!(mod_inverse(&u(5), &u(0)), None);
+        assert_eq!(mod_inverse_u64(6, 9), None); // gcd 3
+        assert_eq!(mod_inverse_u64(5, 1), None); // trivial modulus
+        assert_eq!(mod_inverse_u64(5, 0), None);
     }
 
     #[test]
     fn mod_inverse_u64_agrees_with_bignum_inverse() {
+        // The bignum side is Euler's form of the inverse, a^(φ(m) − 1) mod m
+        // through `mod_pow`, for every a coprime to m.
         for (a, m) in [(3u64, 7u64), (10, 17), (2, 1_000_003), (65537, 4294967311), (0, 5), (6, 9)] {
             let fast = mod_inverse_u64(a, m);
-            let slow = mod_inverse(&u(a), &u(m)).map(|x| x.to_u64().unwrap());
+            let slow = coprime(&u(a), &u(m))
+                .then(|| mod_pow(&u(a), &u(euler_phi_u64(m) - 1), &u(m)).to_u64().unwrap());
             assert_eq!(fast, slow, "inverse of {a} mod {m}");
             if let Some(x) = fast {
                 assert_eq!((a as u128 * x as u128 % m as u128) as u64, 1);

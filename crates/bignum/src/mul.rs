@@ -155,7 +155,7 @@ impl UBig {
     /// `(magnitude, sign)` pair and interpolation stays in unsigned in-place
     /// arithmetic — every intermediate below is a non-negative combination
     /// of product coefficients. (An earlier version promoted the whole
-    /// interpolation to [`IBig`] operator chains; the resulting temporaries
+    /// interpolation to signed big-integer operator chains; the resulting temporaries
     /// plus four full-width `shl_limbs` recomposition adds cost more than a
     /// third of the total at the 2¹⁴-bit crossover — see DESIGN.md §10.1.)
     pub(crate) fn mul_toom3(a: &[u64], b: &[u64]) -> UBig {

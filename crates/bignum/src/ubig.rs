@@ -136,8 +136,7 @@ impl UBig {
     /// In-place subtraction kernel: `self -= other`.
     ///
     /// # Panics
-    /// Panics if `other > self` — `UBig` cannot go negative; use
-    /// [`crate::IBig`] for signed arithmetic.
+    /// Panics if `other > self` — `UBig` cannot go negative.
     pub(crate) fn sub_assign_ref(&mut self, other: &UBig) {
         assert!(
             Self::cmp_magnitude(&self.limbs, &other.limbs) != Ordering::Less,

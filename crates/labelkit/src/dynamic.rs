@@ -173,18 +173,20 @@ impl std::error::Error for DynamicError {
     }
 }
 
-/// Where an insertion lands.
+/// Where an insertion lands. `N` is the node reference: a [`NodeId`] in
+/// the store, a raw arena index (`u64`) on a client that has no arena
+/// (the server's `WirePos`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InsertPos {
+pub enum InsertPos<N = NodeId> {
     /// Immediately before this node, as its previous sibling.
-    Before(NodeId),
+    Before(N),
     /// As the last child of this node.
-    LastChildOf(NodeId),
+    LastChildOf(N),
 }
 
-impl InsertPos {
+impl<N: Copy> InsertPos<N> {
     /// The node the position is expressed relative to.
-    pub fn anchor(&self) -> NodeId {
+    pub fn anchor(&self) -> N {
         match *self {
             InsertPos::Before(n) | InsertPos::LastChildOf(n) => n,
         }
@@ -192,45 +194,66 @@ impl InsertPos {
 }
 
 /// A mutation in data form — what the CLI and the property tests drive
-/// [`LabeledStore::apply`] with.
+/// [`LabeledStore::apply`] with, and what the WAL logs. `N` is the node
+/// reference, as for [`InsertPos`]: the server's `WireMutation` is
+/// `Mutation<u64>`, and both forms encode through the one codec below.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Mutation {
+pub enum Mutation<N = NodeId> {
     /// Insert a new element named `tag` before `anchor`.
     InsertBefore {
         /// The sibling the new element precedes.
-        anchor: NodeId,
+        anchor: N,
         /// Tag of the new element.
         tag: String,
     },
     /// Insert a parsed XML fragment at `pos`.
     InsertSubtree {
         /// Where the fragment root lands.
-        pos: InsertPos,
+        pos: InsertPos<N>,
         /// The fragment, as XML source.
         xml: String,
     },
     /// Wrap `target` (and its subtree) in a new parent element named `tag`.
     InsertParent {
         /// The node being wrapped.
-        target: NodeId,
+        target: N,
         /// Tag of the wrapper.
         tag: String,
     },
     /// Delete `target` and its subtree.
     Delete {
         /// The subtree root to delete.
-        target: NodeId,
+        target: N,
     },
     /// Detach `target`'s subtree and re-insert it at `pos`.
     MoveSubtree {
         /// The subtree root being moved.
-        target: NodeId,
+        target: N,
         /// Where it goes.
-        pos: InsertPos,
+        pos: InsertPos<N>,
     },
 }
 
-// Wire tags of the mutation codec (WAL frame payloads — see DESIGN.md §11).
+/// A node reference the mutation codec can write: its arena slot index.
+pub trait NodeRef: Copy {
+    /// The arena slot index this reference names.
+    fn slot(self) -> u64;
+}
+
+impl NodeRef for NodeId {
+    fn slot(self) -> u64 {
+        self.index() as u64
+    }
+}
+
+impl NodeRef for u64 {
+    fn slot(self) -> u64 {
+        self
+    }
+}
+
+// Wire tags of the mutation codec (WAL frame payloads and `Apply` request
+// blobs — see DESIGN.md §11.1). The only copy in the workspace.
 const MUT_INSERT_BEFORE: u64 = 0;
 const MUT_INSERT_SUBTREE: u64 = 1;
 const MUT_INSERT_PARENT: u64 = 2;
@@ -240,8 +263,8 @@ const MUT_MOVE_SUBTREE: u64 = 4;
 const POS_BEFORE: u64 = 0;
 const POS_LAST_CHILD_OF: u64 = 1;
 
-fn write_node(out: &mut Vec<u8>, node: NodeId) {
-    crate::codec::write_varint(out, node.index() as u64);
+fn write_node<N: NodeRef>(out: &mut Vec<u8>, node: N) {
+    crate::codec::write_varint(out, node.slot());
 }
 
 fn read_node(input: &mut &[u8], tree: &XmlTree) -> Result<NodeId, CodecError> {
@@ -252,7 +275,7 @@ fn read_node(input: &mut &[u8], tree: &XmlTree) -> Result<NodeId, CodecError> {
         .ok_or(CodecError::Corrupt("mutation names a node outside the arena"))
 }
 
-fn write_pos(out: &mut Vec<u8>, pos: InsertPos) {
+fn write_pos<N: NodeRef>(out: &mut Vec<u8>, pos: InsertPos<N>) {
     match pos {
         InsertPos::Before(n) => {
             crate::codec::write_varint(out, POS_BEFORE);
@@ -280,11 +303,12 @@ fn read_string(input: &mut &[u8]) -> Result<String, CodecError> {
         .map_err(|_| CodecError::Corrupt("mutation string is not UTF-8"))
 }
 
-impl Mutation {
+impl<N: NodeRef> Mutation<N> {
     /// Appends the wire form of this mutation to `out`. Node references are
     /// stored as arena slot indices — valid across process restarts because
     /// slots are never reused and checkpoints preserve arena layout exactly
-    /// ([`xp_xmltree::TreeSnapshot`]).
+    /// ([`xp_xmltree::TreeSnapshot`]). A `Mutation<u64>` and the
+    /// `Mutation<NodeId>` it names encode to the same bytes.
     pub fn encode(&self, out: &mut Vec<u8>) {
         match self {
             Mutation::InsertBefore { anchor, tag } => {
@@ -314,6 +338,15 @@ impl Mutation {
         }
     }
 
+    /// The encoded bytes as an owned buffer.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.encode(&mut out);
+        out
+    }
+}
+
+impl Mutation {
     /// Decodes one mutation from the front of `input`, resolving node
     /// references against `tree`'s arena. Fails with a typed
     /// [`CodecError`] on unknown tags, non-UTF-8 strings, or node indices
@@ -815,6 +848,55 @@ mod tests {
         assert_eq!(r.inserted, vec![a]);
         assert_eq!(r.relabeled, vec![b]);
         assert_eq!(r.labels_touched(), 2);
+    }
+
+    #[test]
+    fn mutation_bytes_are_pinned_for_both_node_references() {
+        // The WAL stores exactly these bytes, and a client's `Apply` blob
+        // carries the same ones: a codec change that moves them strands
+        // every existing log. Slot 300 takes a two-byte varint.
+        let mut tree = XmlTree::new("r");
+        for _ in 0..300 {
+            tree.append_element(tree.root(), "x");
+        }
+        let node = |i: usize| tree.node_at(i).unwrap();
+        let cases: [(Mutation, Mutation<u64>, &[u8]); 5] = [
+            (
+                Mutation::InsertBefore { anchor: node(1), tag: "x".into() },
+                Mutation::InsertBefore { anchor: 1, tag: "x".into() },
+                &[0x00, 0x01, 0x01, b'x'],
+            ),
+            (
+                Mutation::InsertSubtree {
+                    pos: InsertPos::LastChildOf(node(3)),
+                    xml: "<s/>".into(),
+                },
+                Mutation::InsertSubtree { pos: InsertPos::LastChildOf(3), xml: "<s/>".into() },
+                &[0x01, 0x01, 0x03, 0x04, b'<', b's', b'/', b'>'],
+            ),
+            (
+                Mutation::InsertParent { target: node(300), tag: "w".into() },
+                Mutation::InsertParent { target: 300, tag: "w".into() },
+                &[0x02, 0xac, 0x02, 0x01, b'w'],
+            ),
+            (
+                Mutation::Delete { target: node(3) },
+                Mutation::Delete { target: 3 },
+                &[0x03, 0x03],
+            ),
+            (
+                Mutation::MoveSubtree { target: node(300), pos: InsertPos::Before(node(1)) },
+                Mutation::MoveSubtree { target: 300, pos: InsertPos::Before(1) },
+                &[0x04, 0xac, 0x02, 0x00, 0x01],
+            ),
+        ];
+        for (real, wire, bytes) in cases {
+            assert_eq!(real.to_bytes(), bytes, "{real:?}");
+            assert_eq!(wire.to_bytes(), bytes, "{wire:?}");
+            let mut input = bytes;
+            assert_eq!(Mutation::decode(&mut input, &tree).unwrap(), real);
+            assert!(input.is_empty(), "{real:?} decodes to its last byte");
+        }
     }
 
     #[test]

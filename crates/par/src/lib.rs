@@ -8,9 +8,9 @@
 //! 1. **Determinism.** For every primitive here, the output is a pure
 //!    function of the input — *never* of the thread count, scheduling
 //!    order, or timing. [`par_map`] places each result at its input's
-//!    index; [`par_reduce`] combines in a fixed left-to-right order
-//!    derived from the input length alone. `XP_THREADS=1` is an *exact*
-//!    sequential fallback: the same code path, minus the spawns.
+//!    index, so a caller that folds the results folds them in input
+//!    order. `XP_THREADS=1` is an *exact* sequential fallback: the same
+//!    code path, minus the spawns.
 //! 2. **Zero dependencies.** Pure `std`: [`std::thread::scope`] for
 //!    borrow-friendly workers, one shared atomic cursor for work
 //!    distribution. No channels, no queues, no unsafe.
@@ -207,25 +207,6 @@ where
     })
 }
 
-/// Parallel ordered reduction: maps `f` over `items`, then folds the
-/// results left-to-right with `combine`, returning `None` on empty input.
-/// The fold order is exactly `combine(combine(f(x0), f(x1)), f(x2))…` —
-/// only the *evaluation* of `f` is parallel — so `combine` need only be
-/// associative for the result to be identical to a sequential fold, and
-/// even a non-associative `combine` still sees a deterministic order.
-pub fn par_reduce<T, R, F, C>(items: &[T], f: F, combine: C) -> Option<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-    C: Fn(R, R) -> R,
-{
-    let mapped = par_map(items, f);
-    let mut iter = mapped.into_iter();
-    let first = iter.next()?;
-    Some(iter.fold(first, combine))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,24 +260,6 @@ mod tests {
         let got = with_threads(8, || par_map_mut(&mut items, |i, x| i * 1000 + *x));
         let expected: Vec<usize> = (0..100).map(|i| i * 1000 + i).collect();
         assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn par_reduce_folds_left_to_right() {
-        // String concatenation is order-sensitive: any reordering of the
-        // fold would corrupt the result.
-        let items: Vec<usize> = (0..50).collect();
-        let expected: String = items.iter().map(ToString::to_string).collect();
-        for n in [1, 2, 8] {
-            let got = with_threads(n, || {
-                par_reduce(&items, ToString::to_string, |a, b| a + &b)
-            });
-            assert_eq!(got.as_deref(), Some(expected.as_str()), "thread count {n}");
-        }
-        assert_eq!(
-            with_threads(4, || par_reduce(&[] as &[u32], |x| *x, |a, b| a + b)),
-            None
-        );
     }
 
     #[test]

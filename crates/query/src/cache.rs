@@ -162,18 +162,6 @@ impl TouchedTags {
     }
 }
 
-/// Hit/miss/invalidation counters, mirrored into `ServerStats` by the
-/// server front-end.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that fell through to cold evaluation.
-    pub misses: u64,
-    /// Entries dropped by precise invalidation (plus conservative flushes).
-    pub invalidated: u64,
-}
-
 struct CacheEntry {
     nodes: Vec<NodeId>,
     /// First epoch at which this result is known valid (the epoch it was
@@ -198,7 +186,6 @@ pub struct QueryCache {
     epoch: u64,
     entries: HashMap<String, CacheEntry>,
     capacity: usize,
-    stats: CacheStats,
 }
 
 /// Default maximum number of cached query results per document.
@@ -208,7 +195,7 @@ impl QueryCache {
     /// An empty cache holding at most `capacity` entries, starting at
     /// epoch `epoch` (the epoch of the currently published snapshot).
     pub fn new(capacity: usize, epoch: u64) -> QueryCache {
-        QueryCache { epoch, entries: HashMap::new(), capacity: capacity.max(1), stats: CacheStats::default() }
+        QueryCache { epoch, entries: HashMap::new(), capacity: capacity.max(1) }
     }
 
     /// The epoch the cache was last advanced to.
@@ -226,26 +213,15 @@ impl QueryCache {
         self.entries.is_empty()
     }
 
-    /// Running hit/miss/invalidation counters.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
     /// Looks up `path_text` for a reader holding a snapshot stamped
-    /// `reader_epoch`. Returns the cached node list on a hit; counts a miss
-    /// (and returns `None`) when the entry is absent or was computed
-    /// against a newer epoch than the reader's snapshot.
-    pub fn lookup(&mut self, path_text: &str, reader_epoch: u64) -> Option<Vec<NodeId>> {
-        match self.entries.get(path_text) {
-            Some(e) if e.valid_from <= reader_epoch && reader_epoch <= self.epoch => {
-                self.stats.hits += 1;
-                Some(e.nodes.clone())
-            }
-            _ => {
-                self.stats.misses += 1;
-                None
-            }
-        }
+    /// `reader_epoch`. Returns the cached node list on a hit, and `None`
+    /// when the entry is absent or was computed against a newer epoch than
+    /// the reader's snapshot. The server counts hits and misses itself.
+    pub fn lookup(&self, path_text: &str, reader_epoch: u64) -> Option<Vec<NodeId>> {
+        self.entries
+            .get(path_text)
+            .filter(|e| e.valid_from <= reader_epoch && reader_epoch <= self.epoch)
+            .map(|e| e.nodes.clone())
     }
 
     /// Caches a cold-evaluated result. `computed_epoch` is the epoch of the
@@ -283,18 +259,8 @@ impl QueryCache {
         } else if !touched.tags.is_empty() {
             self.entries.retain(|_, e| e.footprint.survives(touched));
         }
-        let dropped = (before - self.entries.len()) as u64;
-        self.stats.invalidated += dropped;
         self.epoch = new_epoch;
-        dropped
-    }
-
-    /// Drops everything and advances to `new_epoch` — the conservative
-    /// fallback for batches whose effects cannot be attributed.
-    pub fn flush(&mut self, new_epoch: u64) -> u64 {
-        let mut unknown = TouchedTags::new();
-        unknown.mark_unknown();
-        self.advance(new_epoch, &unknown)
+        (before - self.entries.len()) as u64
     }
 }
 
@@ -411,9 +377,9 @@ mod tests {
         cache.insert("//b", &path("//b"), 0, nodes(&tree, 1));
         let mut t = TouchedTags::new();
         t.mark_unknown();
-        assert_eq!(cache.advance(1, &t), 2);
+        let invalidated = cache.advance(1, &t);
         assert!(cache.is_empty());
-        assert_eq!(cache.stats().invalidated, 2);
+        assert_eq!(invalidated, 2);
     }
 
     #[test]
@@ -474,11 +440,12 @@ mod tests {
     fn hit_and_miss_counters_accumulate() {
         let tree = XmlTree::new("r");
         let mut cache = QueryCache::new(8, 0);
-        assert!(cache.lookup("//a", 0).is_none());
+        let mut outcomes = vec![cache.lookup("//a", 0).is_some()];
         cache.insert("//a", &path("//a"), 0, nodes(&tree, 1));
-        assert!(cache.lookup("//a", 0).is_some());
-        assert!(cache.lookup("//a", 0).is_some());
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses), (2, 1));
+        outcomes.push(cache.lookup("//a", 0).is_some());
+        outcomes.push(cache.lookup("//a", 0).is_some());
+        assert_eq!(outcomes, [false, true, true]);
+        let hits = outcomes.iter().filter(|&&hit| hit).count();
+        assert_eq!((hits, outcomes.len() - hits), (2, 1));
     }
 }

@@ -45,7 +45,7 @@ pub mod relstore;
 pub mod sharded;
 pub mod sql;
 
-pub use cache::{CacheStats, QueryCache, TagFootprint, TouchedTags};
+pub use cache::{QueryCache, TagFootprint, TouchedTags};
 pub use engine::{Path, QueryError};
 pub use evaluators::{Evaluator, IntervalEvaluator, Prefix2Evaluator, PrimeEvaluator};
 pub use relstore::LabelTable;

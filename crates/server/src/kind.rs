@@ -54,7 +54,8 @@ pub trait DocKind: Sized + Send + 'static {
     /// applies it in order. With `track_tags` the returned [`TouchedTags`]
     /// hold every tag the batch may have changed (the cache's invalidation
     /// set); without, they are empty. A WAL-level error aborts the batch
-    /// before any in-memory change.
+    /// before any in-memory change and rolls the log back, so the loop can
+    /// keep serving.
     fn commit(
         &mut self,
         publishing: &mut Self::Publishing,
@@ -239,7 +240,6 @@ mod tests {
     use xp_prime::DynamicPrime;
     use xp_query::engine::{eval_path, OrderOracle, Path, MAX_STEPS};
     use xp_query::relstore::LabelTable;
-    use xp_query::CacheStats;
     use xp_xmltree::NodeId;
 
     use crate::epoch::{ApplyJob, ApplyOutcome, BatchPolicy, EpochLoop};
@@ -414,12 +414,7 @@ mod tests {
     fn cached_answers_match_cold_evaluation_and_survive_disjoint_shards() {
         let dir = tmpdir("cache");
         let lp = EpochLoop::start_with_cache(sharded_store(&dir), BatchPolicy::default(), 64);
-        let stats = |lp: &EpochLoop<ShardedDocStore>| -> CacheStats {
-            let caches = lp.caches().unwrap();
-            let cache = Arc::clone(&caches.read().unwrap()[URI]);
-            let stats = cache.lock().unwrap().stats();
-            stats
-        };
+        let stats = |lp: &EpochLoop<ShardedDocStore>| lp.counters().stats();
 
         // Warm three entries (all misses), then re-query (all hits); every
         // answer must be byte-identical to cold evaluation on the snapshot.
@@ -430,7 +425,7 @@ mod tests {
             }
         }
         let s0 = stats(&lp);
-        assert_eq!((s0.misses, s0.hits), (3, 3));
+        assert_eq!((s0.cache_misses, s0.cache_hits), (3, 3));
 
         // A batch inside a book-under-shelf shard touches tags {book,
         // title} only. `//book` must die; `//attic/box` and `//case` have
@@ -442,8 +437,8 @@ mod tests {
             assert_eq!(query(&lp, p), cold(&lp, p), "post-batch path {p}");
         }
         let s1 = stats(&lp);
-        assert_eq!(s1.hits, s0.hits + 2, "disjoint-shard entries survive the epoch");
-        assert_eq!(s1.misses, s0.misses + 1, "only the touched tag re-evaluates");
+        assert_eq!(s1.cache_hits, s0.cache_hits + 2, "disjoint-shard entries survive the epoch");
+        assert_eq!(s1.cache_misses, s0.cache_misses + 1, "only the touched tag re-evaluates");
 
         // A failing mutation cannot attribute its partial effects, so the
         // whole cache flushes: everything re-misses, still byte-identical.
@@ -454,7 +449,7 @@ mod tests {
             assert_eq!(query(&lp, p), cold(&lp, p), "post-flush path {p}");
         }
         let s2 = stats(&lp);
-        assert_eq!(s2.misses, s1.misses + 3, "a rejected mutation flushes the cache");
+        assert_eq!(s2.cache_misses, s1.cache_misses + 3, "a rejected mutation flushes the cache");
         drop(lp.shutdown());
         let _ = std::fs::remove_dir_all(&dir);
     }

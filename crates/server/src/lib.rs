@@ -18,8 +18,9 @@
 //!
 //! Module map:
 //!
-//! * [`protocol`] — frames, requests/responses, client-side
-//!   [`protocol::WireMutation`]s (byte-compatible with the WAL codec).
+//! * [`protocol`] — frames, requests/responses, and the client-side
+//!   [`protocol::WireMutation`] alias (the labelkit `Mutation` over raw
+//!   arena indices, encoded by the WAL's own codec).
 //! * [`snapshot`] — the epoch snapshots of both document kinds and the
 //!   reclaim-or-clone [`snapshot::Publisher`] of flat documents.
 //! * [`kind`] — the two document kinds the loop serves: what commit,

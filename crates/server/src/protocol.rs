@@ -33,16 +33,17 @@
 //! retired, so a stale peer fails with "unknown response tag" instead of
 //! misreading ids.
 //!
-//! Client-side mutations are [`WireMutation`]s: structurally identical to
-//! [`xp_labelkit::Mutation`] but holding raw `u64` node indices, because
-//! the client has no arena to resolve them against. `WireMutation::encode`
-//! produces bytes that [`Mutation::decode`] accepts — the server decodes
-//! against the live tree, which also validates that every referenced slot
-//! exists. This byte compatibility is pinned by a test.
+//! Client-side mutations are [`WireMutation`]s: the labelkit
+//! [`Mutation`] with raw `u64` node indices, because the client has no
+//! arena to resolve them against. Both node forms encode through the one
+//! codec in `xp-labelkit`, so a client's bytes are the bytes the WAL logs;
+//! the server decodes them against the live tree with [`Mutation::decode`],
+//! which also validates that every referenced slot exists.
 
 use std::io::{Read, Write};
 
 use xp_labelkit::codec::{read_bytes, read_varint, write_bytes, write_varint, CodecError};
+use xp_labelkit::{InsertPos, Mutation};
 use xp_store::frame::{crc32, encode_frame_with, FRAME_HEADER};
 
 /// Hard cap on one protocol message (16 MiB). Mutation batches and query
@@ -88,117 +89,15 @@ impl ErrCode {
     }
 }
 
-/// Where a client-side insertion lands (wire form of
-/// [`xp_labelkit::InsertPos`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WirePos {
-    /// Immediately before the node at this arena index.
-    Before(u64),
-    /// As the last child of the node at this arena index.
-    LastChildOf(u64),
-}
+/// Where a client-side insertion lands: [`xp_labelkit::InsertPos`] over a
+/// raw arena index.
+pub type WirePos = InsertPos<u64>;
 
-/// A client-side mutation over raw node indices. Byte-compatible with
-/// [`xp_labelkit::Mutation`]'s codec: the server decodes these bytes with
-/// `Mutation::decode`, resolving indices against the live tree.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WireMutation {
-    /// New element named `tag` immediately before the anchor node.
-    InsertBefore {
-        /// Arena index of the anchor.
-        anchor: u64,
-        /// Tag for the new element.
-        tag: String,
-    },
-    /// A parsed XML fragment grafted at `pos`.
-    InsertSubtree {
-        /// Where the fragment root lands.
-        pos: WirePos,
-        /// The fragment, as XML text.
-        xml: String,
-    },
-    /// Wrap the target node in a new parent named `tag`.
-    InsertParent {
-        /// Arena index of the node to wrap.
-        target: u64,
-        /// Tag for the new parent.
-        tag: String,
-    },
-    /// Delete the target node's subtree.
-    Delete {
-        /// Arena index of the subtree root.
-        target: u64,
-    },
-    /// Move the target subtree to `pos`.
-    MoveSubtree {
-        /// Arena index of the subtree root.
-        target: u64,
-        /// Destination.
-        pos: WirePos,
-    },
-}
-
-// Tags mirror xp-labelkit's private MUT_*/POS_* constants; the byte-compat
-// test in this module breaks if either side drifts.
-const MUT_INSERT_BEFORE: u64 = 0;
-const MUT_INSERT_SUBTREE: u64 = 1;
-const MUT_INSERT_PARENT: u64 = 2;
-const MUT_DELETE: u64 = 3;
-const MUT_MOVE_SUBTREE: u64 = 4;
-const POS_BEFORE: u64 = 0;
-const POS_LAST_CHILD_OF: u64 = 1;
-
-fn write_wire_pos(out: &mut Vec<u8>, pos: WirePos) {
-    match pos {
-        WirePos::Before(n) => {
-            write_varint(out, POS_BEFORE);
-            write_varint(out, n);
-        }
-        WirePos::LastChildOf(n) => {
-            write_varint(out, POS_LAST_CHILD_OF);
-            write_varint(out, n);
-        }
-    }
-}
-
-impl WireMutation {
-    /// Appends the mutation in [`xp_labelkit::Mutation`] wire form.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            WireMutation::InsertBefore { anchor, tag } => {
-                write_varint(out, MUT_INSERT_BEFORE);
-                write_varint(out, *anchor);
-                write_bytes(out, tag.as_bytes());
-            }
-            WireMutation::InsertSubtree { pos, xml } => {
-                write_varint(out, MUT_INSERT_SUBTREE);
-                write_wire_pos(out, *pos);
-                write_bytes(out, xml.as_bytes());
-            }
-            WireMutation::InsertParent { target, tag } => {
-                write_varint(out, MUT_INSERT_PARENT);
-                write_varint(out, *target);
-                write_bytes(out, tag.as_bytes());
-            }
-            WireMutation::Delete { target } => {
-                write_varint(out, MUT_DELETE);
-                write_varint(out, *target);
-            }
-            WireMutation::MoveSubtree { target, pos } => {
-                write_varint(out, MUT_MOVE_SUBTREE);
-                write_varint(out, *target);
-                write_wire_pos(out, *pos);
-            }
-        }
-    }
-
-    /// The encoded bytes as an owned buffer.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.encode(&mut out);
-        out
-    }
-}
+/// A client-side mutation: [`xp_labelkit::Mutation`] over raw arena
+/// indices, so it encodes through the same codec as the WAL. The server
+/// decodes these bytes with `Mutation::decode`, resolving the indices
+/// against the live tree.
+pub type WireMutation = Mutation<u64>;
 
 /// A summary of one document the server holds.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -236,8 +135,8 @@ pub enum Request {
     Apply {
         /// Document URI.
         uri: String,
-        /// Encoded [`WireMutation`]s (or [`xp_labelkit::Mutation`]s —
-        /// same bytes), one length-prefixed blob each.
+        /// Encoded [`Mutation`]s (a [`WireMutation`] or a `Mutation<NodeId>`
+        /// — the same codec), one length-prefixed blob each.
         mutations: Vec<Vec<u8>>,
     },
     /// Server counters.
@@ -632,7 +531,6 @@ fn bad_data(msg: &'static str) -> std::io::Error {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xp_labelkit::{InsertPos, Mutation};
     use xp_testkit::rng::SeedableRng;
 
     #[test]

@@ -58,6 +58,14 @@ pub enum StoreError {
     NotAStore(PathBuf),
     /// A non-I/O fault site fired ([`xp_testkit::fault`]).
     FaultInjected(Injected),
+    /// The WAL could not be cut back — rolling back a failed append, or
+    /// truncating after a checkpoint — so it may hold a frame the store
+    /// never applied, or its write position is unknown. The handle refuses
+    /// every later append; reopening the store recovers.
+    WalPoisoned {
+        /// The log file.
+        path: PathBuf,
+    },
 }
 
 impl fmt::Display for StoreError {
@@ -82,6 +90,12 @@ impl fmt::Display for StoreError {
                 write!(f, "{} is not a label store (no manifest)", p.display())
             }
             StoreError::FaultInjected(i) => write!(f, "{i}"),
+            StoreError::WalPoisoned { path } => write!(
+                f,
+                "{} refuses appends: the log could not be cut back after a failed write; \
+                 reopen the store",
+                path.display()
+            ),
         }
     }
 }

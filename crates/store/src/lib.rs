@@ -19,7 +19,12 @@
 //! segments, reassembles each document from its segment, discards the
 //! torn WAL tail (the only bytes ever discarded — everything else corrupt
 //! is *reported*, never guessed at), and replays every remaining frame
-//! whose sequence number the checkpoint has not already folded in. A
+//! whose sequence number the checkpoint has not already folded in. Every
+//! reader — this open, [`fsck`] and [`ShardedDocStore::open`] — decides a
+//! frame by the one rule in [`wal`]: skip what the checkpoint folds in,
+//! refuse a gap, a repeated sequence number or bytes after the mutation.
+//! A failed append is rolled back, so a store that keeps taking writes
+//! never logs a sequence number twice. A
 //! process killed at any fault site — `store.wal.append`,
 //! `store.wal.fsync`, `store.checkpoint.write`, `store.manifest.swap` —
 //! reopens byte-identical to a never-crashed twin, with one documented
@@ -219,38 +224,19 @@ impl Store {
         Ok(store)
     }
 
-    /// Replays one WAL frame: skip if the checkpoint already folds it in,
-    /// otherwise decode and re-apply exactly as the live path did —
-    /// including re-failing a mutation that failed live (failed applies
-    /// consumed a sequence number too).
+    /// Replays one WAL frame (`varint doc id` + the [`wal::next_mutation`]
+    /// body) onto its document, re-failing a mutation that failed live
+    /// (failed applies consumed a sequence number too). A frame for a
+    /// document the manifest no longer names is inert.
     fn replay_frame(&mut self, frame: &[u8]) -> Result<(), StoreError> {
-        let mut input = frame;
-        let doc_id = read_varint(&mut input)?;
-        let seq = read_varint(&mut input)?;
-        let Some(doc) = self.docs.get_mut(&doc_id) else {
-            // A frame for a document the manifest no longer names; inert.
+        let mut body = frame;
+        let doc_id = read_varint(&mut body)?;
+        let Some(doc) = self.docs.get_mut(&doc_id) else { return Ok(()) };
+        let (durable_seq, tree) = (doc.durable_seq, doc.labeled.tree());
+        let Some(mutation) = wal::next_mutation(body, durable_seq, &mut doc.seq, tree, &self.dir)?
+        else {
             return Ok(());
         };
-        if seq <= doc.seq {
-            return Ok(()); // already durable in the segment
-        }
-        if seq != doc.seq + 1 {
-            return Err(StoreError::Corrupt {
-                path: self.dir.join(WAL_FILE),
-                what: format!(
-                    "WAL gap for doc {doc_id}: frame seq {seq} after seq {}",
-                    doc.seq
-                ),
-            });
-        }
-        let mutation = Mutation::decode(&mut input, doc.labeled.tree())?;
-        if !input.is_empty() {
-            return Err(StoreError::Corrupt {
-                path: self.dir.join(WAL_FILE),
-                what: "trailing bytes after a WAL mutation".into(),
-            });
-        }
-        doc.seq = seq;
         if let Ok(report) = doc.labeled.apply(&mutation) {
             doc.table.apply_report(doc.labeled.tree(), doc.labeled.doc(), &report);
         }
@@ -336,11 +322,10 @@ impl Store {
     /// Applies one mutation to the document at `uri`, write-ahead: the WAL
     /// frame is appended and fsynced *before* any in-memory state changes.
     ///
-    /// On a WAL error nothing in memory moved — but if the error came from
-    /// the fsync window the frame may be durable anyway, and the next open
-    /// will (correctly) replay it. On a scheme error the frame *is* durable
-    /// and the failed apply still consumed a sequence number; replay fails
-    /// it identically.
+    /// On a WAL error nothing in memory moved and the frame was rolled back
+    /// (see [`Store::apply_batch`]). On a scheme error the frame *is*
+    /// durable and the failed apply still consumed a sequence number;
+    /// replay fails it identically.
     pub fn apply(&mut self, uri: &str, mutation: &Mutation) -> Result<RelabelReport, StoreError> {
         match self.apply_batch(uri, std::slice::from_ref(mutation))?.pop() {
             Some(Ok(report)) => Ok(report),
@@ -356,8 +341,14 @@ impl Store {
     /// Group commit: frames every mutation, appends them all to the WAL with
     /// **one** fsync, then applies them in memory in order. Per-mutation
     /// scheme failures come back in the result vector (each failed apply
-    /// still consumed a sequence number and re-fails identically on replay);
-    /// a WAL-level error aborts the whole batch before any in-memory change.
+    /// still consumed a sequence number and re-fails identically on replay).
+    /// A WAL-level error aborts the whole batch before any in-memory change
+    /// and rolls the log back to where the batch began, so the store can
+    /// keep taking writes: the next batch reuses the failed one's sequence
+    /// numbers. Only a crash inside the fsync window can leave the failed
+    /// frames for replay; if the rollback itself fails, every later append
+    /// is refused with [`StoreError::WalPoisoned`] until the store is
+    /// reopened.
     ///
     /// This is the server's epoch-apply primitive: an epoch of `k` batched
     /// mutations costs `1/k` fsyncs per mutation instead of 1.
@@ -533,32 +524,22 @@ pub fn fsck(dir: &Path) -> Result<FsckReport, StoreError> {
     let mut docs = BTreeMap::new();
     for entry in &manifest.entries {
         let (_, labeled) = load_doc(dir, entry)?;
-        docs.insert(entry.doc_id, (entry.seq, labeled));
+        docs.insert(entry.doc_id, (entry.seq, entry.seq, labeled));
     }
 
     let scan = wal::scan(dir)?;
     let mut replayed = 0usize;
     for frame in &scan.frames {
-        let mut input = frame.as_slice();
-        let doc_id = read_varint(&mut input)?;
-        let seq = read_varint(&mut input)?;
-        let Some((at, labeled)) = docs.get_mut(&doc_id) else { continue };
-        if seq <= *at {
-            continue;
+        let mut body = frame.as_slice();
+        let doc_id = read_varint(&mut body)?;
+        let Some((durable_seq, seq, labeled)) = docs.get_mut(&doc_id) else { continue };
+        if let Some(mutation) = wal::next_mutation(body, *durable_seq, seq, labeled.tree(), dir)? {
+            let _ = labeled.apply(&mutation);
+            replayed += 1;
         }
-        if seq != *at + 1 {
-            return Err(StoreError::Corrupt {
-                path: dir.join(WAL_FILE),
-                what: format!("WAL gap for doc {doc_id}: frame seq {seq} after seq {at}"),
-            });
-        }
-        let mutation = Mutation::decode(&mut input, labeled.tree())?;
-        *at = seq;
-        let _ = labeled.apply(&mutation);
-        replayed += 1;
     }
 
-    for (doc_id, (_, labeled)) in &docs {
+    for (doc_id, (_, _, labeled)) in &docs {
         let table = LabelTable::build(labeled.tree(), labeled.doc());
         verify::check_doc(labeled, &table).map_err(|what| StoreError::Corrupt {
             path: dir.to_path_buf(),

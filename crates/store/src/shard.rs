@@ -416,29 +416,20 @@ impl ShardedDocStore {
         Ok(store)
     }
 
-    /// Replays one WAL frame (`varint seq` + mutation), re-failing what
-    /// failed live — failed applies consumed a sequence number too.
+    /// Replays one WAL frame (the [`crate::wal::next_mutation`] body: no
+    /// doc id, one document), re-failing what failed live — failed applies
+    /// consumed a sequence number too.
     fn replay_frame(&mut self, frame: &[u8]) -> Result<(), StoreError> {
-        let mut input = frame;
-        let seq = read_varint(&mut input)?;
-        if seq <= self.durable_seq {
-            return Ok(());
+        let next = crate::wal::next_mutation(
+            frame,
+            self.durable_seq,
+            &mut self.seq,
+            self.labeled.tree(),
+            &self.dir,
+        )?;
+        if let Some(mutation) = next {
+            let _ = self.labeled.apply(&mutation);
         }
-        if seq != self.seq + 1 {
-            return Err(StoreError::Corrupt {
-                path: self.dir.join(crate::wal::WAL_FILE),
-                what: format!("WAL gap: frame seq {seq} after seq {}", self.seq),
-            });
-        }
-        let mutation = Mutation::decode(&mut input, self.labeled.tree())?;
-        if !input.is_empty() {
-            return Err(StoreError::Corrupt {
-                path: self.dir.join(crate::wal::WAL_FILE),
-                what: "trailing bytes after a WAL mutation".into(),
-            });
-        }
-        self.seq = seq;
-        let _ = self.labeled.apply(&mutation);
         Ok(())
     }
 
@@ -447,7 +438,8 @@ impl ShardedDocStore {
     /// then runs the split pass. Per-mutation outcomes come back in order
     /// together with the shards the batch dirtied (the unit the query layer
     /// refreshes and the next checkpoint rewrites); a WAL-level error
-    /// aborts the whole batch before any in-memory change. Once logged, the
+    /// aborts the whole batch before any in-memory change and rolls the log
+    /// back, as for [`crate::Store::apply_batch`]. Once logged, the
     /// batch is never reported as failed: a split that fails leaves its
     /// shard as it was, to be split after a later batch.
     pub fn apply_batch(&mut self, mutations: &[Mutation]) -> Result<ShardedBatch, StoreError> {

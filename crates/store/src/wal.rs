@@ -1,20 +1,34 @@
 //! The write-ahead log: one frame per durable mutation, append-only.
 //!
-//! Every [`Mutation`](xp_labelkit::Mutation) a [`Store`](crate::Store)
-//! applies is framed ([`crate::frame`]) and appended here *before* any
-//! in-memory state changes — write-ahead in the classic sense. A crash can
-//! therefore leave at most one torn frame at the tail, which recovery
-//! detects by checksum and discards; every complete frame prefix replays to
-//! a consistent store.
+//! Every [`Mutation`] a [`Store`](crate::Store) or
+//! [`ShardedDocStore`](crate::ShardedDocStore) applies is framed
+//! ([`crate::frame`]) and appended here *before* any in-memory state
+//! changes — write-ahead in the classic sense. A crash can therefore leave
+//! at most one torn frame at the tail, which recovery detects by checksum
+//! and discards; every complete frame prefix replays to a consistent store.
+//!
+//! An append that fails without killing the process is rolled back: the
+//! log is cut back to its length after the last successful sync, so the
+//! next batch, which reuses the failed batch's sequence numbers, lands
+//! where the failed one began. If the rollback itself fails, the handle
+//! refuses every later append ([`StoreError::WalPoisoned`]) until the
+//! store is reopened. Only a crash inside the fsync window can leave a
+//! failed frame for replay.
+//!
+//! Every reader decides each frame by one rule, `next_mutation`: skip a
+//! frame the checkpoint folds in, refuse a gap or a repeated sequence
+//! number, refuse bytes after the mutation.
 //!
 //! Fault sites (see `xp_testkit::fault`):
 //!
 //! * `store.wal.append` — fires before/during the frame write. `torn` mode
 //!   persists half the frame then errors; `abort` persists half then kills
-//!   the process; `error` leaves the file untouched.
-//! * `store.wal.fsync` — fires after the frame is fully written. The frame
-//!   may already be durable, so the caller's in-memory state legitimately
-//!   lags the disk by one mutation; recovery tests accept either prefix.
+//!   the process; `error` writes nothing more.
+//! * `store.wal.fsync` — fires after the frame is fully written. `abort`
+//!   syncs and dies, so the frame is durable although the caller never
+//!   learned of it; recovery tests accept either prefix.
+//! * `store.wal.rollback` — fires when the log is cut back (rolling back a
+//!   failed append, or [`Wal::truncate`]), leaving the handle poisoned.
 //! * `store.wal.read` — fires on the recovery read path. `short` mode
 //!   models a read that returned fewer bytes than the file holds; it is a
 //!   typed error, **not** a silent tail truncation — truncating on a short
@@ -26,7 +40,10 @@ use std::path::{Path, PathBuf};
 
 use crate::error::{ensure_frameable, io_err, StoreError};
 use crate::frame::{decode_frames, encode_frame};
+use xp_labelkit::codec::read_varint;
+use xp_labelkit::Mutation;
 use xp_testkit::FaultMode;
+use xp_xmltree::XmlTree;
 
 /// Name of the log file inside a store directory.
 pub const WAL_FILE: &str = "wal.log";
@@ -36,6 +53,13 @@ pub const WAL_FILE: &str = "wal.log";
 pub struct Wal {
     path: PathBuf,
     file: File,
+    /// Log length after the last successful sync: a failed append is cut
+    /// back to it.
+    synced_len: u64,
+    /// The log could not be cut back (after a failed append, or in
+    /// [`Wal::truncate`]); every later append is refused until the store
+    /// is reopened.
+    poisoned: bool,
     /// Data syncs issued since open — the group-commit bench gate divides
     /// this by mutations applied to prove batching amortizes the fsync.
     fsyncs: u64,
@@ -93,6 +117,45 @@ fn read_all(path: &Path) -> Result<Vec<u8>, StoreError> {
     Ok(bytes)
 }
 
+/// The one rule every WAL reader applies to a frame: [`crate::Store`]'s
+/// open, [`crate::fsck`] and [`crate::ShardedDocStore`]'s open. `body` is
+/// the frame past its document id (a flat store's frames start with one):
+/// `varint seq` + one encoded mutation. `durable_seq` is the seq the
+/// document's checkpoint folds in, `seq` the last one replayed.
+///
+/// * A frame at or below `durable_seq` is already folded in: `Ok(None)`.
+///   A flat store's log interleaves documents and survives single-document
+///   checkpoints, so such frames are legal.
+/// * Any other frame must be the next one, `seq + 1`: a gap or a repeat
+///   is [`StoreError::Corrupt`].
+/// * It must hold exactly one mutation: trailing bytes are corruption.
+///
+/// On `Some`, `seq` has advanced to the frame's.
+pub(crate) fn next_mutation(
+    body: &[u8],
+    durable_seq: u64,
+    seq: &mut u64,
+    tree: &XmlTree,
+    dir: &Path,
+) -> Result<Option<Mutation>, StoreError> {
+    let mut input = body;
+    let frame_seq = read_varint(&mut input)?;
+    if frame_seq <= durable_seq {
+        return Ok(None);
+    }
+    let corrupt = |what: String| StoreError::Corrupt { path: dir.join(WAL_FILE), what };
+    if frame_seq != *seq + 1 {
+        let kind = if frame_seq <= *seq { "repeated WAL frame" } else { "WAL gap" };
+        return Err(corrupt(format!("{kind}: frame seq {frame_seq} after seq {seq}")));
+    }
+    let mutation = Mutation::decode(&mut input, tree)?;
+    if !input.is_empty() {
+        return Err(corrupt("trailing bytes after a WAL mutation".into()));
+    }
+    *seq = frame_seq;
+    Ok(Some(mutation))
+}
+
 impl Wal {
     /// Opens the log for recovery + append: scans it, truncates any torn
     /// tail (the only bytes recovery ever discards), and returns the handle
@@ -117,7 +180,7 @@ impl Wal {
             file.set_len(scan.valid_len).map_err(|e| io_err("truncate", &path, e))?;
             file.sync_data().map_err(|e| io_err("fsync", &path, e))?;
         }
-        let mut wal = Wal { path, file, fsyncs: 0 };
+        let mut wal = Wal { path, file, synced_len: scan.valid_len, poisoned: false, fsyncs: 0 };
         wal.seek_end()?;
         Ok((wal, scan))
     }
@@ -131,33 +194,50 @@ impl Wal {
     }
 
     /// Appends one frame and syncs it to disk. On success the payload is
-    /// durable. On an append-site fault the file holds either nothing new
-    /// (`error`) or a torn tail (`torn`/`abort`); on an fsync-site fault the
-    /// frame is fully written but possibly unsynced — the reopened store may
-    /// contain this mutation even though the caller saw an error.
+    /// durable; on an error it is rolled back (see [`Wal::append_batch`]).
     pub fn append(&mut self, payload: &[u8]) -> Result<(), StoreError> {
         self.append_batch(&[payload])
     }
 
     /// Group commit: appends every payload as its own frame, then issues
     /// **one** `fsync` for the whole batch. On success every payload is
-    /// durable. Failure semantics match [`Wal::append`], applied to the
-    /// batch as a unit: an append-site fault can leave a torn tail inside
-    /// the batch (recovery keeps the complete-frame prefix), and an
-    /// fsync-site fault leaves all frames written but possibly unsynced.
+    /// durable. On a write or fsync error the log is cut back to where the
+    /// batch began, so no frame of it is replayed and the next batch can
+    /// reuse its sequence numbers; if that rollback fails too, the handle
+    /// is poisoned. Only a crash inside the fsync window (the `abort`
+    /// fault modes) can leave a failed batch's frames for replay.
     pub fn append_batch<P: AsRef<[u8]>>(&mut self, payloads: &[P]) -> Result<(), StoreError> {
+        if self.poisoned {
+            return Err(StoreError::WalPoisoned { path: self.path.clone() });
+        }
         if payloads.is_empty() {
             return Ok(());
         }
         for payload in payloads {
             ensure_frameable(payload.as_ref().len())?;
         }
+        match self.write_and_sync(payloads) {
+            Ok(len) => {
+                self.synced_len = len;
+                Ok(())
+            }
+            Err(e) => {
+                self.poisoned = self.roll_back().is_err();
+                Err(e)
+            }
+        }
+    }
+
+    /// Writes the batch's frames and syncs them; returns the new length.
+    fn write_and_sync<P: AsRef<[u8]>>(&mut self, payloads: &[P]) -> Result<u64, StoreError> {
+        let mut len = self.synced_len;
         for payload in payloads {
             let frame = encode_frame(payload.as_ref());
             if let Err(inj) = xp_testkit::faultpoint!("store.wal.append") {
                 return self.fail_write(&frame, inj, "store.wal.append");
             }
             self.file.write_all(&frame).map_err(|e| io_err("write", &self.path, e))?;
+            len += frame.len() as u64;
         }
         if let Err(inj) = xp_testkit::faultpoint!("store.wal.fsync") {
             if inj.mode == FaultMode::Abort {
@@ -172,7 +252,16 @@ impl Wal {
         }
         self.fsyncs += 1;
         self.file.sync_data().map_err(|e| io_err("fsync", &self.path, e))?;
-        Ok(())
+        Ok(len)
+    }
+
+    /// Cuts the log back to its last synced length, moves the write
+    /// position to the new end, and syncs the cut.
+    fn roll_back(&mut self) -> Result<(), StoreError> {
+        xp_testkit::faultpoint!("store.wal.rollback")?;
+        self.file.set_len(self.synced_len).map_err(|e| io_err("truncate", &self.path, e))?;
+        self.seek_end()?;
+        self.file.sync_data().map_err(|e| io_err("fsync", &self.path, e))
     }
 
     /// Data syncs issued through this handle since it was opened.
@@ -187,7 +276,7 @@ impl Wal {
         frame: &[u8],
         inj: xp_testkit::Injected,
         site: &str,
-    ) -> Result<(), StoreError> {
+    ) -> Result<u64, StoreError> {
         match inj.mode {
             FaultMode::Torn | FaultMode::Abort => {
                 // A torn write persists a strict prefix of the frame — the
@@ -215,11 +304,12 @@ impl Wal {
 
     /// Discards the entire log. Only called once every document's durable
     /// checkpoint has caught up with the in-memory sequence — at that point
-    /// no frame is needed for recovery.
+    /// no frame is needed for recovery. It cuts the log the way a rollback
+    /// does, and a failure poisons the handle the same way: the write
+    /// position and the file's length are then unknown.
     pub fn truncate(&mut self) -> Result<(), StoreError> {
-        self.file.set_len(0).map_err(|e| io_err("truncate", &self.path, e))?;
-        self.file.sync_data().map_err(|e| io_err("fsync", &self.path, e))?;
-        self.seek_end()
+        self.synced_len = 0;
+        self.roll_back().inspect_err(|_| self.poisoned = true)
     }
 
     /// Current log length in bytes.
@@ -264,6 +354,13 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Appends `bytes` to the log behind the store's back, as a crash mid
+    /// write leaves them.
+    fn append_raw(dir: &Path, bytes: &[u8]) {
+        let mut f = OpenOptions::new().append(true).open(dir.join(WAL_FILE)).unwrap();
+        f.write_all(bytes).unwrap();
+    }
+
     #[test]
     fn torn_append_leaves_recoverable_prefix() {
         let dir = tmpdir("torn");
@@ -271,12 +368,21 @@ mod tests {
         {
             let (mut wal, _) = Wal::open(&dir).unwrap();
             wal.append(b"durable").unwrap();
+            let len = wal.len().unwrap();
             fault::arm("store.wal.append:1:torn");
             let err = wal.append(b"lost-to-the-crash").unwrap_err();
             fault::reset();
             assert!(matches!(err, StoreError::Io { .. }), "{err}");
+            // The live handle cut the half frame back off.
+            assert_eq!(wal.len().unwrap(), len, "a failed append is rolled back");
         }
-        // The file now has a torn tail; reopening truncates it away.
+        let (_, scan) = Wal::open(&dir).unwrap();
+        assert_eq!(scan.frames, vec![b"durable".to_vec()]);
+        assert_eq!(scan.torn_bytes(), 0);
+        // A crash mid-write leaves the half frame behind; reopening
+        // truncates it away.
+        let frame = encode_frame(b"lost-to-the-crash");
+        append_raw(&dir, &frame[..frame.len() / 2]);
         let before = std::fs::metadata(dir.join(WAL_FILE)).unwrap().len();
         let (_, scan) = Wal::open(&dir).unwrap();
         assert_eq!(scan.frames, vec![b"durable".to_vec()]);
@@ -302,20 +408,79 @@ mod tests {
     }
 
     #[test]
-    fn fsync_fault_leaves_frame_durable() {
+    fn fsync_fault_rolls_the_frame_back() {
         let dir = tmpdir("fsync");
         fault::reset();
         {
             let (mut wal, _) = Wal::open(&dir).unwrap();
             fault::arm("store.wal.fsync:1");
-            let err = wal.append(b"maybe-durable").unwrap_err();
+            let err = wal.append(b"never-acknowledged").unwrap_err();
             fault::reset();
             assert!(matches!(err, StoreError::Io { op: "fsync", .. }));
+            assert!(wal.is_empty().unwrap(), "the unsynced frame is cut back off");
         }
-        // The frame was fully written before the (failed) sync: recovery
-        // legitimately sees it.
         let (_, scan) = Wal::open(&dir).unwrap();
-        assert_eq!(scan.frames, vec![b"maybe-durable".to_vec()]);
+        assert!(scan.frames.is_empty());
+        assert_eq!(scan.torn_bytes(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_append_after_a_failed_one_lands_in_its_place() {
+        for spec in ["store.wal.append:2", "store.wal.append:2:torn", "store.wal.fsync:1"] {
+            let dir = tmpdir("after-failure");
+            fault::reset();
+            {
+                let (mut wal, _) = Wal::open(&dir).unwrap();
+                wal.append(b"kept").unwrap();
+                fault::arm(spec);
+                let err = wal.append_batch(&[b"failed-1".as_slice(), b"failed-2"]).unwrap_err();
+                fault::reset();
+                assert!(matches!(err, StoreError::Io { .. }), "{spec}: {err}");
+                wal.append(b"next").unwrap();
+            }
+            let (_, scan) = Wal::open(&dir).unwrap();
+            assert_eq!(scan.frames, vec![b"kept".to_vec(), b"next".to_vec()], "{spec}");
+            assert_eq!(scan.torn_bytes(), 0, "{spec}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn a_failed_cut_poisons_the_handle_until_reopen() {
+        let dir = tmpdir("poisoned");
+        fault::reset();
+        {
+            let (mut wal, _) = Wal::open(&dir).unwrap();
+            wal.append(b"kept").unwrap();
+            fault::arm("store.wal.fsync:1,store.wal.rollback:1");
+            let err = wal.append(b"maybe-durable").unwrap_err();
+            fault::reset();
+            assert!(matches!(err, StoreError::Io { op: "fsync", .. }), "{err}");
+            let fsyncs = wal.fsyncs();
+            for _ in 0..2 {
+                let err = wal.append(b"refused").unwrap_err();
+                assert!(matches!(err, StoreError::WalPoisoned { .. }), "{err}");
+            }
+            assert_eq!(wal.fsyncs(), fsyncs, "a refused append touches nothing");
+        }
+        // The frame the rollback could not remove is there to replay, and
+        // nothing was logged after it; the reopened handle appends again.
+        let (mut wal, scan) = Wal::open(&dir).unwrap();
+        assert_eq!(scan.frames, vec![b"kept".to_vec(), b"maybe-durable".to_vec()]);
+        wal.append(b"next").unwrap();
+        // A truncate that fails leaves the length and write position
+        // unknown, so it poisons the handle too.
+        fault::arm("store.wal.rollback:1");
+        assert!(matches!(wal.truncate(), Err(StoreError::FaultInjected(_))));
+        fault::reset();
+        assert!(matches!(wal.append(b"refused"), Err(StoreError::WalPoisoned { .. })));
+        let (mut wal, scan) = Wal::open(&dir).unwrap();
+        assert_eq!(scan.frames.len(), 3, "the failed truncate cut nothing");
+        wal.truncate().unwrap();
+        wal.append(b"after-truncate").unwrap();
+        let (_, scan) = Wal::open(&dir).unwrap();
+        assert_eq!(scan.frames, vec![b"after-truncate".to_vec()]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -371,7 +536,13 @@ mod tests {
                 .unwrap_err();
             fault::reset();
             assert!(matches!(err, StoreError::Io { .. }), "{err}");
+            assert!(wal.is_empty().unwrap(), "the live handle rolls the whole batch back");
         }
+        // A crash mid-batch leaves the complete first frame and half the
+        // second; recovery keeps the complete-frame prefix.
+        let second = encode_frame(b"second-tears");
+        append_raw(&dir, &encode_frame(b"first-lands"));
+        append_raw(&dir, &second[..second.len() / 2]);
         let (_, scan) = Wal::open(&dir).unwrap();
         assert_eq!(scan.frames, vec![b"first-lands".to_vec()]);
         let _ = std::fs::remove_dir_all(&dir);

@@ -9,9 +9,9 @@
 
 use std::path::{Path, PathBuf};
 
-use xp_labelkit::{InsertPos, LabeledStore, Mutation};
+use xp_labelkit::{InsertPos, LabeledStore, Mutation, ShardPolicy};
 use xp_prime::DynamicPrime;
-use xp_store::{fsck, verify, Store, StoreError};
+use xp_store::{fsck, verify, ShardedDocStore, Store, StoreError};
 use xp_testkit::fault;
 use xp_xmltree::{NodeId, XmlTree};
 
@@ -122,10 +122,11 @@ fn wal_append_faults_at_every_hit_recover_to_the_exact_prefix() {
 
 #[test]
 fn wal_fsync_faults_recover_to_either_prefix() {
-    // The frame is fully written before the sync fails: the reopened store
-    // may legitimately contain the "failed" mutation. Both prefixes are
-    // internally consistent; on a filesystem that kept the write (ours,
-    // no crash actually happened) it will be the longer one.
+    // The frame is fully written before the sync fails. A crash in that
+    // window may leave it durable, so the reopened store may legitimately
+    // contain the "failed" mutation; both prefixes are internally
+    // consistent. Without a crash, the live store rolls the frame back and
+    // it is the shorter one.
     for hit in 1..=SCRIPT_LEN {
         let dir = scratch_dir(&format!("fsync-{hit}"));
         let spec = format!("store.wal.fsync:{hit}");
@@ -253,4 +254,82 @@ fn faults_during_recovery_replay_do_not_corrupt_the_disk() {
     drop(reopened);
     assert_recovers_to_prefix(&dir, &[1]);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every single-fault spec of the continue-after-failure cases: a failed
+/// append (nothing written, or a torn frame) or a failed sync, at each
+/// write of the script.
+fn failed_append_specs() -> Vec<String> {
+    (1..=SCRIPT_LEN)
+        .flat_map(|k| {
+            [
+                format!("store.wal.append:{k}:error"),
+                format!("store.wal.append:{k}:torn"),
+                format!("store.wal.fsync:{k}"),
+            ]
+        })
+        .collect()
+}
+
+#[test]
+fn writes_after_a_failed_append_survive_reopen() {
+    for spec in failed_append_specs() {
+        let dir = scratch_dir("after-failure");
+        fault::reset();
+        let mut live = Store::create(&dir).unwrap();
+        live.add_document("doc.xml", DOC_XML, 4).unwrap();
+        fault::arm(&spec);
+        // One step past the script, so a fault at its last write is still
+        // followed by an acknowledged one.
+        let mut failed = 0;
+        for step in 0..=SCRIPT_LEN {
+            let m = scripted_mutation(step, live.doc("doc.xml").unwrap().tree());
+            match live.apply("doc.xml", &m) {
+                Ok(_) => {}
+                Err(StoreError::Io { .. }) => failed += 1,
+                Err(other) => panic!("{spec}: unexpected error at step {step}: {other}"),
+            }
+        }
+        fault::reset();
+        assert_eq!(failed, 1, "{spec}: exactly one write fails");
+        let reopened = Store::open(&dir).unwrap();
+        reopened.verify().unwrap();
+        let (live_doc, back) = (live.doc("doc.xml").unwrap(), reopened.doc("doc.xml").unwrap());
+        assert_eq!(back.seq(), live_doc.seq(), "{spec}");
+        verify::equivalent(live_doc.labeled(), back.labeled())
+            .unwrap_or_else(|e| panic!("{spec}: reopened != live: {e}"));
+        drop(reopened);
+        fsck(&dir).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn sharded_writes_after_a_failed_append_survive_reopen() {
+    for spec in failed_append_specs() {
+        let dir = scratch_dir("sharded-after-failure");
+        fault::reset();
+        let tree = xp_xmltree::parse(DOC_XML).unwrap();
+        let mut live =
+            ShardedDocStore::create(&dir, "doc.xml", tree, 4, ShardPolicy::at_depth(1)).unwrap();
+        fault::arm(&spec);
+        let mut failed = 0;
+        for step in 0..=SCRIPT_LEN {
+            let m = scripted_mutation(step, live.labeled().tree());
+            match live.apply_batch(&[m]) {
+                Ok(_) => {}
+                Err(StoreError::Io { .. }) => failed += 1,
+                Err(other) => panic!("{spec}: unexpected error at step {step}: {other}"),
+            }
+        }
+        fault::reset();
+        assert_eq!(failed, 1, "{spec}: exactly one write fails");
+        let reopened = ShardedDocStore::open(&dir)
+            .unwrap_or_else(|e| panic!("{spec}: reopen failed: {e}"));
+        assert_eq!(reopened.seq(), live.seq(), "{spec}");
+        let (a, b) = (live.labeled(), reopened.labeled());
+        assert!(a.tree().snapshot() == b.tree().snapshot(), "{spec}: trees differ");
+        assert_eq!(a.ordered_nodes(), b.ordered_nodes(), "{spec}: document orders differ");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -693,7 +693,9 @@ fn classify_store(e: xmlprime::store::StoreError) -> CliError {
         | StoreError::NotAStore(_) => CliError::Corrupt(e.to_string()),
         StoreError::DuplicateUri(_) | StoreError::UnknownUri(_) => CliError::Usage(e.to_string()),
         StoreError::FrameTooLarge { .. } => CliError::Limit(e.to_string()),
-        StoreError::Io { .. } | StoreError::FaultInjected(_) => CliError::Input(e.to_string()),
+        StoreError::Io { .. } | StoreError::FaultInjected(_) | StoreError::WalPoisoned { .. } => {
+            CliError::Input(e.to_string())
+        }
         StoreError::Dynamic(inner) => classify_dynamic(inner),
     }
 }

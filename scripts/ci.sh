@@ -229,6 +229,28 @@ echo "==> store kill harness (real process abort at every fault site)"
 cargo test -q --offline -p xp-store --test kill_harness > /dev/null
 echo "OK: a process killed at any fault site reopens byte-identical."
 
+echo "==> WAL-rules gate (one frame rule for every reader + rollback of failed appends)"
+# One function, xp_store::wal::next_mutation, decides every WAL frame for
+# every reader: Store::open, fsck and ShardedDocStore::open skip a frame
+# the checkpoint already folds in and refuse a gap, a repeated sequence
+# number, or bytes after the mutation. replay_rules.rs holds all three
+# readers to each clause, with frames written through Wal::append so only
+# the rule can refuse them. A failed append is rolled back to the last
+# synced length (a failed rollback poisons the handle until reopen), so a
+# store that keeps taking writes never logs a sequence number twice: the
+# crash-matrix cases keep writing after each store.wal.append (error,
+# torn) and store.wal.fsync fault and require the reopened flat and
+# sharded stores to equal the live ones; the WAL unit tests cover the
+# rollback and the poisoned handle. Run under the serial fallback and a
+# parallel pool. See DESIGN.md §11.2 and §11.3.
+for threads in 1 8; do
+    XP_THREADS=$threads cargo test -q --offline -p xp-store --test replay_rules > /dev/null
+    XP_THREADS=$threads cargo test -q --offline -p xp-store --test crash_matrix \
+        after_a_failed_append > /dev/null
+    XP_THREADS=$threads cargo test -q --offline -p xp-store --lib wal > /dev/null
+done
+echo "OK: every WAL reader follows one frame rule and failed appends roll back."
+
 echo "==> store bench smoke (durability tax + checkpoint/recovery round trip)"
 # Wall-clock gate for the disk store: measures WAL-append overhead vs the
 # same apply in memory, checkpoint cost, and recovery time, and fails if a
