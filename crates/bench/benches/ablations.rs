@@ -2,7 +2,7 @@
 //!
 //! * CRT solver: extended-Euclid folding vs the paper's Euler-totient form.
 //! * SC table construction and update cost across chunk sizes.
-//! * Query join strategy: stack-tree structural join vs nested loops.
+//! * Query join strategy: batched steps vs per-context nested loops.
 //!
 //! Results land in `results/bench_<group>.json`, one group per ablation.
 
@@ -36,11 +36,11 @@ fn bench_join_strategies() {
     use xp_query::evaluators::{Evaluator, IntervalEvaluator};
     use xp_query::relstore::LabelTable;
 
-    // A query with a large ancestor set × large candidate set: the shape
+    // A query with a large context set × large candidate set: the shape
     // where nested loops blow up. The batched side answers the last
-    // descendant step with one stack join over every SPEECH and LINE
-    // (`join::ancestor_descendant_counts`); the nested-loop side tests
-    // every LINE against every SPEECH.
+    // descendant step with one galloped run of LINEs per SPEECH, found by
+    // ancestor tests at the run's edge; the nested-loop side tests every
+    // LINE against every SPEECH.
     let tree = corpus(2);
     let ev = IntervalEvaluator::build(&tree);
     let _ = &ev as &dyn Evaluator;
@@ -56,7 +56,7 @@ fn bench_join_strategies() {
 
     let mut group = Harness::new("join_strategy");
     group.sample_size(10);
-    group.bench("stack_tree", || eval_path_with(ev.table(), &oracle, &path, true).expect("static query").len());
+    group.bench("batched", || eval_path_with(ev.table(), &oracle, &path, true).expect("static query").len());
     group.bench("nested_loop", || eval_path_with(ev.table(), &oracle, &path, false).expect("static query").len());
     group.finish();
 }

@@ -34,7 +34,7 @@ pub struct StoreBenchStats {
     /// checkpoint segment.
     pub checkpoint_ns: Vec<(usize, f64)>,
     /// `(doc_nodes, median ns)` for `Store::open`: manifest + segment load
-    /// plus a [`REPLAY_TAIL`]-frame WAL replay.
+    /// plus a `REPLAY_TAIL`-frame WAL replay.
     pub recover_ns: Vec<(usize, f64)>,
     /// Every reopened store passed `verify()` and was logically
     /// byte-identical to its live twin.

@@ -36,7 +36,7 @@ fn leaf_product(factors: &[u64]) -> UBig {
 }
 
 /// Product of `factors` by balanced pairwise multiplication over
-/// word-folded leaves of [`LEAF_FACTORS`] factors.
+/// word-folded leaves of `LEAF_FACTORS` factors.
 ///
 /// An empty slice yields 1 (the multiplicative identity), matching the
 /// accumulator idiom it replaces.

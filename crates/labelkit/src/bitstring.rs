@@ -1,6 +1,6 @@
 //! [`BitString`]: bit-packed variable-length binary strings.
 //!
-//! The prefix labeling schemes ([7], §2 of the paper) label nodes with binary
+//! The prefix labeling schemes (\[7\], §2 of the paper) label nodes with binary
 //! strings; the ancestor test is "is one label a proper prefix of the other",
 //! and document order is prefix-respecting lexicographic order.
 

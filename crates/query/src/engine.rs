@@ -25,11 +25,13 @@
 //! Evaluation runs each step once for the whole context set: the step's
 //! candidates are filtered by tag, `[="…"]` and `[tag]`, ranked once and
 //! sorted, and steps hand each other `(rank, row index)` pairs in document
-//! order. A position-free step keeps the candidates some context matches:
-//! the stack-tree join ([`crate::join`]) decides the descendant, ancestor
-//! and ancestor-or-self axes, and the following and preceding axes reduce
-//! to one boundary, because `preceding(S) = preceding(last(S))` and
-//! `following(S)` is everything past the earliest subtree end. A positional
+//! order. A position-free step keeps the candidates some context matches.
+//! A subtree is one contiguous run in rank order, so the descendant axis
+//! keeps each outermost context's run, its end found by galloping, and the
+//! following and preceding axes reduce to one boundary, because
+//! `preceding(S) = preceding(last(S))` and `following(S)` is everything past
+//! the earliest subtree end. The stack-tree join ([`crate::join`]) decides
+//! the ancestor and ancestor-or-self axes. A positional
 //! step takes each context's n-th match by index into the sorted
 //! candidates, so the paper's "collect, sort, index" costs one sort per
 //! step rather than one per context. Every step runs on the caller's
@@ -41,6 +43,7 @@
 //! order materialised at publish, so a served rank lookup is an array read.
 
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::join::{self, Ranked};
 use crate::relstore::LabelTable;
@@ -405,9 +408,10 @@ impl OrderOracle for TreeOrderOracle {
 /// tree itself is never consulted, which is the labeling-scheme contract.
 ///
 /// Each step runs once for the whole context set: its candidates are
-/// filtered and ranked once, position-free steps match them through the
-/// stack-based structural join ([`crate::join`]) or one following/preceding
-/// boundary, and positional steps pick every context's n-th match by index
+/// filtered and ranked once, position-free steps match them through one
+/// descendant run per outermost context, one following/preceding boundary,
+/// or the stack-based structural join ([`crate::join`]) for the ancestor
+/// axes, and positional steps pick every context's n-th match by index
 /// into the sorted candidate run.
 pub fn eval_path<L: LabelOps>(
     table: &LabelTable<L>,
@@ -472,6 +476,38 @@ pub fn eval_path_with<L: LabelOps>(
     }
     Ok(ctx.into_iter().map(|(_, i)| table.rows()[i].node).collect())
 }
+
+/// A multiplicative hasher (the Fx rotate-xor-multiply step) for the
+/// engine's per-step maps and sets. Their keys are arena slots and row
+/// indices the table assigns, never strings a client chose, so SipHash's
+/// defence against crafted collisions buys nothing there.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(b.into()));
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(x.into());
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
 
 /// One row of an intermediate result: `(document-order rank, row index)`.
 /// Steps hand each other these sorted by rank, so no row is ranked twice
@@ -543,9 +579,10 @@ fn labeled<'t, L: LabelOps>(table: &'t LabelTable<L>, rows: &[RankedRow]) -> Vec
     rows.iter().map(|&(r, i)| (r, &table.rows()[i].label)).collect()
 }
 
-/// Marks the candidates at least one context matches on `axis`: the
-/// stack-tree join for the containment axes, one boundary for the
-/// following and preceding axes.
+/// Marks the candidates at least one context matches on `axis`: one
+/// galloped run per outermost context for the descendant axis, one boundary
+/// for the following and preceding axes, the stack-tree join for the
+/// ancestor axes.
 fn any_match<L: LabelOps>(
     table: &LabelTable<L>,
     ctx: &[RankedRow],
@@ -555,16 +592,28 @@ fn any_match<L: LabelOps>(
     let rows = table.rows();
     let parent_of = |&(_, i): &RankedRow| rows[i].parent;
     let label = |&(_, i): &RankedRow| &rows[i].label;
-    let join = |a: &[RankedRow], t: &[RankedRow]| {
-        join::ancestor_descendant_counts(&labeled(table, a), &labeled(table, t))
-    };
+    let targets_under =
+        || join::ancestor_descendant_counts(&labeled(table, cands), &labeled(table, ctx));
     match axis {
         Axis::Child => {
-            let ctx_nodes: HashSet<NodeId> = ctx.iter().map(|&(_, i)| rows[i].node).collect();
+            let ctx_nodes: IdSet<NodeId> = ctx.iter().map(|&(_, i)| rows[i].node).collect();
             cands.iter().map(|c| parent_of(c).is_some_and(|p| ctx_nodes.contains(&p))).collect()
         }
         Axis::Descendant => {
-            join(ctx, cands).ancestors_of_target.into_iter().map(|a| a > 0).collect()
+            // Each context's descendants are the candidate run right after
+            // it. A context whose run would start inside the run kept so far
+            // lies in that subtree, so its own run is already kept.
+            let mut keep = vec![false; cands.len()];
+            let mut end = 0;
+            for c in ctx {
+                let start = cands.partition_point(|&(r, _)| r <= c.0);
+                if start < end {
+                    continue;
+                }
+                end = start + descendant_run(table, label(c), &cands[start..]);
+                keep[start..end].fill(true);
+            }
+            keep
         }
         Axis::Following => {
             // following(S) is every candidate past the earliest subtree end
@@ -593,7 +642,7 @@ fn any_match<L: LabelOps>(
             // Per parent, the earliest (latest) context: a candidate under
             // the same parent matches iff it comes after (before) it.
             let following = axis == Axis::FollowingSibling;
-            let mut bound: HashMap<NodeId, u64> = HashMap::new();
+            let mut bound: IdMap<NodeId, u64> = IdMap::default();
             for c in ctx {
                 if let Some(p) = parent_of(c) {
                     let b = bound.entry(p).or_insert(c.0);
@@ -610,18 +659,15 @@ fn any_match<L: LabelOps>(
                 .collect()
         }
         Axis::Parent => {
-            let parents: HashSet<NodeId> = ctx.iter().filter_map(parent_of).collect();
+            let parents: IdSet<NodeId> = ctx.iter().filter_map(parent_of).collect();
             cands.iter().map(|&(_, i)| parents.contains(&rows[i].node)).collect()
         }
-        Axis::Ancestor => {
-            join(cands, ctx).targets_under_ancestor.into_iter().map(|d| d > 0).collect()
-        }
+        Axis::Ancestor => targets_under().into_iter().map(|d| d > 0).collect(),
         Axis::AncestorOrSelf => {
-            let counts = join(cands, ctx);
-            let ctx_rows: HashSet<usize> = ctx.iter().map(|&(_, i)| i).collect();
+            let ctx_rows: IdSet<usize> = ctx.iter().map(|&(_, i)| i).collect();
             cands
                 .iter()
-                .zip(counts.targets_under_ancestor)
+                .zip(targets_under())
                 .map(|(&(_, i), d)| d > 0 || ctx_rows.contains(&i))
                 .collect()
         }
@@ -669,7 +715,7 @@ fn nth_match<L: LabelOps>(
         }
         Axis::Child | Axis::FollowingSibling | Axis::PrecedingSibling => {
             // Candidate positions grouped by parent, each group in rank order.
-            let mut children: HashMap<NodeId, Vec<usize>> = HashMap::new();
+            let mut children: IdMap<NodeId, Vec<usize>> = IdMap::default();
             for (p, &(_, i)) in cands.iter().enumerate() {
                 if let Some(parent) = rows[i].parent {
                     children.entry(parent).or_default().push(p);
@@ -689,7 +735,7 @@ fn nth_match<L: LabelOps>(
         }
         Axis::Parent => {
             if k == 0 {
-                let position: HashMap<NodeId, usize> =
+                let position: IdMap<NodeId, usize> =
                     cands.iter().enumerate().map(|(p, &(_, i))| (rows[i].node, p)).collect();
                 picks.extend(
                     ctx.iter().filter_map(|&(_, i)| rows[i].parent.and_then(|n| position.get(&n))),
@@ -853,7 +899,7 @@ fn select<L: LabelOps>(
 }
 
 /// Nodes that have at least one element child with the given tag.
-fn parents_with_child<L: LabelOps>(table: &LabelTable<L>, child_tag: &str) -> HashSet<NodeId> {
+fn parents_with_child<L: LabelOps>(table: &LabelTable<L>, child_tag: &str) -> IdSet<NodeId> {
     table
         .scan_tag(child_tag)
         .iter()

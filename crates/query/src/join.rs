@@ -13,15 +13,16 @@
 //!
 //! [`visit_ancestor_chains`] is the single primitive: one pass that hands
 //! every target the chain of `A`-elements that are its proper ancestors.
-//! [`ancestor_descendant_counts`] folds those chains into counts — for
-//! every target, how many `A`-elements are its proper ancestors, and for
-//! every `A`-element, how many targets lie in its subtree — and the
-//! engine's position-free descendant, ancestor and ancestor-or-self steps
-//! reduce to it, on the caller's thread. Position-free following and
-//! preceding steps need no join: each reduces to one boundary. Positional
-//! `ancestor`, `ancestor-or-self` and `preceding` steps read the chains
-//! themselves: a context's n-th match is an index into its chain, or into
-//! the candidates before it with the chain skipped.
+//! [`ancestor_descendant_counts`] folds those chains into, for every
+//! `A`-element, how many targets lie in its subtree; the engine's
+//! position-free ancestor and ancestor-or-self steps reduce to it, on the
+//! caller's thread. Positional `ancestor`, `ancestor-or-self` and
+//! `preceding` steps read the chains themselves: a context's n-th match is
+//! an index into its chain, or into the candidates before it with the chain
+//! skipped. The other steps need no join: a subtree is one contiguous run
+//! in document order, so a descendant step keeps one galloped run per
+//! outermost context, and following and preceding steps each reduce to one
+//! boundary.
 
 use xp_labelkit::{AncestorTester, LabelOps};
 
@@ -40,17 +41,6 @@ fn test_ancestor<'a, L: LabelOps>(
     target: &L,
 ) -> bool {
     testers[idx].get_or_insert_with(|| ancestors[idx].1.ancestor_tester())(target)
-}
-
-/// Output of [`ancestor_descendant_counts`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JoinCounts {
-    /// For each target (in the order given): the number of `ancestors`
-    /// elements that are proper ancestors of it.
-    pub ancestors_of_target: Vec<usize>,
-    /// For each ancestor (in the order given): the number of targets that
-    /// are proper descendants of it.
-    pub targets_under_ancestor: Vec<usize>,
 }
 
 /// The stack-tree join as a visitor: calls `visit(t, chain)` for every
@@ -108,22 +98,21 @@ pub fn visit_ancestor_chains<L: LabelOps>(
     }
 }
 
-/// The stack-tree join folded into counts: [`visit_ancestor_chains`] with
-/// each chain's length recorded against its target and each chain member
-/// credited one target. Same input contract.
+/// The stack-tree join folded into counts: for each ancestor (in the order
+/// given), the number of targets that are proper descendants of it —
+/// [`visit_ancestor_chains`] with each chain member credited one target.
+/// Same input contract.
 pub fn ancestor_descendant_counts<L: LabelOps>(
     ancestors: &[Ranked<'_, L>],
     targets: &[Ranked<'_, L>],
-) -> JoinCounts {
-    let mut ancestors_of_target = vec![0usize; targets.len()];
+) -> Vec<usize> {
     let mut targets_under_ancestor = vec![0usize; ancestors.len()];
-    visit_ancestor_chains(ancestors, targets, |t_idx, chain| {
-        ancestors_of_target[t_idx] = chain.len();
+    visit_ancestor_chains(ancestors, targets, |_, chain| {
         for &a_idx in chain {
             targets_under_ancestor[a_idx] += 1;
         }
     });
-    JoinCounts { ancestors_of_target, targets_under_ancestor }
+    targets_under_ancestor
 }
 
 #[cfg(test)]
@@ -145,24 +134,43 @@ mod tests {
         v
     }
 
-    /// Brute-force reference.
-    fn naive<L: LabelOps>(ancestors: &[Ranked<'_, L>], targets: &[Ranked<'_, L>]) -> JoinCounts {
-        let ancestors_of_target = targets
+    /// Brute-force reference: per target, its ancestors' indices; per
+    /// ancestor, the targets under it.
+    fn naive<L: LabelOps>(
+        ancestors: &[Ranked<'_, L>],
+        targets: &[Ranked<'_, L>],
+    ) -> (Vec<Vec<usize>>, Vec<usize>) {
+        let chains = targets
             .iter()
-            .map(|(_, t)| ancestors.iter().filter(|(_, a)| a.is_ancestor_of(t)).count())
+            .map(|(_, t)| {
+                (0..ancestors.len()).filter(|&a| ancestors[a].1.is_ancestor_of(t)).collect()
+            })
             .collect();
-        let targets_under_ancestor = ancestors
+        let counts = ancestors
             .iter()
             .map(|(_, a)| targets.iter().filter(|(_, t)| a.is_ancestor_of(t)).count())
             .collect();
-        JoinCounts { ancestors_of_target, targets_under_ancestor }
+        (chains, counts)
+    }
+
+    /// Every target's chain, in target order.
+    fn chains<L: LabelOps>(
+        ancestors: &[Ranked<'_, L>],
+        targets: &[Ranked<'_, L>],
+    ) -> Vec<Vec<usize>> {
+        let mut chains = Vec::new();
+        visit_ancestor_chains(ancestors, targets, |t, chain| {
+            assert_eq!(t, chains.len(), "targets visited in order");
+            chains.push(chain.to_vec());
+        });
+        chains
     }
 
     fn check(tree: &XmlTree, a_nodes: &[NodeId], t_nodes: &[NodeId]) {
         let doc = IntervalScheme::dense().label(tree);
         let a = ranked(tree, &doc, a_nodes);
         let t = ranked(tree, &doc, t_nodes);
-        assert_eq!(ancestor_descendant_counts(&a, &t), naive(&a, &t));
+        assert_eq!((chains(&a, &t), ancestor_descendant_counts(&a, &t)), naive(&a, &t));
     }
 
     #[test]
@@ -203,15 +211,10 @@ mod tests {
         let all: Vec<NodeId> = tree.elements().collect();
         let doc = IntervalScheme::dense().label(&tree);
         let both = ranked(&tree, &doc, &all);
-        let mut chains: Vec<Vec<usize>> = Vec::new();
-        visit_ancestor_chains(&both, &both[2..], |t, chain| {
-            assert_eq!(t, chains.len(), "targets visited in order");
-            chains.push(chain.to_vec());
-        });
         // c, d under a/b; e under a; f, g under a/e(/f); h under a.
         let expected: Vec<Vec<usize>> =
             vec![vec![0, 1], vec![0, 1], vec![0], vec![0, 4], vec![0, 4, 5], vec![0]];
-        assert_eq!(chains, expected);
+        assert_eq!(chains(&both, &both[2..]), expected);
     }
 
     #[test]
@@ -220,10 +223,10 @@ mod tests {
         let all: Vec<NodeId> = tree.elements().collect();
         let doc = IntervalScheme::dense().label(&tree);
         let both = ranked(&tree, &doc, &all);
-        let counts = ancestor_descendant_counts(&both, &both);
+        let depths: Vec<usize> = chains(&both, &both).iter().map(Vec::len).collect();
         // a has no ancestors in the set; b has one (a). a covers b only.
-        assert_eq!(counts.ancestors_of_target, vec![0, 1]);
-        assert_eq!(counts.targets_under_ancestor, vec![1, 0]);
+        assert_eq!(depths, vec![0, 1]);
+        assert_eq!(ancestor_descendant_counts(&both, &both), vec![1, 0]);
     }
 
     #[test]
@@ -232,10 +235,10 @@ mod tests {
         let all: Vec<NodeId> = tree.elements().collect();
         let doc = IntervalScheme::dense().label(&tree);
         let both = ranked(&tree, &doc, &all);
-        let counts = ancestor_descendant_counts(&both, &both);
+        let depths: Vec<usize> = chains(&both, &both).iter().map(Vec::len).collect();
         // The i-th node (0-based) has exactly i ancestors above it.
-        assert_eq!(counts.ancestors_of_target, (0..=30).collect::<Vec<_>>());
+        assert_eq!(depths, (0..=30).collect::<Vec<_>>());
         // And covers the 30 - i nodes below.
-        assert_eq!(counts.targets_under_ancestor, (0..=30).rev().collect::<Vec<_>>());
+        assert_eq!(ancestor_descendant_counts(&both, &both), (0..=30).rev().collect::<Vec<_>>());
     }
 }

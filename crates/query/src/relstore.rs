@@ -66,9 +66,7 @@ impl<L: LabelOps> LabelTable<L> {
     /// and are independent per node; `par_map` places each row at its input
     /// index, so `rows` comes back in document order at any thread count.
     /// Pass 3 (sequential) wires the tag buckets and the node → row map in
-    /// row order, exactly as the incremental [`push_row`] path would.
-    ///
-    /// [`push_row`]: LabelTable::push_row
+    /// row order, exactly as the incremental `push_row` path would.
     pub fn build(tree: &XmlTree, labels: &LabeledDoc<L>) -> Self {
         let mut table = LabelTable {
             rows: Vec::new(),

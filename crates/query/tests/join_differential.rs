@@ -1,10 +1,14 @@
-//! Differential property test: the batched evaluator — stack-join steps
-//! and one-pass positional steps — must return exactly what the naive
-//! per-context evaluator returns, on arbitrary trees and every axis.
+//! Differential property test: the batched evaluator — descendant runs,
+//! following/preceding boundaries, stack-join ancestor steps and one-pass
+//! positional steps — must return exactly what the naive per-context
+//! evaluator returns, on arbitrary trees and every axis, under interval
+//! labels and under prime labels (whose ancestor test rejects by bit length
+//! and self-label residue before it divides).
 
 use xp_baselines::interval::IntervalScheme;
-use xp_labelkit::Scheme;
-use xp_query::engine::{eval_path_with, OrderOracle, Path};
+use xp_labelkit::{LabelOps, Scheme};
+use xp_prime::TopDownPrime;
+use xp_query::engine::{eval_path_with, OrderOracle, Path, TreeOrderOracle};
 use xp_query::relstore::LabelTable;
 use xp_testkit::propcheck::{index, usizes, vec_of, Gen};
 use xp_testkit::{prop_assert_eq, propcheck};
@@ -63,6 +67,13 @@ const PATHS: &[&str] = &[
     "//t0//t1//t2",
     "//t2/following::*",
     "//t0/preceding::*",
+    // Nested contexts: a descendant step's context can lie inside another
+    // context's subtree, on a named or a `*` side.
+    "//t0//t0",
+    "//*//t1",
+    "//t1//*",
+    "//t0//t1//t0",
+    "//*//*",
 ];
 
 const AXES: [&str; 9] = [
@@ -95,14 +106,28 @@ fn positional_paths() -> Vec<String> {
     paths
 }
 
+/// Batched against per-context evaluation of every path, on the tree's
+/// interval table and on its prime table (Opt1 + Opt2, ranked in preorder).
 fn assert_batch_equals_naive(tree: &XmlTree, paths: &[String]) -> Result<(), String> {
     let doc = IntervalScheme::dense().label(tree);
     let table = LabelTable::build(tree, &doc);
     let oracle = IntervalOracle(&table);
+    batch_equals_naive(&table, &oracle, paths).map_err(|e| format!("interval {e}"))?;
+    let doc = TopDownPrime::optimized().label(tree);
+    let table = LabelTable::build(tree, &doc);
+    let oracle = TreeOrderOracle::of(tree);
+    batch_equals_naive(&table, &oracle, paths).map_err(|e| format!("prime {e}"))
+}
+
+fn batch_equals_naive<L: LabelOps>(
+    table: &LabelTable<L>,
+    oracle: &dyn OrderOracle,
+    paths: &[String],
+) -> Result<(), String> {
     for path_str in paths {
         let path = Path::parse(path_str).map_err(|e| format!("{path_str}: {e}"))?;
-        let fast = eval_path_with(&table, &oracle, &path, true);
-        let slow = eval_path_with(&table, &oracle, &path, false);
+        let fast = eval_path_with(table, oracle, &path, true);
+        let slow = eval_path_with(table, oracle, &path, false);
         if fast != slow {
             return Err(format!("{path_str}: batch {fast:?} vs per-context {slow:?}"));
         }

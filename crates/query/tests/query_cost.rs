@@ -26,6 +26,12 @@
 //! that pushes every candidate through a stack, grows faster than the
 //! corpus there. (Rule (b) does not fit: an ancestor step makes about ten
 //! tests per result row.)
+//!
+//! A third test holds the position-free descendant steps of Q6, Q8 and Q9
+//! to at most one ancestor test per 16 result rows at both sizes. A subtree
+//! is one contiguous run in document order, so each outermost context's run
+//! end is a galloping search away; a step that tests every candidate
+//! against its contexts makes about one test per row.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use xp_datagen::shakespeare::{PlayParams, ShakespeareCorpus};
@@ -165,4 +171,24 @@ fn structural_join_tests_are_linear_in_the_corpus() {
         }
     }
     assert!(failures.is_empty(), "structural join gate:\n{}", failures.join("\n"));
+}
+
+#[test]
+fn descendant_steps_test_per_context_not_per_candidate() {
+    let queries: Vec<_> =
+        TEST_QUERIES.iter().filter(|q| ["Q6", "Q8", "Q9"].contains(&q.id)).collect();
+    let paths: Vec<&str> = queries.iter().map(|q| q.path).collect();
+    let mut failures = Vec::new();
+    for replicas in [2, 8] {
+        for (q, c) in queries.iter().zip(measured(replicas, &paths)) {
+            eprintln!("{}: r={replicas} {} rows {} tests", q.id, c.rows, c.ancestor_tests);
+            if 16 * c.ancestor_tests > c.rows as u64 {
+                failures.push(format!(
+                    "{} at {replicas} replicas: {} ancestor tests for {} rows (> 1 per 16)",
+                    q.id, c.ancestor_tests, c.rows
+                ));
+            }
+        }
+    }
+    assert!(failures.is_empty(), "descendant step gate:\n{}", failures.join("\n"));
 }

@@ -1,7 +1,7 @@
 //! Deterministic fault injection: named fault points compiled into library
 //! code, armed per thread.
 //!
-//! Production code marks failure-prone spots with [`faultpoint!`]:
+//! Production code marks failure-prone spots with [`faultpoint!`](crate::faultpoint!):
 //!
 //! ```ignore
 //! xp_testkit::faultpoint!("sc.insert")?;
@@ -225,7 +225,7 @@ pub fn hits(site: &str) -> u64 {
     })
 }
 
-/// The guts of [`faultpoint!`]: count a hit of `site` and decide whether it
+/// The guts of [`faultpoint!`](crate::faultpoint!): count a hit of `site` and decide whether it
 /// fires. Inert sites cost one thread-local lookup and a hash miss.
 pub fn check(site: &'static str) -> Result<(), Injected> {
     FAULTS.with(|cell| {

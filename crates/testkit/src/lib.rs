@@ -7,10 +7,10 @@
 //!
 //! * [`rng`] — seeded SplitMix64 → xoshiro256** PRNG (replaced `rand`).
 //!   Dataset generation is byte-for-byte deterministic per seed.
-//! * [`propcheck`] — a minimal property-testing framework (replaced
+//! * [`propcheck`](mod@propcheck) — a minimal property-testing framework (replaced
 //!   `proptest`): generator combinators, draw-stream shrinking, seed
 //!   reporting, `PROPCHECK_CASES` / `PROPCHECK_SEED` env overrides.
-//! * [`bench`] — a wall-clock bench harness (replaced `criterion`):
+//! * [`bench`](mod@bench) — a wall-clock bench harness (replaced `criterion`):
 //!   warmup + calibrated samples, min/median/p95, JSON into `results/`.
 //! * [`refint`] — a schoolbook reference big-integer (replaced `num-bigint`
 //!   as the differential-test oracle for `xp-bignum`).

@@ -57,6 +57,14 @@ else
     echo "WARNING: clippy not installed; skipping panic-policy gate." >&2
 fi
 
+echo "==> rustdoc gate (no broken, ambiguous or private doc links)"
+# Nothing else builds the docs, so a link to a renamed or private item, or
+# a bracketed citation that rustdoc reads as a link, would pass every other
+# gate. -D warnings turns each such rustdoc warning into an error, in
+# every workspace crate.
+RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --offline --workspace
+echo "OK: every crate's docs build without warnings."
+
 echo "==> fault-injection matrix (XP_FAULT, one armed site per run)"
 # Drive the full pipeline (parse -> label -> ordered build -> insert ->
 # delete -> query) with each compiled-in fault site armed; the env_matrix
