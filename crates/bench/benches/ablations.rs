@@ -5,6 +5,10 @@
 //! * Query join strategy: batched steps vs per-context nested loops.
 //!
 //! Results land in `results/bench_<group>.json`, one group per ablation.
+//! `cargo bench --bench ablations -- <group>…` runs only the named groups
+//! (`crt_solver`, `sc_table`, `join_strategy`, `ordered_update`), so
+//! regenerating one file leaves the others alone; with no group named, all
+//! four run.
 
 use xp_prime::crt;
 use xp_primes::first_primes;
@@ -49,7 +53,7 @@ fn bench_join_strategies() {
     struct Oracle<'a>(&'a LabelTable<xp_baselines::IntervalLabel>);
     impl xp_query::engine::OrderOracle for Oracle<'_> {
         fn rank(&self, node: xp_xmltree::NodeId) -> u64 {
-            self.0.label(node).order
+            self.0.label(node).map_or(u64::MAX, |label| label.order)
         }
     }
     let oracle = Oracle(ev.table());
@@ -101,9 +105,26 @@ fn bench_ordered_update_throughput() {
     group.finish();
 }
 
+/// Every group, by the name of the file it writes.
+const GROUPS: [(&str, fn()); 4] = [
+    ("crt_solver", bench_crt_solvers),
+    ("sc_table", bench_sc_chunk_sizes),
+    ("join_strategy", bench_join_strategies),
+    ("ordered_update", bench_ordered_update_throughput),
+];
+
 fn main() {
-    bench_crt_solvers();
-    bench_sc_chunk_sizes();
-    bench_join_strategies();
-    bench_ordered_update_throughput();
+    // Cargo passes its own `--bench` flag along; every other argument
+    // names a group.
+    let named: Vec<String> = std::env::args().skip(1).filter(|a| !a.starts_with("--")).collect();
+    if let Some(unknown) = named.iter().find(|n| !GROUPS.iter().any(|(group, _)| group == n)) {
+        let known: Vec<&str> = GROUPS.iter().map(|(group, _)| *group).collect();
+        eprintln!("ablations: unknown group {unknown:?}; the groups are {}", known.join(", "));
+        std::process::exit(2);
+    }
+    for (group, run) in GROUPS {
+        if named.is_empty() || named.iter().any(|n| n == group) {
+            run();
+        }
+    }
 }

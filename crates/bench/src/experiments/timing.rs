@@ -100,11 +100,7 @@ pub fn fig15_predicate_traffic(replicas: usize) -> Report {
         interval.table().rows().iter().map(|r| (r.node, r.label.order)).collect();
     let pr_ranks: HashMap<NodeId, u64> =
         prime.table().rows().iter().map(|r| (r.node, prime.ordered().order_of(r.node))).collect();
-    let px_ranks: HashMap<NodeId, u64> = {
-        let mut nodes: Vec<NodeId> = prefix.table().rows().iter().map(|r| r.node).collect();
-        nodes.sort_by(|&a, &b| prefix.table().label(a).bits().cmp(prefix.table().label(b).bits()));
-        nodes.into_iter().enumerate().map(|(i, n)| (n, i as u64)).collect()
-    };
+    let px_ranks: HashMap<NodeId, u64> = prefix.ranks().clone();
 
     let mut r = Report::new(
         "fig15_predicate_traffic",

@@ -23,25 +23,38 @@
 //! that is in the second position".
 //!
 //! Evaluation runs each step once for the whole context set: the step's
-//! candidates are filtered by tag, `[="…"]` and `[tag]`, ranked once and
-//! sorted, and steps hand each other `(rank, row index)` pairs in document
-//! order. A position-free step keeps the candidates some context matches.
-//! A subtree is one contiguous run in rank order, so the descendant axis
-//! keeps each outermost context's run, its end found by galloping, and the
-//! following and preceding axes reduce to one boundary, because
-//! `preceding(S) = preceding(last(S))` and `following(S)` is everything past
-//! the earliest subtree end. The stack-tree join ([`crate::join`]) decides
-//! the ancestor and ancestor-or-self axes. A positional
-//! step takes each context's n-th match by index into the sorted
-//! candidates, so the paper's "collect, sort, index" costs one sort per
-//! step rather than one per context. Every step runs on the caller's
-//! thread. The literal per-context strategy survives as the reference
+//! candidates are its tag's rows that pass `[="…"]` and `[tag]`, in
+//! document order, and steps hand each other [`RankedRow`]s — rank, row
+//! index and node — in that order. An oracle that keeps each tag's rows in
+//! rank order ([`OrderOracle::run`], a served snapshot's
+//! [`crate::runs::TagRuns`]) lends the step its run, filtered without
+//! ranking or sorting when the step has a predicate; any other oracle has
+//! the candidates ranked once and sorted. A position-free step keeps the
+//! candidates some context matches. A subtree is one contiguous run in rank
+//! order, so the descendant axis keeps each outermost context's run, its
+//! end found by galloping, and the following axis reduces to one boundary,
+//! the earliest subtree end among the contexts. The preceding axis keeps
+//! the candidates ranked before the last context, because
+//! `preceding(S) = preceding(last(S))`, minus that context's ancestors,
+//! which it reads up the parent column without a label test. The
+//! stack-tree join ([`crate::join`]) decides the ancestor and
+//! ancestor-or-self axes. A positional step takes each context's n-th
+//! match by index into the sorted candidates, so the paper's "collect,
+//! sort, index" costs one sort per step rather than one per context. A
+//! step whose kept rows form one contiguous stretch of borrowed candidates
+//! passes that stretch on without copying it, and the last step emits the
+//! node ids the rows carry, so a query touches a row only to read a label,
+//! a parent or a text. Every step runs on the caller's thread. The literal
+//! per-context strategy survives as the reference
 //! `eval_path_with(.., false)` the differential suites compare against.
 //!
 //! Ranks come from an [`OrderOracle`]. [`TreeOrderOracle`] is a dense rank
-//! column: the tree-walk reference in tests, and the served snapshot's SC
-//! order materialised at publish, so a served rank lookup is an array read.
+//! column: the tree-walk reference in tests, and the column inside a served
+//! snapshot's [`crate::runs::TagRuns`], SC order materialised at publish,
+//! so a served rank lookup is an array read. The Figure-15 harness ranks
+//! through the SC table per call instead, the cost the paper measures.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -312,6 +325,15 @@ fn parse_segment(seg: &str, descendant: bool) -> Result<Step, PathError> {
 pub trait OrderOracle {
     /// A rank that sorts elements in document order (root smallest).
     fn rank(&self, node: NodeId) -> u64;
+
+    /// The rows of the evaluated table that carry tag id `tag` (every row
+    /// for `None`), in rank order, if this oracle keeps them, as a served
+    /// snapshot does ([`crate::runs::TagRuns`]). Tag ids are the table's
+    /// ([`LabelTable::tag_id`]). The default keeps none, so the engine ranks
+    /// and sorts each step's candidates per call.
+    fn run(&self, _tag: Option<u32>) -> Option<&[RankedRow]> {
+        None
+    }
 }
 
 /// A dense rank column indexed by [`NodeId::index`]. It is the reference
@@ -319,13 +341,36 @@ pub trait OrderOracle {
 /// position in the tree walk, [`TreeOrderOracle::of`]), and the order
 /// column a served snapshot reads its ranks from: SC order materialised
 /// once ([`TreeOrderOracle::from_ranks`]) and kept current mutation by
-/// mutation ([`TreeOrderOracle::apply_report`]). Nodes outside the column
-/// rank last (`u64::MAX`).
-#[derive(Debug, Clone, Default)]
+/// mutation inside [`crate::runs::TagRuns`]. Nodes outside the column rank
+/// last (`u64::MAX`).
+#[derive(Debug, Default)]
 pub struct TreeOrderOracle(Vec<u64>);
 
+/// `clone_from` reuses the target's buffer.
+impl Clone for TreeOrderOracle {
+    fn clone(&self) -> Self {
+        TreeOrderOracle(self.0.clone())
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.0.clone_from(&source.0);
+    }
+}
+
+/// Two columns are equal when they rank every node alike: a slot past the
+/// end ranks last, as a cleared slot does.
+impl PartialEq for TreeOrderOracle {
+    fn eq(&self, other: &Self) -> bool {
+        let (long, short) =
+            if self.0.len() >= other.0.len() { (&self.0, &other.0) } else { (&other.0, &self.0) };
+        long[..short.len()] == short[..] && long[short.len()..].iter().all(|&r| r == ABSENT)
+    }
+}
+
+impl Eq for TreeOrderOracle {}
+
 /// The rank of a node the column does not hold.
-const ABSENT: u64 = u64::MAX;
+pub(crate) const ABSENT: u64 = u64::MAX;
 
 impl TreeOrderOracle {
     /// Ranks `tree`'s elements in preorder.
@@ -364,11 +409,15 @@ impl TreeOrderOracle {
     /// opened a slot at its order and pushed everything at or after it one
     /// place on. Relabeled nodes are survivors: a relabel never moves an
     /// order number. One `u64` pass over the column, no bignum work.
-    pub fn apply_report(
+    ///
+    /// Returns the thresholds `o_m - m` (ascending): a survivor at `r` moved
+    /// to `r + #{thresholds ≤ r}`, which [`crate::runs::TagRuns`] applies to
+    /// its runs.
+    pub(crate) fn apply_report(
         &mut self,
         report: &RelabelReport,
         order_of: impl Fn(NodeId) -> Option<u64>,
-    ) {
+    ) -> Vec<u64> {
         for n in &report.removed {
             if let Some(rank) = self.0.get_mut(n.index()) {
                 *rank = ABSENT;
@@ -392,6 +441,7 @@ impl TreeOrderOracle {
         for (n, o) in inserted {
             self.set(n, o);
         }
+        thresholds
     }
 }
 
@@ -403,16 +453,19 @@ impl OrderOracle for TreeOrderOracle {
 
 /// Evaluates `path` against the label table, from the document root.
 ///
-/// Every structural decision is made from labels (plus the table's
-/// parent-label column for child/sibling axes) and the order oracle — the
-/// tree itself is never consulted, which is the labeling-scheme contract.
+/// Every structural decision is made from labels, the table's parent
+/// column (for the child, parent and sibling axes, and for the ancestors a
+/// preceding step drops) and the order oracle — the tree itself is never
+/// consulted, which is the labeling-scheme contract.
 ///
-/// Each step runs once for the whole context set: its candidates are
-/// filtered and ranked once, position-free steps match them through one
-/// descendant run per outermost context, one following/preceding boundary,
-/// or the stack-based structural join ([`crate::join`]) for the ancestor
-/// axes, and positional steps pick every context's n-th match by index
-/// into the sorted candidate run.
+/// Each step runs once for the whole context set. Its candidates are the
+/// oracle's rank-ordered run for the step's tag when the oracle keeps runs
+/// (a served snapshot), and otherwise the tag's rows ranked once and
+/// sorted. Position-free steps match them through one descendant run per
+/// outermost context, one following boundary, one preceding boundary less
+/// the last context's ancestors, or the stack-based structural join
+/// ([`crate::join`]) for the ancestor axes, and positional steps pick every
+/// context's n-th match by index into the sorted candidate run.
 pub fn eval_path<L: LabelOps>(
     table: &LabelTable<L>,
     oracle: &dyn OrderOracle,
@@ -436,32 +489,32 @@ pub fn eval_path_with<L: LabelOps>(
     if path.steps.len() > MAX_STEPS {
         return Err(QueryError::LimitExceeded(QueryLimit::Steps(MAX_STEPS)));
     }
-    let within_budget = |rows: Vec<RankedRow>| {
+    fn within_budget(rows: Cow<'_, [RankedRow]>) -> Result<Cow<'_, [RankedRow]>, QueryError> {
         if rows.len() > MAX_ROWS {
             Err(QueryError::LimitExceeded(QueryLimit::Rows(MAX_ROWS)))
         } else {
             Ok(rows)
         }
-    };
+    }
     // The initial context is the *document node*: `/play` selects the root
     // element itself when it is named `play`, and `//tag` selects every
     // element with that tag, the root included.
     let Some(first) = path.steps.first() else {
         return Err(QueryError::EmptyPath);
     };
-    let mut ctx: Vec<RankedRow> = match first.axis {
+    let mut ctx: Cow<'_, [RankedRow]> = match first.axis {
         Axis::Child => {
             let root = table.row_index(table.root()).filter(|&i| {
                 first.tag == "*" || table.tag_name(table.rows()[i].tag) == first.tag
             });
-            filter_and_rank(table, oracle, first, root)
+            Cow::Owned(filter_and_rank(table, oracle, first, root))
         }
         Axis::Descendant => candidates(table, oracle, first),
         // The document node has no siblings, ancestors, or surroundings.
-        _ => Vec::new(),
+        _ => Cow::Borrowed(&[]),
     };
     if let Some(n) = first.position {
-        ctx = ctx.get(n - 1).copied().into_iter().collect();
+        ctx = Cow::Owned(ctx.get(n - 1).copied().into_iter().collect());
     }
     ctx = within_budget(ctx)?;
     for step in &path.steps[1..] {
@@ -471,10 +524,10 @@ pub fn eval_path_with<L: LabelOps>(
         ctx = within_budget(if batch {
             select_batch(table, oracle, &ctx, step)?
         } else {
-            select_per_context(table, oracle, &ctx, step)
+            Cow::Owned(select_per_context(table, oracle, &ctx, step))
         })?;
     }
-    Ok(ctx.into_iter().map(|(_, i)| table.rows()[i].node).collect())
+    Ok(ctx.iter().map(|c| c.node).collect())
 }
 
 /// A multiplicative hasher (the Fx rotate-xor-multiply step) for the
@@ -509,23 +562,56 @@ impl Hasher for IdHasher {
 type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
 
-/// One row of an intermediate result: `(document-order rank, row index)`.
-/// Steps hand each other these sorted by rank, so no row is ranked twice
-/// within a step.
-type RankedRow = (u64, usize);
+/// One row of an intermediate result: its document-order rank, its index
+/// into [`LabelTable::rows`] and its element. Steps hand each other these
+/// sorted by rank, so no row is ranked twice within a step, and the last
+/// step emits the nodes without touching a row. Sixteen bytes; a table
+/// holds fewer than 2³² rows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct RankedRow {
+    /// Document-order rank.
+    pub rank: u64,
+    /// Index into [`LabelTable::rows`].
+    pub row: u32,
+    /// The row's element.
+    pub node: NodeId,
+}
 
-/// The rows `step` can select before its axis is applied: tag, `[="…"]`
-/// and `[tag]` filters passed, each row ranked once, in document order.
-fn candidates<L: LabelOps>(
+/// The rows `step` can select before its axis is applied, in document
+/// order: the tag's rows that pass the step's `[="…"]` and `[tag]`
+/// filters. An oracle that keeps rank-ordered runs lends the tag's run,
+/// filtered without ranking or sorting when the step has a predicate; any
+/// other oracle has each passing row ranked once and the rows sorted.
+fn candidates<'o, L: LabelOps>(
     table: &LabelTable<L>,
-    oracle: &dyn OrderOracle,
+    oracle: &'o dyn OrderOracle,
     step: &Step,
-) -> Vec<RankedRow> {
-    if step.tag == "*" {
-        filter_and_rank(table, oracle, step, 0..table.len())
-    } else {
-        filter_and_rank(table, oracle, step, table.scan_tag(&step.tag).iter().copied())
+) -> Cow<'o, [RankedRow]> {
+    let tag = match step.tag.as_str() {
+        "*" => None,
+        name => match table.tag_id(name) {
+            Some(id) => Some(id),
+            None => return Cow::Borrowed(&[]),
+        },
+    };
+    let Some(run) = oracle.run(tag) else {
+        return Cow::Owned(if tag.is_none() {
+            filter_and_rank(table, oracle, step, 0..table.len())
+        } else {
+            filter_and_rank(table, oracle, step, table.scan_tag(&step.tag).iter().copied())
+        });
+    };
+    debug_assert_eq!(
+        run.len(),
+        if tag.is_none() { table.len() } else { table.scan_tag(&step.tag).len() },
+        "the oracle's run for {:?} does not cover the table's rows",
+        step.tag
+    );
+    if step.value.is_none() && step.has_child.is_none() {
+        return Cow::Borrowed(run);
     }
+    let passes = predicate(table, step);
+    Cow::Owned(run.iter().filter(|c| passes(c.row as usize, c.node)).copied().collect())
 }
 
 /// Keeps the `rows` that pass `step`'s value and existence predicates and
@@ -536,15 +622,13 @@ fn filter_and_rank<L: LabelOps>(
     step: &Step,
     rows: impl IntoIterator<Item = usize>,
 ) -> Vec<RankedRow> {
-    let parents = step.has_child.as_deref().map(|tag| parents_with_child(table, tag));
+    let passes = predicate(table, step);
     let mut out: Vec<RankedRow> = rows
         .into_iter()
-        .filter(|&i| {
-            let row = &table.rows()[i];
-            step.value.as_deref().is_none_or(|v| row.text.as_deref() == Some(v))
-                && parents.as_ref().is_none_or(|p| p.contains(&row.node))
+        .filter_map(|i| {
+            let node = table.rows()[i].node;
+            passes(i, node).then(|| RankedRow { rank: oracle.rank(node), row: i as u32, node })
         })
-        .map(|i| (oracle.rank(table.rows()[i].node), i))
         .collect();
     // Stable sort on purpose: a patched table's tag buckets stay mostly in
     // document order, and the stable sort merges such runs in near-linear
@@ -553,50 +637,97 @@ fn filter_and_rank<L: LabelOps>(
     out
 }
 
-/// Evaluates one step for the whole context set at once. The candidates
-/// are filtered and ranked once; a position-free step keeps every
-/// candidate some context matches ([`any_match`]), a positional step every
-/// candidate that is some context's n-th match ([`nth_match`]). The union
-/// comes out in candidate order — document order, without duplicates — so
-/// it needs no re-sort.
-fn select_batch<L: LabelOps>(
+/// `step`'s `[="…"]` and `[tag]` filters as one test on a row index and
+/// its node.
+fn predicate<'a, L: LabelOps>(
+    table: &'a LabelTable<L>,
+    step: &'a Step,
+) -> impl Fn(usize, NodeId) -> bool + 'a {
+    let parents = step.has_child.as_deref().map(|tag| parents_with_child(table, tag));
+    move |i, node| {
+        step.value.as_deref().is_none_or(|v| table.rows()[i].text.as_deref() == Some(v))
+            && parents.as_ref().is_none_or(|p| p.contains(&node))
+    }
+}
+
+/// Evaluates one step for the whole context set at once. A position-free
+/// step keeps every candidate some context matches ([`any_match`]), a
+/// positional step every candidate that is some context's n-th match
+/// ([`nth_match`]). The union comes out in candidate order — document
+/// order, without duplicates — so it needs no re-sort.
+fn select_batch<'o, L: LabelOps>(
     table: &LabelTable<L>,
-    oracle: &dyn OrderOracle,
+    oracle: &'o dyn OrderOracle,
     ctx: &[RankedRow],
     step: &Step,
-) -> Result<Vec<RankedRow>, QueryError> {
+) -> Result<Cow<'o, [RankedRow]>, QueryError> {
     faultpoint!("query.join")?;
     let cands = candidates(table, oracle, step);
     let keep = match step.position {
-        None => any_match(table, ctx, &cands, step.axis),
+        None => any_match(table, oracle, ctx, &cands, step),
         Some(n) => nth_match(table, ctx, &cands, step.axis, n - 1),
     };
-    Ok(cands.into_iter().zip(keep).filter_map(|(c, k)| k.then_some(c)).collect())
+    Ok(kept(cands, &keep))
+}
+
+/// The candidates `keep` marks. When they are one contiguous stretch — a
+/// descendant step under one context, every candidate past a following
+/// boundary, everything before a preceding one — the stretch is passed on
+/// as a slice, still borrowed if the candidates were.
+fn kept<'o>(cands: Cow<'o, [RankedRow]>, keep: &[bool]) -> Cow<'o, [RankedRow]> {
+    let start = keep.iter().position(|&k| k).unwrap_or(keep.len());
+    let end = start + keep[start..].iter().take_while(|&&k| k).count();
+    if keep[end..].contains(&true) {
+        return Cow::Owned(cands.iter().zip(keep).filter(|&(_, &k)| k).map(|(c, _)| *c).collect());
+    }
+    match cands {
+        Cow::Borrowed(run) => Cow::Borrowed(&run[start..end]),
+        Cow::Owned(mut rows) => {
+            rows.truncate(end);
+            rows.drain(..start);
+            Cow::Owned(rows)
+        }
+    }
 }
 
 /// `(rank, label)` views of ranked rows, the join's input shape.
 fn labeled<'t, L: LabelOps>(table: &'t LabelTable<L>, rows: &[RankedRow]) -> Vec<Ranked<'t, L>> {
-    rows.iter().map(|&(r, i)| (r, &table.rows()[i].label)).collect()
+    rows.iter().map(|c| (c.rank, &table.rows()[c.row as usize].label)).collect()
 }
 
-/// Marks the candidates at least one context matches on `axis`: one
+/// The rows of `row`'s proper ancestors, nearest first, read up the parent
+/// column: one node → row lookup per level. `None` if the walk reaches a
+/// parent the table holds no row for, as at a partition's edge.
+fn ancestor_rows<L: LabelOps>(table: &LabelTable<L>, row: usize) -> Option<Vec<usize>> {
+    let mut chain = Vec::new();
+    let mut parent = table.rows()[row].parent;
+    while let Some(node) = parent {
+        let r = table.row_index(node)?;
+        chain.push(r);
+        parent = table.rows()[r].parent;
+    }
+    Some(chain)
+}
+
+/// Marks the candidates at least one context matches on `step`'s axis: one
 /// galloped run per outermost context for the descendant axis, one boundary
-/// for the following and preceding axes, the stack-tree join for the
-/// ancestor axes.
+/// for the following axis, one boundary less the last context's ancestors
+/// for the preceding axis, the stack-tree join for the ancestor axes.
 fn any_match<L: LabelOps>(
     table: &LabelTable<L>,
+    oracle: &dyn OrderOracle,
     ctx: &[RankedRow],
     cands: &[RankedRow],
-    axis: Axis,
+    step: &Step,
 ) -> Vec<bool> {
     let rows = table.rows();
-    let parent_of = |&(_, i): &RankedRow| rows[i].parent;
-    let label = |&(_, i): &RankedRow| &rows[i].label;
+    let parent_of = |c: &RankedRow| rows[c.row as usize].parent;
+    let label = |c: &RankedRow| &rows[c.row as usize].label;
     let targets_under =
         || join::ancestor_descendant_counts(&labeled(table, cands), &labeled(table, ctx));
-    match axis {
+    match step.axis {
         Axis::Child => {
-            let ctx_nodes: IdSet<NodeId> = ctx.iter().map(|&(_, i)| rows[i].node).collect();
+            let ctx_nodes: IdSet<NodeId> = ctx.iter().map(|c| c.node).collect();
             cands.iter().map(|c| parent_of(c).is_some_and(|p| ctx_nodes.contains(&p))).collect()
         }
         Axis::Descendant => {
@@ -606,7 +737,7 @@ fn any_match<L: LabelOps>(
             let mut keep = vec![false; cands.len()];
             let mut end = 0;
             for c in ctx {
-                let start = cands.partition_point(|&(r, _)| r <= c.0);
+                let start = cands.partition_point(|d| d.rank <= c.rank);
                 if start < end {
                     continue;
                 }
@@ -622,31 +753,56 @@ fn any_match<L: LabelOps>(
             // at or past the best end so far cannot end earlier.
             let mut end = cands.len();
             for c in ctx {
-                if cands.get(end).is_some_and(|&(r, _)| c.0 >= r) {
+                if cands.get(end).is_some_and(|d| c.rank >= d.rank) {
                     break;
                 }
-                let start = cands.partition_point(|&(r, _)| r <= c.0);
+                let start = cands.partition_point(|d| d.rank <= c.rank);
                 end = start + descendant_run(table, label(c), &cands[start..end]);
             }
             (0..cands.len()).map(|p| p >= end).collect()
         }
         Axis::Preceding => {
             // preceding(S) = preceding(last(S)): a candidate ends before some
-            // context starts iff it ends before the last one starts.
+            // context starts iff it ends before the last one starts. So the
+            // step keeps every candidate ranked before the last context,
+            // except that context's ancestors.
             let Some(last) = ctx.last() else {
                 return vec![false; cands.len()];
             };
-            cands.iter().map(|c| c.0 < last.0 && !label(c).is_ancestor_of(label(last))).collect()
+            let before = cands.partition_point(|d| d.rank < last.rank);
+            let mut keep = vec![false; cands.len()];
+            keep[..before].fill(true);
+            match ancestor_rows(table, last.row as usize) {
+                // An ancestor the step could select is found among the
+                // candidates by its rank; no label is tested.
+                Some(chain) => {
+                    for row in chain.into_iter().map(|r| &rows[r]) {
+                        if step.tag != "*" && table.tag_name(row.tag) != step.tag {
+                            continue;
+                        }
+                        let rank = oracle.rank(row.node);
+                        if let Ok(p) = cands[..before].binary_search_by_key(&rank, |d| d.rank) {
+                            keep[p] &= cands[p].node != row.node;
+                        }
+                    }
+                }
+                None => {
+                    for (k, c) in keep[..before].iter_mut().zip(cands) {
+                        *k = !label(c).is_ancestor_of(label(last));
+                    }
+                }
+            }
+            keep
         }
         Axis::FollowingSibling | Axis::PrecedingSibling => {
             // Per parent, the earliest (latest) context: a candidate under
             // the same parent matches iff it comes after (before) it.
-            let following = axis == Axis::FollowingSibling;
+            let following = step.axis == Axis::FollowingSibling;
             let mut bound: IdMap<NodeId, u64> = IdMap::default();
             for c in ctx {
                 if let Some(p) = parent_of(c) {
-                    let b = bound.entry(p).or_insert(c.0);
-                    *b = if following { (*b).min(c.0) } else { (*b).max(c.0) };
+                    let b = bound.entry(p).or_insert(c.rank);
+                    *b = if following { (*b).min(c.rank) } else { (*b).max(c.rank) };
                 }
             }
             cands
@@ -654,21 +810,21 @@ fn any_match<L: LabelOps>(
                 .map(|c| {
                     parent_of(c)
                         .and_then(|p| bound.get(&p))
-                        .is_some_and(|&b| if following { c.0 > b } else { c.0 < b })
+                        .is_some_and(|&b| if following { c.rank > b } else { c.rank < b })
                 })
                 .collect()
         }
         Axis::Parent => {
             let parents: IdSet<NodeId> = ctx.iter().filter_map(parent_of).collect();
-            cands.iter().map(|&(_, i)| parents.contains(&rows[i].node)).collect()
+            cands.iter().map(|c| parents.contains(&c.node)).collect()
         }
         Axis::Ancestor => targets_under().into_iter().map(|d| d > 0).collect(),
         Axis::AncestorOrSelf => {
-            let ctx_rows: IdSet<usize> = ctx.iter().map(|&(_, i)| i).collect();
+            let ctx_rows: IdSet<u32> = ctx.iter().map(|c| c.row).collect();
             cands
                 .iter()
                 .zip(targets_under())
-                .map(|(&(_, i), d)| d > 0 || ctx_rows.contains(&i))
+                .map(|(c, d)| d > 0 || ctx_rows.contains(&c.row))
                 .collect()
         }
     }
@@ -694,14 +850,14 @@ fn nth_match<L: LabelOps>(
     k: usize,
 ) -> Vec<bool> {
     let rows = table.rows();
-    let label = |&(_, i): &RankedRow| &rows[i].label;
+    let label = |c: &RankedRow| &rows[c.row as usize].label;
     // Position of the first candidate after a context.
-    let after = |rank: u64| cands.partition_point(|&(r, _)| r <= rank);
+    let after = |rank: u64| cands.partition_point(|d| d.rank <= rank);
     let mut picks: Vec<usize> = Vec::new();
     match axis {
         Axis::Descendant => {
             for c in ctx {
-                let p = after(c.0) + k;
+                let p = after(c.rank) + k;
                 if p < cands.len() && label(c).is_ancestor_of(label(&cands[p])) {
                     picks.push(p);
                 }
@@ -709,26 +865,27 @@ fn nth_match<L: LabelOps>(
         }
         Axis::Following => {
             for c in ctx {
-                let start = after(c.0);
+                let start = after(c.rank);
                 picks.push(start + descendant_run(table, label(c), &cands[start..]) + k);
             }
         }
         Axis::Child | Axis::FollowingSibling | Axis::PrecedingSibling => {
             // Candidate positions grouped by parent, each group in rank order.
             let mut children: IdMap<NodeId, Vec<usize>> = IdMap::default();
-            for (p, &(_, i)) in cands.iter().enumerate() {
-                if let Some(parent) = rows[i].parent {
+            for (p, c) in cands.iter().enumerate() {
+                if let Some(parent) = rows[c.row as usize].parent {
                     children.entry(parent).or_default().push(p);
                 }
             }
-            for &(rank, i) in ctx {
-                let siblings = || rows[i].parent.and_then(|parent| children.get(&parent));
+            for c in ctx {
+                let siblings =
+                    || rows[c.row as usize].parent.and_then(|parent| children.get(&parent));
                 let pick = match axis {
-                    Axis::Child => children.get(&rows[i].node).and_then(|g| g.get(k)),
+                    Axis::Child => children.get(&c.node).and_then(|g| g.get(k)),
                     Axis::FollowingSibling => siblings()
-                        .and_then(|g| g.get(g.partition_point(|&p| cands[p].0 <= rank) + k)),
+                        .and_then(|g| g.get(g.partition_point(|&p| cands[p].rank <= c.rank) + k)),
                     _ => siblings()
-                        .and_then(|g| g[..g.partition_point(|&p| cands[p].0 < rank)].get(k)),
+                        .and_then(|g| g[..g.partition_point(|&p| cands[p].rank < c.rank)].get(k)),
                 };
                 picks.extend(pick);
             }
@@ -736,10 +893,10 @@ fn nth_match<L: LabelOps>(
         Axis::Parent => {
             if k == 0 {
                 let position: IdMap<NodeId, usize> =
-                    cands.iter().enumerate().map(|(p, &(_, i))| (rows[i].node, p)).collect();
-                picks.extend(
-                    ctx.iter().filter_map(|&(_, i)| rows[i].parent.and_then(|n| position.get(&n))),
-                );
+                    cands.iter().enumerate().map(|(p, c)| (c.node, p)).collect();
+                picks.extend(ctx.iter().filter_map(|c| {
+                    rows[c.row as usize].parent.and_then(|n| position.get(&n))
+                }));
             }
         }
         Axis::Ancestor | Axis::AncestorOrSelf | Axis::Preceding => {
@@ -760,7 +917,7 @@ fn nth_match<L: LabelOps>(
                             }
                             p += 1;
                         }
-                        cands.get(p).filter(|&&(rank, _)| rank < c.0).map(|_| p)
+                        cands.get(p).filter(|d| d.rank < c.rank).map(|_| p)
                     }
                 };
                 picks.extend(pick);
@@ -781,7 +938,7 @@ fn nth_match<L: LabelOps>(
 /// contiguous in document order, so the answer is found by galloping and
 /// then bisecting: `O(log d)` ancestor tests for `d` descendants.
 fn descendant_run<L: LabelOps>(table: &LabelTable<L>, ctx_label: &L, run: &[RankedRow]) -> usize {
-    let inside = |p: usize| ctx_label.is_ancestor_of(&table.rows()[run[p].1].label);
+    let inside = |p: usize| ctx_label.is_ancestor_of(&table.rows()[run[p].row as usize].label);
     // run[..lo] is known inside, run[hi..] known outside.
     let (mut lo, mut hi, mut stride) = (0, run.len(), 1);
     while lo < hi {
@@ -831,11 +988,12 @@ fn select_per_context<L: LabelOps>(
 fn select<L: LabelOps>(
     table: &LabelTable<L>,
     oracle: &dyn OrderOracle,
-    (ctx_rank, ctx_idx): RankedRow,
+    ctx: RankedRow,
     step: &Step,
 ) -> Vec<RankedRow> {
-    let ctx_row = &table.rows()[ctx_idx];
-    let context = ctx_row.node;
+    let ctx_row = &table.rows()[ctx.row as usize];
+    let context = ctx.node;
+    let ctx_rank = ctx.rank;
     let mut out: Vec<RankedRow> = Vec::new();
     // The descendant and following axes test the *fixed* context label
     // against every candidate — exactly the shape `ancestor_tester` exists
@@ -887,12 +1045,12 @@ fn select<L: LabelOps>(
             Some(v) => row.text.as_deref() == Some(v.as_str()),
         };
         if keep && value_ok {
-            out.push((oracle.rank(row.node), idx));
+            out.push(RankedRow { rank: oracle.rank(row.node), row: idx as u32, node: row.node });
         }
     }
     if let Some(child_tag) = &step.has_child {
         let parents = parents_with_child(table, child_tag);
-        out.retain(|&(_, i)| parents.contains(&table.rows()[i].node));
+        out.retain(|c| parents.contains(&c.node));
     }
     out.sort();
     out
@@ -992,6 +1150,26 @@ mod tests {
             }
         }
         assert_eq!(eval_path(&full, &oracle, &Path::parse("//a/b[1]").unwrap()).unwrap().len(), 1);
+    }
+
+    /// A partition holds no row for the parents above its own root, so a
+    /// preceding step's walk up the parent column stops short there, and
+    /// the step tests labels instead.
+    #[test]
+    fn preceding_falls_back_to_labels_at_a_partition_edge() {
+        use xp_baselines::interval::IntervalScheme;
+        use xp_labelkit::Scheme;
+
+        let tree = xp_xmltree::parse("<r><a/><b><c/><d/></b></r>").unwrap();
+        let doc = IntervalScheme::dense().label(&tree);
+        let part = LabelTable::build_where(&tree, &doc, |n| n != tree.root());
+        let oracle = TreeOrderOracle::of(&tree);
+        let tag = |n: &NodeId| tree.tag(*n).unwrap().to_string();
+        let path = Path::parse("//d/preceding::*").unwrap();
+        for batch in [true, false] {
+            let got = eval_path_with(&part, &oracle, &path, batch).unwrap();
+            assert_eq!(got.iter().map(tag).collect::<Vec<_>>(), ["a", "c"], "batch {batch}");
+        }
     }
 
     #[test]

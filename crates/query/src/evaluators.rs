@@ -79,8 +79,9 @@ impl IntervalEvaluator {
 struct IntervalOracle<'a>(&'a LabelTable<IntervalLabel>);
 
 impl OrderOracle for IntervalOracle<'_> {
+    /// A node without a row ranks last, as in [`crate::engine::TreeOrderOracle`].
     fn rank(&self, node: NodeId) -> u64 {
-        self.0.label(node).order
+        self.0.label(node).map_or(u64::MAX, |label| label.order)
     }
 }
 
@@ -112,15 +113,21 @@ impl Prefix2Evaluator {
         let doc = Prefix2Scheme.label(tree);
         let table = LabelTable::build(tree, &doc);
         // The RDBMS sorts byte-comparable labels; materialize those ranks.
-        let mut nodes: Vec<NodeId> = table.rows().iter().map(|r| r.node).collect();
-        nodes.sort_by(|&a, &b| table.label(a).bits().cmp(table.label(b).bits()));
-        let ranks = nodes.into_iter().enumerate().map(|(i, n)| (n, i as u64)).collect();
+        let mut rows: Vec<_> = table.rows().iter().collect();
+        rows.sort_by(|a, b| a.label.bits().cmp(b.label.bits()));
+        let ranks = rows.into_iter().zip(0..).map(|(row, rank)| (row.node, rank)).collect();
         Prefix2Evaluator { table, ranks }
     }
 
     /// The underlying table.
     pub fn table(&self) -> &LabelTable<PrefixLabel> {
         &self.table
+    }
+
+    /// Every row's rank in the byte order of its label, as `ORDER BY label`
+    /// gives an RDBMS.
+    pub fn ranks(&self) -> &HashMap<NodeId, u64> {
+        &self.ranks
     }
 }
 

@@ -183,11 +183,7 @@ mod tests {
         let (r1, s_interval) = measure_predicates(interval.table(), &MapOracle(iv_ranks), &path).unwrap();
 
         let prefix = Prefix2Evaluator::build(&tree);
-        let px_ranks: HashMap<NodeId, u64> = {
-            let mut nodes: Vec<NodeId> = prefix.table().rows().iter().map(|r| r.node).collect();
-            nodes.sort_by(|&a, &b| prefix.table().label(a).bits().cmp(prefix.table().label(b).bits()));
-            nodes.into_iter().enumerate().map(|(i, n)| (n, i as u64)).collect()
-        };
+        let px_ranks = prefix.ranks().clone();
         let (r2, s_prefix) = measure_predicates(prefix.table(), &MapOracle(px_ranks), &path).unwrap();
 
         let prime = PrimeEvaluator::build(&tree, 5);

@@ -21,8 +21,9 @@
 //! an index into its chain, or into the candidates before it with the chain
 //! skipped. The other steps need no join: a subtree is one contiguous run
 //! in document order, so a descendant step keeps one galloped run per
-//! outermost context, and following and preceding steps each reduce to one
-//! boundary.
+//! outermost context, a following step reduces to one boundary, and a
+//! preceding step to one boundary less the last context's ancestors, which
+//! it reads up the parent column.
 
 use xp_labelkit::{AncestorTester, LabelOps};
 

@@ -18,6 +18,9 @@
 //!   predicates, `following`, `preceding`, `following-sibling`,
 //!   `preceding-sibling`) parsed into [`engine::Path`] and evaluated purely
 //!   against labels + an order oracle.
+//! * [`runs::TagRuns`] — the order a served snapshot keeps: a rank column
+//!   plus each tag's rows in rank order, which steps borrow instead of
+//!   ranking and sorting their candidates.
 //! * [`evaluators`] — one evaluator per scheme: Interval, Prefix-2, and
 //!   Prime (whose order oracle *is* the SC table).
 //! * [`queries`] — the nine test queries of Table 2.
@@ -42,6 +45,7 @@ pub mod join;
 pub mod plan;
 pub mod queries;
 pub mod relstore;
+pub mod runs;
 pub mod sharded;
 pub mod sql;
 
@@ -49,4 +53,5 @@ pub use cache::{QueryCache, TagFootprint, TouchedTags};
 pub use engine::{Path, QueryError};
 pub use evaluators::{Evaluator, IntervalEvaluator, Prefix2Evaluator, PrimeEvaluator};
 pub use relstore::LabelTable;
+pub use runs::TagRuns;
 pub use sharded::ShardedTables;

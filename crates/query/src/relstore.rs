@@ -242,21 +242,24 @@ impl<L: LabelOps> LabelTable<L> {
         }
     }
 
-    /// The row describing `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics (indexing-style contract) if `node` has no row.
-    pub fn row_of(&self, node: NodeId) -> &Row<L> {
-        match self.row_index(node) {
-            Some(idx) => &self.rows[idx],
-            None => panic!("no row for node {node}"),
-        }
+    /// The interned id of a tag, if some row ever carried it.
+    pub fn tag_id(&self, tag: &str) -> Option<u32> {
+        self.tag_ids.get(tag).copied()
     }
 
-    /// The label of `node`.
-    pub fn label(&self, node: NodeId) -> &L {
-        &self.row_of(node).label
+    /// How many tags are interned: every [`Row::tag`] is below this.
+    pub fn tag_count(&self) -> usize {
+        self.tag_names.len()
+    }
+
+    /// The row describing `node`, if the table holds one.
+    pub fn row_of(&self, node: NodeId) -> Option<&Row<L>> {
+        self.row_index(node).map(|idx| &self.rows[idx])
+    }
+
+    /// The label of `node`, if the table holds a row for it.
+    pub fn label(&self, node: NodeId) -> Option<&L> {
+        self.row_of(node).map(|row| &row.label)
     }
 
     /// Applies a [`RelabelReport`] incrementally: removed nodes drop their
@@ -400,8 +403,11 @@ mod tests {
     fn row_lookup_by_node() {
         let (tree, t) = table();
         let act = tree.first_child(tree.root()).unwrap();
-        assert_eq!(t.row_of(act).node, act);
-        assert_eq!(t.tag_name(t.row_of(act).tag), "act");
+        assert_eq!(t.row_of(act).unwrap().node, act);
+        assert_eq!(t.tag_name(t.row_of(act).unwrap().tag), "act");
+        // A node the table never saw has no row, and asking does not panic.
+        let loose = tree.clone().create_element("loose");
+        assert!(t.row_of(loose).is_none() && t.label(loose).is_none());
     }
 
     #[test]
@@ -446,7 +452,7 @@ mod tests {
         let rebuilt = LabelTable::build(store.tree(), store.doc());
         assert_eq!(table.len(), rebuilt.len());
         for row in rebuilt.rows() {
-            let patched = table.row_of(row.node);
+            let patched = table.row_of(row.node).unwrap();
             assert_eq!(table.tag_name(patched.tag), rebuilt.tag_name(row.tag));
             assert_eq!(patched.parent, row.parent);
             assert_eq!(patched.label, row.label);

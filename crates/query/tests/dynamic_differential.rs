@@ -5,9 +5,10 @@
 //! relabeling of the mutated tree — the oracle that cannot be wrong about
 //! what the labels should say.
 //!
-//! `prime_rank_column_tracks_sc_order` checks the served rank column: a
-//! [`TreeOrderOracle`] folded report by report must stay equal to the
-//! prime scheme's `SC mod self-label` order.
+//! `prime_rank_column_tracks_sc_order` checks the served order: a
+//! [`TagRuns`] (rank column plus rank-ordered tag runs) folded report by
+//! report must stay equal to the prime scheme's `SC mod self-label` order,
+//! and its runs to a fresh build.
 //!
 //! The final `dynamic_env_matrix` test is the CI hook: with
 //! `XP_FAULT=<site>:<n>` armed, the same mutation pipeline must never
@@ -22,6 +23,7 @@ use xp_labelkit::{DynamicScheme, InsertPos, LabelOps, LabeledStore, RelabelRepor
 use xp_prime::DynamicPrime;
 use xp_query::engine::{eval_path, OrderOracle, Path, TreeOrderOracle};
 use xp_query::relstore::LabelTable;
+use xp_query::TagRuns;
 use xp_testkit::propcheck::{usizes, vec_of, Gen};
 use xp_testkit::{fault, prop_assert, propcheck};
 use xp_xmltree::{parse, NodeId, XmlTree};
@@ -217,18 +219,30 @@ propcheck! {
     }
 }
 
-/// Folds every mutation's report into a rank column the way a served
-/// snapshot does, and checks it against the SC table after each step: every
-/// element ranks at its SC order, every node ever removed ranks last, and
-/// every query answers with the column as its oracle exactly as with the
+/// SC order of every row of `table`, read from the store's SC table.
+fn sc_column(
+    store: &LabeledStore<DynamicPrime>,
+    table: &LabelTable<xp_prime::PrimeLabel>,
+) -> Result<TreeOrderOracle, String> {
+    let state = store.state();
+    let ranks = table.rows().iter().map(|r| {
+        let order = state.try_order_of(r.node).map_err(|e| format!("order of {}: {e}", r.node))?;
+        Ok((r.node, order))
+    });
+    Ok(TreeOrderOracle::from_ranks(ranks.collect::<Result<Vec<_>, String>>()?))
+}
+
+/// Folds every mutation's report into a rank column and its tag runs the
+/// way a served snapshot does, and checks them against the SC table after
+/// each step: every element ranks at its SC order, every node ever removed
+/// ranks last, the runs equal a fresh build from the patched table, and
+/// every query answers with the runs as its oracle exactly as with the
 /// tree-walk order.
 fn check_rank_column(tree: &XmlTree, ops: &[usize]) -> Result<(), String> {
     let mut store = LabeledStore::build(DynamicPrime::new(3), tree.clone())
         .map_err(|e| format!("build: {e}"))?;
     let mut table = LabelTable::build(store.tree(), store.doc());
-    let state = store.state();
-    let mut column =
-        TreeOrderOracle::from_ranks(store.tree().elements().map(|n| (n, state.order_of(n))));
+    let mut runs = TagRuns::build(&table, sc_column(&store, &table)?);
     let mut removed: Vec<NodeId> = Vec::new();
 
     for (step, &seed) in ops.iter().enumerate() {
@@ -240,28 +254,32 @@ fn check_rank_column(tree: &XmlTree, ops: &[usize]) -> Result<(), String> {
         };
         table.apply_report(store.tree(), store.doc(), &report);
         let state = store.state();
-        column.apply_report(&report, |n| state.try_order_of(n).ok());
+        runs.apply_report(&table, &report, |n| state.try_order_of(n).ok());
         removed.extend(&report.removed);
 
         for n in store.tree().elements() {
             let sc = state.try_order_of(n).map_err(|e| ctx(&format!("order of {n}: {e}")))?;
-            if column.rank(n) != sc {
-                return Err(ctx(&format!("{n} ranks {} but its SC order is {sc}", column.rank(n))));
+            if runs.rank(n) != sc {
+                return Err(ctx(&format!("{n} ranks {} but its SC order is {sc}", runs.rank(n))));
             }
         }
-        if let Some(n) = removed.iter().find(|&&n| column.rank(n) != u64::MAX) {
-            return Err(ctx(&format!("removed {n} still ranks {}", column.rank(*n))));
+        if let Some(n) = removed.iter().find(|&&n| runs.rank(n) != u64::MAX) {
+            return Err(ctx(&format!("removed {n} still ranks {}", runs.rank(*n))));
+        }
+        let fresh = TagRuns::build(&table, sc_column(&store, &table).map_err(|e| ctx(&e))?);
+        if runs != fresh {
+            return Err(ctx(&format!("patched runs {runs:?} vs a fresh build {fresh:?}")));
         }
         let ranks = TreeOrderOracle::of(store.tree());
         for path_str in PATHS {
             let path = Path::parse(path_str).map_err(|e| ctx(&e.to_string()))?;
-            let by_column =
-                eval_path(&table, &column, &path).map_err(|e| ctx(&format!("{path_str}: {e}")))?;
+            let by_runs =
+                eval_path(&table, &runs, &path).map_err(|e| ctx(&format!("{path_str}: {e}")))?;
             let by_tree = eval_path(&table, &ranks, &path)
                 .map_err(|e| ctx(&format!("{path_str} (tree order): {e}")))?;
-            if by_column != by_tree {
+            if by_runs != by_tree {
                 return Err(ctx(&format!(
-                    "{path_str}: column order {by_column:?} vs tree order {by_tree:?}"
+                    "{path_str}: runs {by_runs:?} vs tree order {by_tree:?}"
                 )));
             }
         }
@@ -273,7 +291,8 @@ propcheck! {
     #![config(cases = 200)]
 
     /// Scripts over every mutation kind — sibling insert, subtree insert,
-    /// wrap, delete and move: the folded column is SC order throughout.
+    /// wrap, delete and move: the folded column is SC order throughout, and
+    /// the folded runs equal a fresh build.
     #[test]
     fn prime_rank_column_tracks_sc_order(
         tree in tree_strategy(24),

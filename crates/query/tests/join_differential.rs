@@ -3,13 +3,16 @@
 //! positional steps — must return exactly what the naive per-context
 //! evaluator returns, on arbitrary trees and every axis, under interval
 //! labels and under prime labels (whose ancestor test rejects by bit length
-//! and self-label residue before it divides).
+//! and self-label residue before it divides). Each batched path runs twice:
+//! ranking and sorting its candidates through a plain oracle, and borrowing
+//! them from rank-ordered tag runs ([`TagRuns`]) as a served snapshot does.
 
 use xp_baselines::interval::IntervalScheme;
 use xp_labelkit::{LabelOps, Scheme};
 use xp_prime::TopDownPrime;
 use xp_query::engine::{eval_path_with, OrderOracle, Path, TreeOrderOracle};
 use xp_query::relstore::LabelTable;
+use xp_query::TagRuns;
 use xp_testkit::propcheck::{index, usizes, vec_of, Gen};
 use xp_testkit::{prop_assert_eq, propcheck};
 use xp_xmltree::{NodeId, XmlTree};
@@ -47,7 +50,7 @@ struct IntervalOracle<'a>(&'a LabelTable<xp_baselines::IntervalLabel>);
 
 impl OrderOracle for IntervalOracle<'_> {
     fn rank(&self, node: NodeId) -> u64 {
-        self.0.label(node).order
+            self.0.label(node).map_or(u64::MAX, |label| label.order)
     }
 }
 
@@ -74,6 +77,12 @@ const PATHS: &[&str] = &[
     "//t1//*",
     "//t0//t1//t0",
     "//*//*",
+    // Preceding steps whose last context has ancestors among the
+    // candidates (`t0` nests `t1`; `*` holds every ancestor), filtered too.
+    "//t1/preceding::t0",
+    "//t2/preceding::*",
+    "//t1[t2]/preceding::t0",
+    "//t3/preceding::t1[t2]",
 ];
 
 const AXES: [&str; 9] = [
@@ -107,29 +116,39 @@ fn positional_paths() -> Vec<String> {
 }
 
 /// Batched against per-context evaluation of every path, on the tree's
-/// interval table and on its prime table (Opt1 + Opt2, ranked in preorder).
+/// interval table and on its prime table (Opt1 + Opt2, ranked in preorder),
+/// each batched once through the plain oracle and once through runs built
+/// from the same ranks.
 fn assert_batch_equals_naive(tree: &XmlTree, paths: &[String]) -> Result<(), String> {
     let doc = IntervalScheme::dense().label(tree);
     let table = LabelTable::build(tree, &doc);
     let oracle = IntervalOracle(&table);
-    batch_equals_naive(&table, &oracle, paths).map_err(|e| format!("interval {e}"))?;
+    let ranks = table.rows().iter().map(|r| (r.node, r.label.order));
+    let runs = TagRuns::build(&table, TreeOrderOracle::from_ranks(ranks));
+    batch_equals_naive(&table, &oracle, &runs, paths).map_err(|e| format!("interval {e}"))?;
     let doc = TopDownPrime::optimized().label(tree);
     let table = LabelTable::build(tree, &doc);
     let oracle = TreeOrderOracle::of(tree);
-    batch_equals_naive(&table, &oracle, paths).map_err(|e| format!("prime {e}"))
+    let runs = TagRuns::build(&table, oracle.clone());
+    batch_equals_naive(&table, &oracle, &runs, paths).map_err(|e| format!("prime {e}"))
 }
 
 fn batch_equals_naive<L: LabelOps>(
     table: &LabelTable<L>,
     oracle: &dyn OrderOracle,
+    runs: &TagRuns,
     paths: &[String],
 ) -> Result<(), String> {
     for path_str in paths {
         let path = Path::parse(path_str).map_err(|e| format!("{path_str}: {e}"))?;
-        let fast = eval_path_with(table, oracle, &path, true);
         let slow = eval_path_with(table, oracle, &path, false);
+        let fast = eval_path_with(table, oracle, &path, true);
         if fast != slow {
             return Err(format!("{path_str}: batch {fast:?} vs per-context {slow:?}"));
+        }
+        let served = eval_path_with(table, runs, &path, true);
+        if served != slow {
+            return Err(format!("{path_str}: batch over runs {served:?} vs per-context {slow:?}"));
         }
     }
     Ok(())
@@ -178,6 +197,9 @@ propcheck! {
             r#"//t1/parent::*[="z"][1]"#,
             r#"//t0//t1[="y"][t2][1]"#,
             r#"//t1[="x"]"#,
+            r#"//t0[="y"]//t2[="x"]"#,
+            r#"//t1/preceding::t0[="z"]"#,
+            r#"//t2/preceding::*[="x"][t3]"#,
         ]
         .iter()
         .map(|p| p.to_string())

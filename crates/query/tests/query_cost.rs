@@ -32,13 +32,25 @@
 //! is one contiguous run in document order, so each outermost context's run
 //! end is a galloping search away; a step that tests every candidate
 //! against its contexts makes about one test per row.
+//!
+//! A fourth test holds Q5's position-free preceding step to at most one
+//! ancestor test per 64 result rows at both sizes. The step drops the last
+//! context's ancestors, which it reads up the parent column; a step that
+//! tests every candidate before the context makes one test per row.
+//!
+//! A fifth test serves the queries the way a snapshot does: from
+//! [`TagRuns`] built from SC ranks with one sort, behind a counting oracle.
+//! Every Table-2 query must then make at most one rank lookup (a root step
+//! ranks the root) and return the harness's answer, because every step
+//! borrows or filters its tag's rank-ordered run instead of ranking and
+//! sorting its candidates.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use xp_datagen::shakespeare::{PlayParams, ShakespeareCorpus};
-use xp_query::engine::{eval_path, OrderOracle, Path};
+use xp_query::engine::{eval_path, OrderOracle, Path, RankedRow, TreeOrderOracle};
 use xp_query::instrument::measure_predicates;
 use xp_query::queries::TEST_QUERIES;
-use xp_query::PrimeEvaluator;
+use xp_query::{Evaluator, PrimeEvaluator, TagRuns};
 use xp_xmltree::NodeId;
 
 /// Order numbers from the SC table, counting every lookup.
@@ -90,11 +102,16 @@ fn costs(ev: &PrimeEvaluator, paths: &[&str]) -> Vec<Cost> {
         .collect()
 }
 
+/// The Figure-15 corpus at `replicas`, under the prime scheme.
+fn corpus(replicas: usize) -> PrimeEvaluator {
+    let tree = ShakespeareCorpus::generate_with(replicas, 2004, &PlayParams::hamlet_like()).tree;
+    PrimeEvaluator::build(&tree, 5)
+}
+
 /// The Figure-15 corpus at `replicas`, the costs of `paths` on it at 1
 /// thread, and (c): the same costs at 8 threads.
 fn measured(replicas: usize, paths: &[&str]) -> Vec<Cost> {
-    let tree = ShakespeareCorpus::generate_with(replicas, 2004, &PlayParams::hamlet_like()).tree;
-    let ev = PrimeEvaluator::build(&tree, 5);
+    let ev = corpus(replicas);
     let serial = xp_par::with_threads(1, || costs(&ev, paths));
     let parallel = xp_par::with_threads(8, || costs(&ev, paths));
     for ((q, s), p) in paths.iter().zip(&serial).zip(&parallel) {
@@ -191,4 +208,65 @@ fn descendant_steps_test_per_context_not_per_candidate() {
         }
     }
     assert!(failures.is_empty(), "descendant step gate:\n{}", failures.join("\n"));
+}
+
+#[test]
+fn preceding_steps_read_ancestors_from_the_parent_column() {
+    let q5 = TEST_QUERIES.iter().find(|q| q.id == "Q5").map(|q| q.path).unwrap();
+    let mut failures = Vec::new();
+    for replicas in [2, 8] {
+        let c = measured(replicas, &[q5])[0];
+        eprintln!("Q5: r={replicas} {} rows {} tests", c.rows, c.ancestor_tests);
+        if 64 * c.ancestor_tests > c.rows as u64 {
+            failures.push(format!(
+                "Q5 at {replicas} replicas: {} ancestor tests for {} rows (> 1 per 64)",
+                c.ancestor_tests, c.rows
+            ));
+        }
+    }
+    assert!(failures.is_empty(), "preceding step gate:\n{}", failures.join("\n"));
+}
+
+/// A served snapshot's order — SC ranks and rank-ordered runs — counting
+/// every rank lookup the engine makes through it.
+struct CountingRuns {
+    runs: TagRuns,
+    calls: AtomicU64,
+}
+
+impl OrderOracle for CountingRuns {
+    fn rank(&self, node: NodeId) -> u64 {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        self.runs.rank(node)
+    }
+
+    fn run(&self, tag: Option<u32>) -> Option<&[RankedRow]> {
+        self.runs.run(tag)
+    }
+}
+
+#[test]
+fn served_steps_borrow_runs_instead_of_ranking() {
+    let mut failures = Vec::new();
+    for replicas in [2, 8] {
+        let ev = corpus(replicas);
+        let sc = ev.table().rows().iter().map(|r| (r.node, ev.ordered().order_of(r.node)));
+        let served = CountingRuns {
+            runs: TagRuns::build(ev.table(), TreeOrderOracle::from_ranks(sc)),
+            calls: AtomicU64::new(0),
+        };
+        for q in &TEST_QUERIES {
+            let path = Path::parse(q.path).unwrap();
+            served.calls.store(0, Ordering::Relaxed);
+            let answer = eval_path(ev.table(), &served, &path).unwrap();
+            let lookups = served.calls.load(Ordering::Relaxed);
+            eprintln!("{}: r={replicas} {} rows {lookups} rank lookups", q.id, answer.len());
+            let at = format!("{} at {replicas} replicas", q.id);
+            assert_eq!(answer, ev.eval(&path), "{at}: runs changed the answer");
+            if lookups > 1 {
+                failures.push(format!("{at}: {lookups} rank lookups through served runs (> 1)"));
+            }
+        }
+    }
+    assert!(failures.is_empty(), "served runs gate:\n{}", failures.join("\n"));
 }

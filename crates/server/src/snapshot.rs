@@ -11,14 +11,25 @@
 //!
 //! # Order
 //!
+//! A snapshot keeps its document order as a [`TagRuns`]: a dense rank
+//! column plus each tag's rows in rank order, and one run of every row for
+//! `*`. A query's steps borrow their candidates from the runs, so a served
+//! query neither ranks nor sorts them, and a rank lookup is an array read,
+//! never an SC lookup.
+//!
 //! A flat snapshot reads `SC mod self-label` (§4.1) for every row once,
-//! when it is first built, into a dense column ([`TreeOrderOracle`]). Every
-//! mutation the publisher replays onto it then folds its report into the
-//! column the way the SC table moves orders: removals leave gaps, inserted
-//! nodes take their SC order, and survivors shift past the inserted
-//! orders; only a mutation that fails inside the scheme makes it read the
-//! whole column again. A query's rank lookup is an array read, never an SC
-//! lookup.
+//! when it is first built, and sorts the runs once. Every mutation the
+//! publisher replays onto it then folds its report into the column and
+//! the runs the way the SC table moves orders: removals leave gaps and
+//! leave the runs, inserted nodes take their SC order and enter the runs by
+//! binary search, survivors shift past the inserted orders, which keeps
+//! them in order, and rows the table moved to fill a removed row's slot
+//! are re-pointed. Only a mutation that fails inside the scheme makes it
+//! read the whole column again and rebuild the runs. A reclaimed buffer
+//! usually lags by two batches, and the current snapshot already holds the
+//! order after the first of them, so catch-up copies that order once
+//! instead of folding those reports a second time. A sharded snapshot
+//! fills its runs in the document-order pass that builds its column.
 //!
 //! # Reclamation
 //!
@@ -54,7 +65,7 @@ use xp_prime::dynamic::DynamicPrime;
 use xp_prime::PrimeLabel;
 use xp_query::engine::{eval_path, OrderOracle, Path, QueryError, TreeOrderOracle};
 use xp_query::relstore::LabelTable;
-use xp_query::ShardedTables;
+use xp_query::{ShardedTables, TagRuns};
 use xp_store::ShardedDocStore;
 use xp_xmltree::NodeId;
 
@@ -88,33 +99,33 @@ const HISTORY_CAP: usize = 64;
 /// An immutable, epoch-stamped view of one document.
 ///
 /// Holds everything a query needs — the label table for structural joins
-/// and the rank column for document order — so readers never touch the
-/// store or the writer's tree. The labeled document (tree, labels, SC
-/// state) rides along for the publisher's catch-up replay.
+/// and the rank column and runs for document order — so readers never
+/// touch the store or the writer's tree. The labeled document (tree,
+/// labels, SC state) rides along for the publisher's catch-up replay.
 #[derive(Debug)]
 pub struct EpochSnapshot {
     epoch: u64,
     seq: u64,
     labeled: LabeledStore<DynamicPrime>,
     table: LabelTable<PrimeLabel>,
-    /// SC order of every row, materialised (see the module docs).
-    order: TreeOrderOracle,
+    /// SC order of every row and each tag's rows in that order,
+    /// materialised (see the module docs).
+    order: TagRuns,
 }
 
-/// The SC order (`SC mod self-label`) of every row of `table`, read once.
-fn sc_order(
-    labeled: &LabeledStore<DynamicPrime>,
-    table: &LabelTable<PrimeLabel>,
-) -> TreeOrderOracle {
+/// The SC order (`SC mod self-label`) of every row of `table`, read once,
+/// and the runs it sorts `table`'s rows into.
+fn sc_order(labeled: &LabeledStore<DynamicPrime>, table: &LabelTable<PrimeLabel>) -> TagRuns {
     let state = labeled.state();
-    TreeOrderOracle::from_ranks(
+    let column = TreeOrderOracle::from_ranks(
         table.rows().iter().filter_map(|row| Some((row.node, state.try_order_of(row.node).ok()?))),
-    )
+    );
+    TagRuns::build(table, column)
 }
 
 impl EpochSnapshot {
     /// Wraps a labeled document as the snapshot for `epoch`/`seq`, reading
-    /// every row's SC order into the rank column.
+    /// every row's SC order into the rank column and sorting the runs.
     pub fn new(
         epoch: u64,
         seq: u64,
@@ -188,23 +199,20 @@ pub struct ShardedEpochSnapshot {
     seq: u64,
     shards: Vec<ShardId>,
     table: LabelTable<ShardedLabel<PrimeLabel>>,
-    order: TreeOrderOracle,
+    order: TagRuns,
 }
 
 impl ShardedEpochSnapshot {
     /// Snapshots `store`'s current state as `epoch`: the composed table (a
     /// row concat of the partitions — the [`ShardedLabel`]s answer every
     /// axis across shard boundaries by themselves) plus the dense rank
-    /// column (per-shard SC order composed through the boundary chains).
-    /// Both are `O(n)` and involve no label arithmetic.
+    /// column (per-shard SC order composed through the boundary chains) and
+    /// the runs, filled in the same document-order pass. All are `O(n)` and
+    /// involve no label arithmetic.
     pub fn new(store: &ShardedDocStore, tables: &ShardedTables<PrimeLabel>, epoch: u64) -> Self {
-        ShardedEpochSnapshot {
-            epoch,
-            seq: store.seq(),
-            shards: store.live_shards(),
-            table: tables.compose(),
-            order: TreeOrderOracle::from_order(store.labeled().ordered_nodes()),
-        }
+        let table = tables.compose();
+        let order = TagRuns::from_order(&table, store.labeled().ordered_nodes());
+        ShardedEpochSnapshot { epoch, seq: store.seq(), shards: store.live_shards(), table, order }
     }
 
     /// Live shards at this epoch, ascending.
@@ -337,13 +345,21 @@ impl Publisher {
     }
 
     /// Replays the batches `snap` missed, bringing it to `epoch`/`seq`.
-    /// Each mutation's report is folded into the rank column right after
-    /// the mutation applies, so the next one shifts from current orders.
-    fn catch_up(&mut self, snap: &mut EpochSnapshot, epoch: u64, seq: u64) {
+    /// Labels and table replay every missed batch. For the batches the
+    /// current snapshot already holds, the order (rank column and runs) is
+    /// then copied from it: replay is deterministic, so both tables hold
+    /// the same rows at the same indices, and the copy costs one pass where
+    /// folding cost one per mutation. Each newer mutation's report is
+    /// folded into the order right after the mutation applies and the table
+    /// is patched, so the next one shifts from current orders and current
+    /// row indices.
+    fn catch_up(&self, snap: &mut EpochSnapshot, epoch: u64, seq: u64) {
+        let current = &self.current;
         for (batch_epoch, batch) in &self.history {
             if *batch_epoch <= snap.epoch {
                 continue;
             }
+            let held = *batch_epoch <= current.epoch;
             for mutation in batch {
                 // Mirrors Store::apply_batch: a mutation that failed in
                 // the writer fails identically here (deterministic
@@ -351,18 +367,26 @@ impl Publisher {
                 match snap.labeled.apply(mutation) {
                     Ok(report) => {
                         snap.table.apply_report(snap.labeled.tree(), snap.labeled.doc(), &report);
-                        let state = snap.labeled.state();
-                        snap.order.apply_report(&report, |n| state.try_order_of(n).ok());
+                        if !held {
+                            let state = snap.labeled.state();
+                            snap.order.apply_report(&snap.table, &report, |n| {
+                                state.try_order_of(n).ok()
+                            });
+                        }
                     }
                     // Validation failures change nothing. A scheme failure
                     // can strand SC shifts (a subtree insert that grafted
                     // some nodes before failing leaves gaps where they
-                    // were), so the column is read again from the table.
-                    Err(DynamicError::Scheme(_)) => {
+                    // were), so the column is read again from the table
+                    // and the runs are sorted again.
+                    Err(DynamicError::Scheme(_)) if !held => {
                         snap.order = sc_order(&snap.labeled, &snap.table);
                     }
                     Err(_) => {}
                 }
+            }
+            if *batch_epoch == current.epoch {
+                snap.order.clone_from(&current.order);
             }
         }
         snap.epoch = epoch;
@@ -399,25 +423,29 @@ mod tests {
     }
 
     /// Cycles through every kind the publisher must fold into the rank
-    /// column, all at the front of the document so each one moves every
-    /// later order: a sibling insert, a two-node subtree insert, a wrap of
-    /// that subtree (a relabel of every wrapped node) and the deletion of
-    /// the wrapper's whole subtree.
+    /// column and the runs, at the front of the document so each one moves
+    /// every later order: a sibling insert, a two-node subtree insert, a
+    /// wrap of that subtree (a relabel of every wrapped node) and the
+    /// deletion of the wrapper's whole subtree. Then it deletes the root's
+    /// last child, an older row, whose slot the table fills with its last
+    /// row, so the runs must re-point that row.
     fn mutation_for(snap: &EpochSnapshot, i: u64) -> Mutation {
         let tree = snap.labeled.tree();
         let first = tree.first_child(tree.root()).unwrap();
-        match i % 4 {
+        match i % 5 {
             0 => Mutation::InsertBefore { anchor: first, tag: "x".into() },
             1 => {
                 Mutation::InsertSubtree { pos: InsertPos::Before(first), xml: "<y><z/></y>".into() }
             }
             2 => Mutation::InsertParent { target: first, tag: "w".into() },
-            _ => Mutation::Delete { target: first },
+            3 => Mutation::Delete { target: first },
+            _ => Mutation::Delete { target: tree.last_child(tree.root()).unwrap() },
         }
     }
 
-    /// Every element of `snap` ranks at its own SC order number.
-    fn assert_column_is_sc_order(snap: &EpochSnapshot) {
+    /// Every element of `snap` ranks at its own SC order number, and the
+    /// runs equal a fresh build from the snapshot's table.
+    fn assert_order_is_sc_order(snap: &EpochSnapshot) {
         let state = snap.labeled().state();
         for n in snap.labeled().tree().elements() {
             assert_eq!(
@@ -427,6 +455,12 @@ mod tests {
                 snap.epoch()
             );
         }
+        assert_eq!(
+            snap.order,
+            sc_order(&snap.labeled, &snap.table),
+            "epoch {}: the patched runs diverged from a fresh build",
+            snap.epoch()
+        );
     }
 
     /// Applies `m` the way the writer does, returning the post state.
@@ -456,6 +490,7 @@ mod tests {
                 writer.labeled().tree().snapshot(),
                 "published tree equals writer tree at epoch {epoch}"
             );
+            assert_order_is_sc_order(&published);
         }
         let stats = publisher.stats();
         assert!(
@@ -472,6 +507,7 @@ mod tests {
         for epoch in 1..=4u64 {
             let m = mutation_for(&publisher.current(), epoch);
             publisher.publish(epoch, epoch, std::slice::from_ref(&m));
+            assert_order_is_sc_order(&publisher.current());
         }
         // The reader's view never moved.
         assert_eq!(pinned.epoch(), 0);
@@ -525,7 +561,7 @@ mod tests {
                 writer.labeled().ordered_nodes(),
                 "published document order diverged at epoch {epoch}"
             );
-            assert_column_is_sc_order(&published);
+            assert_order_is_sc_order(&published);
             assert!(
                 publisher.history.len() <= HISTORY_CAP,
                 "history must stay bounded, holds {}",
@@ -579,7 +615,7 @@ mod tests {
         let snap = publisher.current();
         assert_eq!(snap.rank(b), u64::MAX, "a deleted node ranks last, it does not panic");
         assert_eq!(snap.rank(c), u64::MAX, "so does every node of its subtree");
-        assert_column_is_sc_order(&snap);
+        assert_order_is_sc_order(&snap);
     }
 
     /// A subtree insert that fails after grafting its root leaves a gap in
@@ -601,7 +637,7 @@ mod tests {
         xp_testkit::fault::reset();
         let snap = publisher.current();
         assert!(snap.query(&Path::parse("//y").unwrap()).unwrap().is_empty(), "the graft failed");
-        assert_column_is_sc_order(&snap);
+        assert_order_is_sc_order(&snap);
         let order: Vec<String> = snap
             .query(&Path::parse("//*").unwrap())
             .unwrap()

@@ -60,8 +60,8 @@ pub fn check_doc(
         ));
     }
     for &n in &elements {
-        if table.label(n) != store.doc().label(n) {
-            return Err(format!("label table row of {n} is stale"));
+        if table.label(n) != Some(store.doc().label(n)) {
+            return Err(format!("label table row of {n} is missing or stale"));
         }
     }
     Ok(())
