@@ -42,9 +42,10 @@ fn bench_join_strategies() {
 
     // A query with a large context set × large candidate set: the shape
     // where nested loops blow up. The batched side answers the last
-    // descendant step with one galloped run of LINEs per SPEECH, found by
-    // ancestor tests at the run's edge; the nested-loop side tests every
-    // LINE against every SPEECH.
+    // descendant step with one run of LINEs per SPEECH, which ends at the
+    // next SPEECH's start after two ancestor tests (or is galloped when
+    // that probe fails); the nested-loop side tests every LINE against
+    // every SPEECH.
     let tree = corpus(2);
     let ev = IntervalEvaluator::build(&tree);
     let _ = &ev as &dyn Evaluator;

@@ -29,24 +29,32 @@
 //! rank order ([`OrderOracle::run`], a served snapshot's
 //! [`crate::runs::TagRuns`]) lends the step its run, filtered without
 //! ranking or sorting when the step has a predicate; any other oracle has
-//! the candidates ranked once and sorted. A position-free step keeps the
-//! candidates some context matches. A subtree is one contiguous run in rank
-//! order, so the descendant axis keeps each outermost context's run, its
-//! end found by galloping, and the following axis reduces to one boundary,
-//! the earliest subtree end among the contexts. The preceding axis keeps
-//! the candidates ranked before the last context, because
-//! `preceding(S) = preceding(last(S))`, minus that context's ancestors,
-//! which it reads up the parent column without a label test. The
-//! stack-tree join ([`crate::join`]) decides the ancestor and
+//! the candidates ranked once and sorted. Contexts and candidates both
+//! arrive in rank order, so every step walks its candidate run forward
+//! once. A position-free step keeps the candidates some context matches. A
+//! subtree is one contiguous run in rank order, so the descendant axis
+//! keeps each outermost context's run, and the following axis reduces to
+//! one boundary, the earliest subtree end among the contexts. Each
+//! context's run starts where a cursor galloped forward from the previous
+//! context's start lands, and usually ends at the next context's start,
+//! which two label tests confirm; only when they do not is its end found
+//! by galloping. The preceding axis keeps the candidates ranked before the
+//! last context, because `preceding(S) = preceding(last(S))`, minus that
+//! context's ancestors, which it reads up the parent column without a
+//! label test. The sibling axes, and the positional child and parent
+//! steps, are the `parent_id` equi-join of the §5.2 SQL, run as a
+//! sort-merge join of contexts and candidates on the parent's arena slot.
+//! The stack-tree join ([`crate::join`]) decides the ancestor and
 //! ancestor-or-self axes. A positional step takes each context's n-th
 //! match by index into the sorted candidates, so the paper's "collect,
 //! sort, index" costs one sort per step rather than one per context. A
-//! step whose kept rows form one contiguous stretch of borrowed candidates
-//! passes that stretch on without copying it, and the last step emits the
-//! node ids the rows carry, so a query touches a row only to read a label,
-//! a parent or a text. Every step runs on the caller's thread. The literal
-//! per-context strategy survives as the reference
-//! `eval_path_with(.., false)` the differential suites compare against.
+//! step returns what it keeps as spans of its candidate run: one span of
+//! borrowed candidates is passed on without copying, several are copied
+//! one span at a time. The last step emits the node ids the rows carry, so
+//! a query touches a row only to read a label, a parent or a text. Every
+//! step runs on the caller's thread. The literal per-context strategy
+//! survives as the reference `eval_path_with(.., false)` the differential
+//! suites compare against.
 //!
 //! Ranks come from an [`OrderOracle`]. [`TreeOrderOracle`] is a dense rank
 //! column: the tree-walk reference in tests, and the column inside a served
@@ -55,8 +63,10 @@
 //! through the SC table per call instead, the cost the paper measures.
 
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
+use std::cmp::Ordering;
+use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 
 use crate::join::{self, Ranked};
 use crate::relstore::LabelTable;
@@ -458,14 +468,18 @@ impl OrderOracle for TreeOrderOracle {
 /// preceding step drops) and the order oracle — the tree itself is never
 /// consulted, which is the labeling-scheme contract.
 ///
-/// Each step runs once for the whole context set. Its candidates are the
-/// oracle's rank-ordered run for the step's tag when the oracle keeps runs
-/// (a served snapshot), and otherwise the tag's rows ranked once and
-/// sorted. Position-free steps match them through one descendant run per
-/// outermost context, one following boundary, one preceding boundary less
-/// the last context's ancestors, or the stack-based structural join
-/// ([`crate::join`]) for the ancestor axes, and positional steps pick every
-/// context's n-th match by index into the sorted candidate run.
+/// Each step runs once for the whole context set, walking its candidates
+/// forward once. Its candidates are the oracle's rank-ordered run for the
+/// step's tag when the oracle keeps runs (a served snapshot), and otherwise
+/// the tag's rows ranked once and sorted. Position-free steps match them
+/// through one descendant run per outermost context (ended at the next
+/// context's start after two label tests, or galloped), one following
+/// boundary, one preceding boundary less the last context's ancestors, a
+/// sort-merge on the parent's arena slot for the sibling axes, a membership
+/// set for the child and parent axes, or the stack-based structural join
+/// ([`crate::join`]) for the ancestor axes. Positional steps pick every
+/// context's n-th match by index into the sorted candidate run, the child,
+/// sibling and parent ones within the context's group of that sort-merge.
 pub fn eval_path<L: LabelOps>(
     table: &LabelTable<L>,
     oracle: &dyn OrderOracle,
@@ -531,9 +545,11 @@ pub fn eval_path_with<L: LabelOps>(
 }
 
 /// A multiplicative hasher (the Fx rotate-xor-multiply step) for the
-/// engine's per-step maps and sets. Their keys are arena slots and row
-/// indices the table assigns, never strings a client chose, so SipHash's
-/// defence against crafted collisions buys nothing there.
+/// engine's membership sets: a child step's contexts, a parent step's
+/// parents, an ancestor-or-self step's context rows and a `[tag]` filter's
+/// parents. Their keys are arena slots and row indices the table assigns,
+/// never strings a client chose, so SipHash's defence against crafted
+/// collisions buys nothing there.
 #[derive(Default)]
 struct IdHasher(u64);
 
@@ -559,7 +575,6 @@ impl Hasher for IdHasher {
     }
 }
 
-type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
 
 /// One row of an intermediate result: its document-order rank, its index
@@ -653,8 +668,9 @@ fn predicate<'a, L: LabelOps>(
 /// Evaluates one step for the whole context set at once. A position-free
 /// step keeps every candidate some context matches ([`any_match`]), a
 /// positional step every candidate that is some context's n-th match
-/// ([`nth_match`]). The union comes out in candidate order — document
-/// order, without duplicates — so it needs no re-sort.
+/// ([`nth_match`]). Either way the kept candidates come back as spans of
+/// the candidate run, so the union is in candidate order — document order,
+/// without duplicates — and needs no re-sort.
 fn select_batch<'o, L: LabelOps>(
     table: &LabelTable<L>,
     oracle: &'o dyn OrderOracle,
@@ -663,28 +679,70 @@ fn select_batch<'o, L: LabelOps>(
 ) -> Result<Cow<'o, [RankedRow]>, QueryError> {
     faultpoint!("query.join")?;
     let cands = candidates(table, oracle, step);
-    let keep = match step.position {
+    let spans = match step.position {
         None => any_match(table, oracle, ctx, &cands, step),
         Some(n) => nth_match(table, ctx, &cands, step.axis, n - 1),
     };
-    Ok(kept(cands, &keep))
+    Ok(kept(cands, &spans))
 }
 
-/// The candidates `keep` marks. When they are one contiguous stretch — a
-/// descendant step under one context, every candidate past a following
-/// boundary, everything before a preceding one — the stretch is passed on
-/// as a slice, still borrowed if the candidates were.
-fn kept<'o>(cands: Cow<'o, [RankedRow]>, keep: &[bool]) -> Cow<'o, [RankedRow]> {
-    let start = keep.iter().position(|&k| k).unwrap_or(keep.len());
-    let end = start + keep[start..].iter().take_while(|&&k| k).count();
-    if keep[end..].contains(&true) {
-        return Cow::Owned(cands.iter().zip(keep).filter(|&(_, &k)| k).map(|(c, _)| *c).collect());
+/// Kept candidate positions: ascending, disjoint, non-empty spans of the
+/// candidate run.
+type Spans = Vec<Range<usize>>;
+
+/// Appends `span` to `spans` unless it is empty, joining it to the last
+/// span when the two touch or overlap. Spans arrive in ascending order of
+/// their starts.
+fn push_span(spans: &mut Spans, span: Range<usize>) {
+    if span.is_empty() {
+        return;
     }
-    match cands {
-        Cow::Borrowed(run) => Cow::Borrowed(&run[start..end]),
-        Cow::Owned(mut rows) => {
-            rows.truncate(end);
-            rows.drain(..start);
+    match spans.last_mut() {
+        Some(last) if span.start <= last.end => last.end = last.end.max(span.end),
+        _ => spans.push(span),
+    }
+}
+
+/// Single marked positions as spans, made once: sorted, duplicates and
+/// positions past `len` dropped, neighbours joined.
+fn spans_of(mut marks: Vec<usize>, len: usize) -> Spans {
+    marks.sort_unstable();
+    let mut spans = Spans::new();
+    for p in marks.into_iter().take_while(|&p| p < len) {
+        push_span(&mut spans, p..p + 1);
+    }
+    spans
+}
+
+/// The spans of the candidates `keep` admits, found in one scan.
+fn marked(cands: &[RankedRow], mut keep: impl FnMut(usize, &RankedRow) -> bool) -> Spans {
+    let mut spans = Spans::new();
+    for (p, c) in cands.iter().enumerate() {
+        if keep(p, c) {
+            push_span(&mut spans, p..p + 1);
+        }
+    }
+    spans
+}
+
+/// The candidates `spans` keep. One span — a descendant step under one
+/// context, every candidate past a following boundary, everything before a
+/// preceding one — is passed on as a slice, still borrowed if the
+/// candidates were; several are copied one span at a time.
+fn kept<'o>(cands: Cow<'o, [RankedRow]>, spans: &[Range<usize>]) -> Cow<'o, [RankedRow]> {
+    match (spans, cands) {
+        ([], _) => Cow::Borrowed(&[]),
+        ([span], Cow::Borrowed(run)) => Cow::Borrowed(&run[span.clone()]),
+        ([span], Cow::Owned(mut rows)) => {
+            rows.truncate(span.end);
+            rows.drain(..span.start);
+            Cow::Owned(rows)
+        }
+        (spans, cands) => {
+            let mut rows = Vec::with_capacity(spans.iter().map(ExactSizeIterator::len).sum());
+            for span in spans {
+                rows.extend_from_slice(&cands[span.clone()]);
+            }
             Cow::Owned(rows)
         }
     }
@@ -709,17 +767,118 @@ fn ancestor_rows<L: LabelOps>(table: &LabelTable<L>, row: usize) -> Option<Vec<u
     Some(chain)
 }
 
-/// Marks the candidates at least one context matches on `step`'s axis: one
-/// galloped run per outermost context for the descendant axis, one boundary
-/// for the following axis, one boundary less the last context's ancestors
-/// for the preceding axis, the stack-tree join for the ancestor axes.
+/// The first position at or after `from` whose candidate `before` rejects,
+/// where `before` holds on a prefix of `cands`. It gallops forward from
+/// `from`, so a walk over the contexts in rank order reads each stretch of
+/// candidates about once instead of bisecting the whole run per context.
+fn gallop(cands: &[RankedRow], from: usize, before: impl Fn(&RankedRow) -> bool) -> usize {
+    let rest = &cands[from..];
+    let mut hi = 1;
+    while hi <= rest.len() && before(&rest[hi - 1]) {
+        hi *= 2;
+    }
+    let lo = hi / 2;
+    from + lo + rest[lo..hi.min(rest.len())].partition_point(before)
+}
+
+/// Each context with its start — the position of its first following
+/// candidate — and the next context's start, or `cands.len()` after the
+/// last context. Contexts arrive in rank order, so each start is galloped
+/// forward from the one before.
+fn starts<'a>(
+    ctx: &'a [RankedRow],
+    cands: &'a [RankedRow],
+) -> impl Iterator<Item = (&'a RankedRow, usize, usize)> + 'a {
+    let start_of = move |from: usize, c: Option<&RankedRow>| match c {
+        Some(c) => gallop(cands, from, |d| d.rank <= c.rank),
+        None => cands.len(),
+    };
+    let mut next = start_of(0, ctx.first());
+    ctx.iter().enumerate().map(move |(i, c)| {
+        let start = next;
+        next = start_of(start, ctx.get(i + 1));
+        (c, start, next)
+    })
+}
+
+/// The position in its set that a [`join_on_slots`] key carries.
+fn position(key: u64) -> usize {
+    key as u32 as usize
+}
+
+/// The `parent_id` equi-join of §5.2 as a sort-merge join on arena slots.
+/// Each context and candidate becomes a key `slot << 32 | position`: a
+/// child's parent is its context, a sibling shares its context's parent,
+/// and a context's parent is the candidate, so `axis` picks whether a side
+/// is keyed by its rows' parents' slots or their own. Rows without a slot
+/// (the root has no parent) are left out. Sorted, the keys of one slot form
+/// a group in position order, which is rank order; a parsed document's
+/// slots follow document order, so the keys mostly arrive sorted and the
+/// stable sort only checks them. The merge calls `visit(contexts,
+/// candidates)` with the keys of each slot both sides hold. When the
+/// contexts are the candidates themselves, as for
+/// `//SPEECH/following-sibling::SPEECH` over a borrowed run, a sibling step
+/// keys them once.
+fn join_on_slots<L: LabelOps>(
+    table: &LabelTable<L>,
+    ctx: &[RankedRow],
+    cands: &[RankedRow],
+    axis: Axis,
+    mut visit: impl FnMut(&[u64], &[u64]),
+) {
+    let rows = table.rows();
+    let keys = |set: &[RankedRow], own: bool| {
+        let mut keys: Vec<u64> = set
+            .iter()
+            .enumerate()
+            .filter_map(|(p, c)| {
+                let slot = if own { Some(c.node) } else { rows[c.row as usize].parent };
+                Some((slot?.index() as u64) << 32 | p as u64)
+            })
+            .collect();
+        keys.sort();
+        keys
+    };
+    let ctx_keys = keys(ctx, axis == Axis::Child);
+    let cand_keys;
+    let cand_keys = if axis != Axis::Child && axis != Axis::Parent && std::ptr::eq(ctx, cands) {
+        &ctx_keys
+    } else {
+        cand_keys = keys(cands, axis == Axis::Parent);
+        &cand_keys
+    };
+    let same_slot = |a: &u64, b: &u64| a >> 32 == b >> 32;
+    let mut contexts = ctx_keys.chunk_by(same_slot).peekable();
+    let mut candidates = cand_keys.chunk_by(same_slot).peekable();
+    while let (Some(&cs), Some(&ds)) = (contexts.peek(), candidates.peek()) {
+        match (cs[0] >> 32).cmp(&(ds[0] >> 32)) {
+            Ordering::Less => {
+                contexts.next();
+            }
+            Ordering::Greater => {
+                candidates.next();
+            }
+            Ordering::Equal => {
+                visit(cs, ds);
+                contexts.next();
+                candidates.next();
+            }
+        }
+    }
+}
+
+/// The candidates at least one context matches on `step`'s axis: one
+/// descendant run per outermost context, one following boundary, one
+/// preceding boundary less the last context's ancestors, a sort-merge on
+/// the parent slot for the sibling axes, membership sets for the child
+/// and parent axes, the stack-tree join for the ancestor axes.
 fn any_match<L: LabelOps>(
     table: &LabelTable<L>,
     oracle: &dyn OrderOracle,
     ctx: &[RankedRow],
     cands: &[RankedRow],
     step: &Step,
-) -> Vec<bool> {
+) -> Spans {
     let rows = table.rows();
     let parent_of = |c: &RankedRow| rows[c.row as usize].parent;
     let label = |c: &RankedRow| &rows[c.row as usize].label;
@@ -728,23 +887,22 @@ fn any_match<L: LabelOps>(
     match step.axis {
         Axis::Child => {
             let ctx_nodes: IdSet<NodeId> = ctx.iter().map(|c| c.node).collect();
-            cands.iter().map(|c| parent_of(c).is_some_and(|p| ctx_nodes.contains(&p))).collect()
+            marked(cands, |_, c| parent_of(c).is_some_and(|p| ctx_nodes.contains(&p)))
         }
         Axis::Descendant => {
             // Each context's descendants are the candidate run right after
             // it. A context whose run would start inside the run kept so far
             // lies in that subtree, so its own run is already kept.
-            let mut keep = vec![false; cands.len()];
+            let mut spans = Spans::new();
             let mut end = 0;
-            for c in ctx {
-                let start = cands.partition_point(|d| d.rank <= c.rank);
+            for (c, start, next) in starts(ctx, cands) {
                 if start < end {
                     continue;
                 }
-                end = start + descendant_run(table, label(c), &cands[start..]);
-                keep[start..end].fill(true);
+                end = start + descendant_run(table, label(c), &cands[start..], next - start);
+                push_span(&mut spans, start..end);
             }
-            keep
+            spans
         }
         Axis::Following => {
             // following(S) is every candidate past the earliest subtree end
@@ -752,14 +910,15 @@ fn any_match<L: LabelOps>(
             // first candidate past its descendant run; a context that starts
             // at or past the best end so far cannot end earlier.
             let mut end = cands.len();
-            for c in ctx {
+            for (c, start, next) in starts(ctx, cands) {
                 if cands.get(end).is_some_and(|d| c.rank >= d.rank) {
                     break;
                 }
-                let start = cands.partition_point(|d| d.rank <= c.rank);
-                end = start + descendant_run(table, label(c), &cands[start..end]);
+                end = start + descendant_run(table, label(c), &cands[start..end], next - start);
             }
-            (0..cands.len()).map(|p| p >= end).collect()
+            let mut spans = Spans::new();
+            push_span(&mut spans, end..cands.len());
+            spans
         }
         Axis::Preceding => {
             // preceding(S) = preceding(last(S)): a candidate ends before some
@@ -767,79 +926,78 @@ fn any_match<L: LabelOps>(
             // step keeps every candidate ranked before the last context,
             // except that context's ancestors.
             let Some(last) = ctx.last() else {
-                return vec![false; cands.len()];
+                return Spans::new();
             };
             let before = cands.partition_point(|d| d.rank < last.rank);
-            let mut keep = vec![false; cands.len()];
-            keep[..before].fill(true);
-            match ancestor_rows(table, last.row as usize) {
-                // An ancestor the step could select is found among the
-                // candidates by its rank; no label is tested.
-                Some(chain) => {
-                    for row in chain.into_iter().map(|r| &rows[r]) {
-                        if step.tag != "*" && table.tag_name(row.tag) != step.tag {
-                            continue;
-                        }
-                        let rank = oracle.rank(row.node);
-                        if let Ok(p) = cands[..before].binary_search_by_key(&rank, |d| d.rank) {
-                            keep[p] &= cands[p].node != row.node;
-                        }
-                    }
-                }
-                None => {
-                    for (k, c) in keep[..before].iter_mut().zip(cands) {
-                        *k = !label(c).is_ancestor_of(label(last));
-                    }
-                }
+            let Some(chain) = ancestor_rows(table, last.row as usize) else {
+                return marked(&cands[..before], |_, c| !label(c).is_ancestor_of(label(last)));
+            };
+            // An ancestor the step could select is found among the
+            // candidates by its rank; no label is tested.
+            let mut dropped: Vec<usize> = chain
+                .into_iter()
+                .map(|r| &rows[r])
+                .filter(|row| step.tag == "*" || table.tag_name(row.tag) == step.tag)
+                .filter_map(|row| {
+                    let p = cands[..before].binary_search_by_key(&oracle.rank(row.node), |d| d.rank);
+                    p.ok().filter(|&p| cands[p].node == row.node)
+                })
+                .collect();
+            dropped.sort_unstable();
+            let mut spans = Spans::new();
+            let mut from = 0;
+            for p in dropped {
+                push_span(&mut spans, from..p);
+                from = p + 1;
             }
-            keep
+            push_span(&mut spans, from..before);
+            spans
         }
         Axis::FollowingSibling | Axis::PrecedingSibling => {
-            // Per parent, the earliest (latest) context: a candidate under
-            // the same parent matches iff it comes after (before) it.
-            let following = step.axis == Axis::FollowingSibling;
-            let mut bound: IdMap<NodeId, u64> = IdMap::default();
-            for c in ctx {
-                if let Some(p) = parent_of(c) {
-                    let b = bound.entry(p).or_insert(c.rank);
-                    *b = if following { (*b).min(c.rank) } else { (*b).max(c.rank) };
+            // Per parent slot, the earliest (latest) context: a candidate in
+            // the same group matches iff it comes after (before) it.
+            let mut marks = Vec::new();
+            join_on_slots(table, ctx, cands, step.axis, |cs, ds| {
+                let group = ds.iter().map(|&d| position(d));
+                if step.axis == Axis::FollowingSibling {
+                    let first = ctx[position(cs[0])].rank;
+                    marks.extend(group.skip_while(|&p| cands[p].rank <= first));
+                } else {
+                    let last = ctx[position(cs[cs.len() - 1])].rank;
+                    marks.extend(group.take_while(|&p| cands[p].rank < last));
                 }
-            }
-            cands
-                .iter()
-                .map(|c| {
-                    parent_of(c)
-                        .and_then(|p| bound.get(&p))
-                        .is_some_and(|&b| if following { c.rank > b } else { c.rank < b })
-                })
-                .collect()
+            });
+            spans_of(marks, cands.len())
         }
         Axis::Parent => {
             let parents: IdSet<NodeId> = ctx.iter().filter_map(parent_of).collect();
-            cands.iter().map(|c| parents.contains(&c.node)).collect()
+            marked(cands, |_, c| parents.contains(&c.node))
         }
-        Axis::Ancestor => targets_under().into_iter().map(|d| d > 0).collect(),
+        Axis::Ancestor => {
+            let under = targets_under();
+            marked(cands, |p, _| under[p] > 0)
+        }
         Axis::AncestorOrSelf => {
+            let under = targets_under();
             let ctx_rows: IdSet<u32> = ctx.iter().map(|c| c.row).collect();
-            cands
-                .iter()
-                .zip(targets_under())
-                .map(|(c, d)| d > 0 || ctx_rows.contains(&c.row))
-                .collect()
+            marked(cands, |p, c| under[p] > 0 || ctx_rows.contains(&c.row))
         }
     }
 }
 
-/// Marks, for every context, its `k`-th match on `axis` (0-based, document
-/// order) — the paper's per-context "collect, sort by order number, index"
-/// done for all contexts in one pass over the sorted candidate run. Each
-/// context costs index arithmetic plus at most a few label tests:
+/// The candidates that are some context's `k`-th match on `axis` (0-based,
+/// document order) — the paper's per-context "collect, sort by order
+/// number, index" done for all contexts in one forward walk over the
+/// sorted candidate run. Each context costs index arithmetic plus at most
+/// a few label tests:
 ///
 /// * descendants of a context are the contiguous candidate run right after
 ///   it, so its k-th descendant is one test away, and the run's end — its
-///   first following candidate — a galloping search away;
-/// * child and sibling matches are positions in the candidates grouped by
-///   the parent column, and the parent is a lookup;
+///   first following candidate — is found as [`descendant_run`] says;
+/// * child, sibling and parent matches come from a sort-merge of contexts
+///   and candidates on the parent's arena slot (the context's own for the
+///   child axis, the candidate's own for the parent axis): a position in
+///   the context's group, past a cursor for the sibling axes;
 /// * ancestor, ancestor-or-self and preceding read the context's ancestor
 ///   chain from the stack-tree join ([`join::visit_ancestor_chains`]).
 fn nth_match<L: LabelOps>(
@@ -848,64 +1006,64 @@ fn nth_match<L: LabelOps>(
     cands: &[RankedRow],
     axis: Axis,
     k: usize,
-) -> Vec<bool> {
+) -> Spans {
     let rows = table.rows();
     let label = |c: &RankedRow| &rows[c.row as usize].label;
-    // Position of the first candidate after a context.
-    let after = |rank: u64| cands.partition_point(|d| d.rank <= rank);
     let mut picks: Vec<usize> = Vec::new();
     match axis {
         Axis::Descendant => {
-            for c in ctx {
-                let p = after(c.rank) + k;
+            for (c, start, _) in starts(ctx, cands) {
+                let p = start + k;
                 if p < cands.len() && label(c).is_ancestor_of(label(&cands[p])) {
                     picks.push(p);
                 }
             }
         }
         Axis::Following => {
-            for c in ctx {
-                let start = after(c.rank);
-                picks.push(start + descendant_run(table, label(c), &cands[start..]) + k);
+            for (c, start, next) in starts(ctx, cands) {
+                picks.push(
+                    start + descendant_run(table, label(c), &cands[start..], next - start) + k,
+                );
             }
         }
-        Axis::Child | Axis::FollowingSibling | Axis::PrecedingSibling => {
-            // Candidate positions grouped by parent, each group in rank order.
-            let mut children: IdMap<NodeId, Vec<usize>> = IdMap::default();
-            for (p, c) in cands.iter().enumerate() {
-                if let Some(parent) = rows[c.row as usize].parent {
-                    children.entry(parent).or_default().push(p);
+        Axis::Child | Axis::FollowingSibling | Axis::PrecedingSibling | Axis::Parent => {
+            join_on_slots(table, ctx, cands, axis, |cs, ds| {
+                // `ds`: the group's candidates in rank order. The cursor
+                // passes the candidates up to each context, in rank order.
+                let rank = |i: usize| cands[position(ds[i])].rank;
+                let mut cursor = 0;
+                for &c in cs {
+                    let at = ctx[position(c)].rank;
+                    let pick = match axis {
+                        Axis::FollowingSibling => {
+                            while cursor < ds.len() && rank(cursor) <= at {
+                                cursor += 1;
+                            }
+                            ds.get(cursor + k)
+                        }
+                        Axis::PrecedingSibling => {
+                            while cursor < ds.len() && rank(cursor) < at {
+                                cursor += 1;
+                            }
+                            ds[..cursor].get(k)
+                        }
+                        _ => ds.get(k),
+                    };
+                    picks.extend(pick.map(|&d| position(d)));
                 }
-            }
-            for c in ctx {
-                let siblings =
-                    || rows[c.row as usize].parent.and_then(|parent| children.get(&parent));
-                let pick = match axis {
-                    Axis::Child => children.get(&c.node).and_then(|g| g.get(k)),
-                    Axis::FollowingSibling => siblings()
-                        .and_then(|g| g.get(g.partition_point(|&p| cands[p].rank <= c.rank) + k)),
-                    _ => siblings()
-                        .and_then(|g| g[..g.partition_point(|&p| cands[p].rank < c.rank)].get(k)),
-                };
-                picks.extend(pick);
-            }
-        }
-        Axis::Parent => {
-            if k == 0 {
-                let position: IdMap<NodeId, usize> =
-                    cands.iter().enumerate().map(|(p, c)| (c.node, p)).collect();
-                picks.extend(ctx.iter().filter_map(|c| {
-                    rows[c.row as usize].parent.and_then(|n| position.get(&n))
-                }));
-            }
+            });
         }
         Axis::Ancestor | Axis::AncestorOrSelf | Axis::Preceding => {
+            let mut cursor = 0;
             join::visit_ancestor_chains(&labeled(table, cands), &labeled(table, ctx), |t, chain| {
                 let c = ctx[t];
                 let pick = match axis {
                     Axis::Ancestor => chain.get(k).copied(),
                     // The chain, then the context itself if it is a candidate.
-                    Axis::AncestorOrSelf if k == chain.len() => cands.binary_search(&c).ok(),
+                    Axis::AncestorOrSelf if k == chain.len() => {
+                        cursor = gallop(cands, cursor, |d| d.rank < c.rank);
+                        cands.get(cursor).filter(|&&d| d == c).map(|_| cursor)
+                    }
                     Axis::AncestorOrSelf => chain.get(k).copied(),
                     _ => {
                         // The k-th candidate before the context, skipping
@@ -924,23 +1082,40 @@ fn nth_match<L: LabelOps>(
             });
         }
     }
-    let mut keep = vec![false; cands.len()];
-    for p in picks {
-        if let Some(slot) = keep.get_mut(p) {
-            *slot = true;
-        }
-    }
-    keep
+    spans_of(picks, cands.len())
 }
 
 /// How many leading elements of `run` — candidates in document order, all
-/// after the context — lie in the context's subtree. A subtree is
-/// contiguous in document order, so the answer is found by galloping and
-/// then bisecting: `O(log d)` ancestor tests for `d` descendants.
-fn descendant_run<L: LabelOps>(table: &LabelTable<L>, ctx_label: &L, run: &[RankedRow]) -> usize {
+/// after the context — lie in the context's subtree. A subtree is one
+/// contiguous stretch of ranks, so those candidates are a prefix of `run`.
+/// `next` is where the next context's run starts (`run.len()` after the
+/// last context), and the search first probes the two candidates around
+/// it: when `run[next - 1]` is inside and `run[next]` is not (or does not
+/// exist), the run ends exactly at `next`, after 2 ancestor tests. If the
+/// next context is nested in this one, a candidate at its start is still
+/// inside, so the probe fails; then, as whenever it fails, the search
+/// gallops and bisects between what the probes showed: `O(log d)` ancestor
+/// tests for `d` descendants.
+fn descendant_run<L: LabelOps>(
+    table: &LabelTable<L>,
+    ctx_label: &L,
+    run: &[RankedRow],
+    next: usize,
+) -> usize {
     let inside = |p: usize| ctx_label.is_ancestor_of(&table.rows()[run[p].row as usize].label);
     // run[..lo] is known inside, run[hi..] known outside.
-    let (mut lo, mut hi, mut stride) = (0, run.len(), 1);
+    let (mut lo, mut hi) = (0, run.len());
+    let next = next.min(run.len());
+    if next > 0 {
+        if !inside(next - 1) {
+            hi = next - 1;
+        } else if next == run.len() || !inside(next) {
+            return next;
+        } else {
+            lo = next + 1;
+        }
+    }
+    let mut stride = 1;
     while lo < hi {
         let probe = (lo + stride - 1).min(hi - 1);
         if !inside(probe) {
@@ -1169,6 +1344,102 @@ mod tests {
         for batch in [true, false] {
             let got = eval_path_with(&part, &oracle, &path, batch).unwrap();
             assert_eq!(got.iter().map(tag).collect::<Vec<_>>(), ["a", "c"], "batch {batch}");
+        }
+    }
+
+    /// `q`'s answer on `xml` as tag names, after checking that the batched
+    /// steps agree with the per-context reference, both through a plain
+    /// oracle and through borrowed runs; with the batched ancestor tests.
+    fn answer(xml: &str, q: &str) -> (Vec<String>, u64) {
+        use xp_baselines::interval::IntervalScheme;
+        use xp_labelkit::Scheme;
+
+        let tree = xp_xmltree::parse(xml).unwrap();
+        let table = LabelTable::build(&tree, &IntervalScheme::dense().label(&tree));
+        let oracle = TreeOrderOracle::of(&tree);
+        let runs = crate::runs::TagRuns::build(&table, oracle.clone());
+        let path = Path::parse(q).unwrap();
+        let slow = eval_path_with(&table, &oracle, &path, false).unwrap();
+        assert_eq!(eval_path(&table, &oracle, &path).unwrap(), slow, "{q}: batched");
+        assert_eq!(eval_path(&table, &runs, &path).unwrap(), slow, "{q}: batched over runs");
+        let (counted, stats) =
+            crate::instrument::measure_predicates(&table, &oracle, &path).unwrap();
+        assert_eq!(counted, slow, "{q}: counted");
+        (slow.iter().map(|&n| tree.tag(n).unwrap().to_string()).collect(), stats.ancestor_tests)
+    }
+
+    /// The second `a` is nested in the first, so the `b` at its start is
+    /// still inside the first `a`: the probe must fall back to galloping,
+    /// or the run would stop before the `b` that follows the inner `a`.
+    #[test]
+    fn a_nested_next_context_makes_the_probe_fall_back() {
+        let xml = "<r><a><b/><a><b/><b/></a><c/><b/></a><b/></r>";
+        assert_eq!(answer(xml, "//a//b").0, ["b", "b", "b", "b"]);
+        assert_eq!(answer(xml, "//a//*").0, ["b", "a", "b", "b", "c", "b"]);
+        assert_eq!(answer(xml, "//a/following::b").0, ["b", "b"]);
+        assert_eq!(answer(xml, "//a/following::*[1]").0, ["c", "b"]);
+    }
+
+    /// After the last context there is no next start; the probe then tests
+    /// the last candidate, which ends the run at the end of the candidates
+    /// with one test when it is inside, and starts a gallop when it is not.
+    #[test]
+    fn the_last_context_probes_the_last_candidate() {
+        // Two tests end the first run at the second context's start, one
+        // ends the last run at the last candidate.
+        let (got, tests) = answer("<r><a><b/></a><a><b/><b/><b/></a></r>", "//a//b");
+        assert_eq!((got.len(), tests), (4, 3));
+        let xml = "<r><a><b/></a><a><b/><b/></a><b/><c/></r>";
+        assert_eq!(answer(xml, "//a//b").0, ["b", "b", "b"]);
+        assert_eq!(answer(xml, "//a/following::*").0, ["a", "b", "b", "b", "c"]);
+        assert_eq!(answer(xml, "//a/following::b[2]").0, ["b"]);
+        assert_eq!(answer(xml, "//a/following::c[1]").0, ["c"]);
+    }
+
+    /// Contexts whose starts coincide: the first `a` has no `b` of its own
+    /// before the next `a`, or holds the next `a` with nothing before it.
+    #[test]
+    fn contexts_without_a_candidate_between_them() {
+        let xml = "<r><a/><a><b/></a><b/></r>";
+        assert_eq!(answer(xml, "//a//b").0, ["b"]);
+        assert_eq!(answer(xml, "//a/following::b").0, ["b", "b"]);
+        assert_eq!(answer(xml, "//a/following::b[2]").0, ["b"]);
+        let nested = "<r><a><a><b/><b/></a></a><b/></r>";
+        assert_eq!(answer(nested, "//a//b").0, ["b", "b"]);
+        assert_eq!(answer(nested, "//a/following::b").0, ["b"]);
+        assert_eq!(answer(nested, "//a//b[2]").0, ["b"]);
+    }
+
+    /// The last context's ancestors are the first and the last candidate
+    /// ranked before it, so the preceding step keeps the spans between
+    /// them, several of them, copied whether the candidates were borrowed
+    /// or owned.
+    #[test]
+    fn preceding_drops_ancestors_at_both_ends_of_the_kept_run() {
+        let xml = "<r><x/><b><y/><c><d/></c></b></r>";
+        assert_eq!(answer(xml, "//d/preceding::*").0, ["x", "y"]);
+        assert_eq!(answer("<r><a/><b><d/></b></r>", "//d/preceding::*").0, ["a"]);
+        assert_eq!(answer("<r><b><d/></b></r>", "//d/preceding::*").0, Vec::<String>::new());
+    }
+
+    /// Several contexts pick the same candidate; it is kept once, in
+    /// document order among the other picks.
+    #[test]
+    fn positional_picks_shared_by_several_contexts() {
+        let xml = "<r><a/><a/><p><a/><b/></p><b/><a><c/><b/><b/></a><c/></r>";
+        for (q, want) in [
+            ("//a/following-sibling::b[1]", &["b", "b"][..]),
+            ("//a/following-sibling::*[1]", &["a", "p", "b", "c"]),
+            ("//b/preceding-sibling::a[1]", &["a", "a"]),
+            ("//b/preceding-sibling::*[1]", &["a", "a", "c"]),
+            ("//b/parent::*[1]", &["r", "p", "a"]),
+            ("//r/*[2]", &["a"]),
+            ("//*/b[1]", &["b", "b", "b"]),
+            ("//a/following::b[1]", &["b"]),
+            ("//b/ancestor::*[1]", &["r"]),
+            ("//*//b[1]", &["b", "b"]),
+        ] {
+            assert_eq!(answer(xml, q).0, want, "{q}");
         }
     }
 

@@ -19,11 +19,13 @@
 //! caller's thread. Positional `ancestor`, `ancestor-or-self` and
 //! `preceding` steps read the chains themselves: a context's n-th match is
 //! an index into its chain, or into the candidates before it with the chain
-//! skipped. The other steps need no join: a subtree is one contiguous run
-//! in document order, so a descendant step keeps one galloped run per
-//! outermost context, a following step reduces to one boundary, and a
-//! preceding step to one boundary less the last context's ancestors, which
-//! it reads up the parent column.
+//! skipped. The other steps need no stack: a subtree is one contiguous run
+//! in document order, so a descendant step keeps one run per outermost
+//! context, ended at the next context's start or galloped, a following
+//! step reduces to one boundary, and a preceding step to one boundary less
+//! the last context's ancestors, which it reads up the parent column. The
+//! sibling steps sort-merge contexts and candidates on their parents'
+//! arena slots.
 
 use xp_labelkit::{AncestorTester, LabelOps};
 

@@ -8,7 +8,9 @@
 //! `prime_rank_column_tracks_sc_order` checks the served order: a
 //! [`TagRuns`] (rank column plus rank-ordered tag runs) folded report by
 //! report must stay equal to the prime scheme's `SC mod self-label` order,
-//! and its runs to a fresh build.
+//! and its runs to a fresh build; and every path, batched through the runs
+//! and through the tree-walk order, must answer like the per-context
+//! reference on the patched table.
 //!
 //! The final `dynamic_env_matrix` test is the CI hook: with
 //! `XP_FAULT=<site>:<n>` armed, the same mutation pipeline must never
@@ -21,7 +23,7 @@ use xp_baselines::{
 };
 use xp_labelkit::{DynamicScheme, InsertPos, LabelOps, LabeledStore, RelabelReport};
 use xp_prime::DynamicPrime;
-use xp_query::engine::{eval_path, OrderOracle, Path, TreeOrderOracle};
+use xp_query::engine::{eval_path, eval_path_with, OrderOracle, Path, TreeOrderOracle};
 use xp_query::relstore::LabelTable;
 use xp_query::TagRuns;
 use xp_testkit::propcheck::{usizes, vec_of, Gen};
@@ -47,7 +49,9 @@ fn tree_strategy(max_nodes: usize) -> Gen<XmlTree> {
 /// preceding-sibling — plus positional steps, which exercise the order
 /// oracle: a first-step `[n]` and a mid-path `[n]` on every axis, so the
 /// one-pass positional join runs on tag buckets a patch left out of
-/// document order.
+/// document order. The `*` positional sibling and child steps sort every
+/// element by its parent's arena slot, and an inserted node's slot does
+/// not follow document order, so the sort-merge meets unsorted keys.
 const PATHS: &[&str] = &[
     "//t0/t1",
     "/t0//t2",
@@ -68,6 +72,9 @@ const PATHS: &[&str] = &[
     "//t2/parent::*[1]",
     "//t3/ancestor::*[1]",
     "//t1/ancestor-or-self::*[2]",
+    "//*/following-sibling::*[2]",
+    "//*/preceding-sibling::*[1]",
+    "//t0/*[3]",
 ];
 
 /// Picks the `pick`-th non-root element, if the document has one.
@@ -236,8 +243,11 @@ fn sc_column(
 /// way a served snapshot does, and checks them against the SC table after
 /// each step: every element ranks at its SC order, every node ever removed
 /// ranks last, the runs equal a fresh build from the patched table, and
-/// every query answers with the runs as its oracle exactly as with the
-/// tree-walk order.
+/// every query answers, batched with the runs as its oracle and batched
+/// with the tree-walk order, exactly as the per-context reference
+/// `eval_path_with(.., false)` does on the patched table. Inserted nodes
+/// take arena slots that do not follow document order, so this is where
+/// the sibling steps' sort on parent slots meets unsorted keys.
 fn check_rank_column(tree: &XmlTree, ops: &[usize]) -> Result<(), String> {
     let mut store = LabeledStore::build(DynamicPrime::new(3), tree.clone())
         .map_err(|e| format!("build: {e}"))?;
@@ -277,9 +287,12 @@ fn check_rank_column(tree: &XmlTree, ops: &[usize]) -> Result<(), String> {
                 eval_path(&table, &runs, &path).map_err(|e| ctx(&format!("{path_str}: {e}")))?;
             let by_tree = eval_path(&table, &ranks, &path)
                 .map_err(|e| ctx(&format!("{path_str} (tree order): {e}")))?;
-            if by_runs != by_tree {
+            let reference = eval_path_with(&table, &ranks, &path, false)
+                .map_err(|e| ctx(&format!("{path_str} (per context): {e}")))?;
+            if by_runs != reference || by_tree != reference {
                 return Err(ctx(&format!(
-                    "{path_str}: runs {by_runs:?} vs tree order {by_tree:?}"
+                    "{path_str}: runs {by_runs:?}, tree order {by_tree:?}, \
+                     per context {reference:?}"
                 )));
             }
         }

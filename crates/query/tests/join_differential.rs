@@ -1,9 +1,12 @@
-//! Differential property test: the batched evaluator — descendant runs,
-//! following/preceding boundaries, stack-join ancestor steps and one-pass
-//! positional steps — must return exactly what the naive per-context
-//! evaluator returns, on arbitrary trees and every axis, under interval
-//! labels and under prime labels (whose ancestor test rejects by bit length
-//! and self-label residue before it divides). Each batched path runs twice:
+//! Differential property test: the batched evaluator — descendant runs
+//! ended at the next context's start or galloped, following/preceding
+//! boundaries, sibling steps sort-merged on parent slots, stack-join
+//! ancestor steps, one-pass positional steps and kept spans — must return
+//! exactly what the naive per-context evaluator returns, on arbitrary trees
+//! and every axis, under interval labels and under prime labels (whose
+//! ancestor test rejects by bit length and self-label residue before it
+//! divides). The trees attach each element to a random earlier one, so
+//! arena slots do not follow document order. Each batched path runs twice:
 //! ranking and sorting its candidates through a plain oracle, and borrowing
 //! them from rank-ordered tag runs ([`TagRuns`]) as a served snapshot does.
 

@@ -38,7 +38,14 @@
 //! context's ancestors, which it reads up the parent column; a step that
 //! tests every candidate before the context makes one test per row.
 //!
-//! A fifth test serves the queries the way a snapshot does: from
+//! A fifth test holds the descendant steps of Q3, Q7, Q8 and Q9 to at most
+//! two ancestor tests per `//PLAY` context at both sizes. Each context's
+//! run is first probed at the next context's start: when the candidate
+//! just before it lies in the context's subtree and the one at it does
+//! not, the run ends there; a search that gallops makes `O(log d)` tests
+//! per context instead.
+//!
+//! A sixth test serves the queries the way a snapshot does: from
 //! [`TagRuns`] built from SC ranks with one sort, behind a counting oracle.
 //! Every Table-2 query must then make at most one rank lookup (a root step
 //! ranks the root) and return the harness's answer, because every step
@@ -225,6 +232,32 @@ fn preceding_steps_read_ancestors_from_the_parent_column() {
         }
     }
     assert!(failures.is_empty(), "preceding step gate:\n{}", failures.join("\n"));
+}
+
+#[test]
+fn descendant_runs_end_at_the_next_context() {
+    let queries: Vec<_> =
+        TEST_QUERIES.iter().filter(|q| ["Q3", "Q7", "Q8", "Q9"].contains(&q.id)).collect();
+    // The first path counts the contexts the others' descendant steps walk.
+    let paths: Vec<&str> =
+        std::iter::once("//PLAY").chain(queries.iter().map(|q| q.path)).collect();
+    let mut failures = Vec::new();
+    for replicas in [2, 8] {
+        let costs = measured(replicas, &paths);
+        let plays = costs[0].rows as u64;
+        assert!(plays >= replicas as u64, "{plays} PLAY contexts at {replicas} replicas");
+        for (q, c) in queries.iter().zip(&costs[1..]) {
+            eprintln!("{}: r={replicas} {plays} contexts {} tests", q.id, c.ancestor_tests);
+            if c.ancestor_tests > 2 * plays {
+                failures.push(format!(
+                    "{} at {replicas} replicas: {} ancestor tests for {plays} //PLAY contexts \
+                     (> 2 per context)",
+                    q.id, c.ancestor_tests
+                ));
+            }
+        }
+    }
+    assert!(failures.is_empty(), "next-context probe gate:\n{}", failures.join("\n"));
 }
 
 /// A served snapshot's order — SC ranks and rank-ordered runs — counting

@@ -179,6 +179,23 @@ echo "==> query-cost gate (rank lookups + ancestor tests per Table-2 query)"
 cargo test -q --offline -p xp-query --test query_cost > /dev/null
 echo "OK: query cost is linear in the corpus and bounded per row."
 
+echo "==> join-differential gate (batched steps vs the per-context oracle, every axis)"
+# The batched-versus-per-context oracle for every step: on random trees,
+# under interval and prime labels, every batched step (descendant runs
+# ended by the next-context probe, following and preceding boundaries, the
+# sort-merge on the parent slot for the child, sibling and parent axes,
+# the stack join for the ancestor axes, kept spans) must return exactly
+# what eval_path_with(.., false) returns, through a plain oracle and
+# through borrowed tag runs, on every axis at [1]-[3] and position-free.
+# Tier-1 runs it at 256 cases; here at 2048, under the serial fallback
+# and a parallel pool. See crates/query/tests/join_differential.rs and
+# DESIGN.md §15.
+for threads in 1 8; do
+    XP_THREADS=$threads PROPCHECK_CASES=2048 \
+        cargo test -q --offline -p xp-query --test join_differential > /dev/null
+done
+echo "OK: batched steps answer like the per-context oracle on every axis."
+
 echo "==> dynamic-API bench smoke (incremental table patch vs rebuild)"
 # Wall-clock gate for RelabelReport -> LabelTable patching: fails if the
 # leaf-insert patch median exceeds a full table rebuild at any size, or if
