@@ -7,9 +7,10 @@ use crate::report::Report;
 use xp_baselines::interval::IntervalScheme;
 use xp_baselines::prefix::Prefix2Scheme;
 use xp_datagen::DATASETS;
-use xp_labelkit::Scheme;
+use xp_labelkit::{DynamicScheme, Scheme, ShardPolicy};
 use xp_prime::size_model;
 use xp_prime::topdown::TopDownPrime;
+use xp_prime::{DynamicPrime, ShardedPrime};
 use xp_primes::{estimate, PrimeIterator};
 use xp_xmltree::TreeStats;
 
@@ -142,10 +143,11 @@ pub fn fig14() -> Report {
 
 /// Ablation (beyond the paper's figures, §3.2's last remark): effect of
 /// tree decomposition on the maximum label size for deep documents — a
-/// 120-level chain and the deep NASA dataset (D7).
+/// 120-level chain and the deep NASA dataset (D7). Each cut labels through
+/// the shard facade ([`ShardedPrime`] at [`ShardPolicy::at_depth`]), where a
+/// label costs its shard id at its own bit width plus its local prime label.
 pub fn ablation_decompose() -> Report {
     use xp_datagen::builders::chain;
-    use xp_prime::decompose::DecomposedPrimeDoc;
 
     let mut r = Report::new(
         "ablation_decompose",
@@ -158,8 +160,11 @@ pub fn ablation_decompose() -> Report {
         let flat = TopDownPrime::unoptimized().label(tree).size_stats().max_bits;
         let mut cells = vec![name.to_string(), flat.to_string()];
         for cut in [2usize, 4, 8, 16] {
-            let doc = DecomposedPrimeDoc::build(tree, cut);
-            cells.push(doc.max_label_bits().to_string());
+            let scheme = ShardedPrime::new(DynamicPrime::default(), ShardPolicy::at_depth(cut));
+            let (doc, _) = scheme
+                .init(tree)
+                .unwrap_or_else(|e| panic!("{name} does not label at cut {cut}: {e}"));
+            cells.push(doc.size_stats().max_bits.to_string());
         }
         r.row(&cells);
     }
@@ -187,6 +192,9 @@ mod tests {
         let flat: u64 = chain_row[1].parse().unwrap();
         let cut8: u64 = chain_row[4].parse().unwrap();
         assert!(cut8 * 4 < flat, "chain: {cut8} vs {flat}");
+        // Pinned byte for byte: the facade labels its shards on the worker
+        // pool, and no cell may depend on the thread count.
+        assert_eq!(r.to_csv(), include_str!("../../../../results/ablation_decompose.csv"));
     }
 
     #[test]

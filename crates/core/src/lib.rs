@@ -24,10 +24,10 @@
 //! * [`ordered::OrderedPrimeDoc`] — the full ordered document: top-down
 //!   labels + SC table + insertion/deletion with relabel accounting, the
 //!   object the query engine (`xp-query`) and Figure 18 run on.
-//! * [`decompose::DecomposedPrimeDoc`] — the tree-decomposition
-//!   optimization §3.2 adopts from \[10\] for trees "with great depths":
-//!   per-subtree labeling plus a labeled global tree, with a label-only
-//!   cross-subtree ancestor test.
+//! * [`ShardedPrime`] — the tree-decomposition optimization §3.2 adopts
+//!   from \[10\] for trees "with great depths": [`DynamicPrime`] behind the
+//!   `xp-labelkit` shard facade, which labels each subtree with its own
+//!   prime pool and decides ancestry across subtrees from labels alone.
 //!
 //! ```
 //! use xp_prime::topdown::TopDownPrime;
@@ -53,7 +53,6 @@
 
 pub mod bottomup;
 pub mod crt;
-pub mod decompose;
 pub mod dynamic;
 pub mod error;
 pub mod label;

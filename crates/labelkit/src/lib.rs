@@ -43,7 +43,7 @@ pub use dynamic::{
 };
 pub use scheme::{assert_parent_contract, AncestorTester, LabelOps, OrderedLabel, Scheme};
 pub use shard::{
-    apply_batch_sharded, maintain_shards, shard_capacity_check, split_shard, take_dirty_shards,
-    ChainLink, ShardCapacityError, ShardCell, ShardId, ShardPart, ShardPolicy, ShardedLabel,
-    ShardedScheme, ShardedState, SHARD_ID_CAPACITY,
+    apply_batch_sharded, maintain_shards, split_shard, take_dirty_shards, ChainLink,
+    ShardCapacityError, ShardCell, ShardId, ShardPart, ShardPolicy, ShardedLabel, ShardedScheme,
+    ShardedState,
 };

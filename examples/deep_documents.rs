@@ -3,9 +3,11 @@
 //! Depth is the prime scheme's weak axis (Figure 5): every level multiplies
 //! another prime into the label. This example shows the two §3.2 answers:
 //!
-//! 1. **Tree decomposition** — label subtrees independently and keep a
-//!    labeled global tree; a 100-level document's labels shrink from
-//!    hundreds of bits to a few dozen.
+//! 1. **Tree decomposition** — cut the document into shards every few
+//!    levels and label each shard with its own prime pool (the shard
+//!    facade over `DynamicPrime`); a 100-level document's labels shrink
+//!    from hundreds of bits to a few dozen, and each label's anchor chain
+//!    still answers ancestor tests across shards.
 //! 2. And the flip side of path-product labels: a label *is* its ancestor
 //!    path — factorizing it recovers the full root chain with no tree
 //!    access (`xp_prime::path::decode_path`).
@@ -15,7 +17,6 @@
 //! ```
 
 use xmlprime::prelude::*;
-use xmlprime::prime::decompose::DecomposedPrimeDoc;
 use xmlprime::prime::path::decode_path;
 
 fn main() {
@@ -33,15 +34,18 @@ fn main() {
 
     // Decomposed labeling at several cut depths.
     for cut in [4usize, 8, 16] {
-        let doc = DecomposedPrimeDoc::build(&tree, cut);
+        let scheme = ShardedScheme::new(DynamicPrime::default(), ShardPolicy::at_depth(cut));
+        let (doc, shards) = scheme.init(&tree).unwrap();
         println!(
-            "decomposed (cut {cut:>2}): max label {:>4} bits across {} subtrees",
-            doc.max_label_bits(),
-            doc.subtree_count(),
+            "decomposed (cut {cut:>2}): max label {:>4} bits across {} shards",
+            doc.size_stats().max_bits,
+            shards.live_count(),
         );
-        // The cross-subtree ancestor test still answers from labels alone.
-        assert!(doc.is_ancestor(tree.root(), deepest));
-        assert!(!doc.is_ancestor(deepest, tree.root()));
+        // The cross-shard ancestor test still answers from labels alone.
+        let (top, bottom) = (doc.label(tree.root()), doc.label(deepest));
+        assert_ne!(top.shard, bottom.shard);
+        assert!(top.is_ancestor_of(bottom));
+        assert!(!bottom.is_ancestor_of(top));
     }
 
     // Path decoding on a shallow-but-bushy document: one integer holds the

@@ -65,6 +65,16 @@ echo "==> rustdoc gate (no broken, ambiguous or private doc links)"
 RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --offline --workspace
 echo "OK: every crate's docs build without warnings."
 
+echo "==> examples smoke (every example runs and its asserts hold)"
+# The clippy gate compiles the examples but never runs them, so their
+# assert!s would never execute. Each one runs here in release and must exit
+# cleanly; deep_documents asserts ancestry across the shards of a §3.2
+# decomposition.
+for example in quickstart ordered_bookstore scheme_shootout dynamic_feed deep_documents; do
+    cargo run -q --release --offline -p xmlprime --example "$example" > /dev/null
+    echo "OK: example $example runs"
+done
+
 echo "==> fault-injection matrix (XP_FAULT, one armed site per run)"
 # Drive the full pipeline (parse -> label -> ordered build -> insert ->
 # delete -> query) with each compiled-in fault site armed; the env_matrix
